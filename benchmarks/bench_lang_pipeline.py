@@ -13,9 +13,16 @@ standalone reporter::
 
 which times every pipeline stage (per-scenario min/mean/std over N
 repeats) and writes the measurements in the same spirit as
-``BENCH_eval.json``.  CI runs it with ``--check BENCH_lang.json
---max-regression 2.0`` to fail the build when the interpreter hot loop's
-*min* regresses more than 2x against the committed baseline.
+``BENCH_eval.json``.  Every gate is a flag, and all of them run on the
+one set of fresh numbers:
+
+* ``--check BENCH_lang.json --max-regression 2.0`` fails when a smoke
+  bench's *min* is more than 2x the committed baseline's, or when a
+  smoke bench is missing from either report;
+* ``--min-transient-speedup 1.3`` fails unless transient checking beats
+  full checking by 1.3x on the residual hot loop (vm and jit);
+* ``--min-jit-over-vm 1.5`` fails unless the JIT runs the hot loop 1.5x
+  faster than the VM.
 """
 
 import pytest
@@ -131,10 +138,10 @@ def _hot_checked_elided():
 HOT_ELIDED = _hot_checked_elided()
 
 
-@pytest.mark.parametrize("engine", ["walk", "compiled", "vm", "jit"])
+@pytest.mark.parametrize("engine", ["walk", "vm", "jit"])
 def test_bench_execution_engines(benchmark, engine):
-    """Tree walk vs closure compiler vs register VM vs the VM's
-    trace-JIT tier on a message-heavy hot loop."""
+    """Tree walk vs register VM vs the VM's trace-JIT tier on a
+    message-heavy hot loop."""
 
     def run():
         interp = Interpreter(
@@ -147,7 +154,7 @@ def test_bench_execution_engines(benchmark, engine):
     assert interp.output == ["23997"]
 
 
-@pytest.mark.parametrize("engine", ["walk", "compiled", "vm", "jit"])
+@pytest.mark.parametrize("engine", ["walk", "vm", "jit"])
 def test_bench_check_elision(benchmark, engine):
     """The hot loop with repro.analysis check elision planned in."""
 
@@ -192,7 +199,7 @@ class Main {
 RESIDUAL_CHECKED = check_program(HOT_RESIDUAL)
 
 
-@pytest.mark.parametrize("engine", ["walk", "compiled", "vm", "jit"])
+@pytest.mark.parametrize("engine", ["walk", "vm", "jit"])
 @pytest.mark.parametrize("checks", ["full", "transient"])
 def test_bench_transient_checks(benchmark, engine, checks):
     """Full vs transient check depth on the residual-heavy loop: every
@@ -250,11 +257,16 @@ def test_bench_smallstep_kernel(benchmark):
 
 #: Keys the CI smoke job guards against regression.  The interpreter hot
 #: loop is the canonical "is the lang pipeline still fast?" signal.
-SMOKE_KEYS = ("hot_loop_walk_s", "hot_loop_compiled_s", "hot_loop_vm_s",
-              "hot_loop_jit_s", "typechecker_s")
+SMOKE_KEYS = ("hot_loop_walk_s", "hot_loop_vm_s", "hot_loop_jit_s",
+              "typechecker_s")
 
 #: Execution engines every hot-loop scenario is measured under.
-ENGINES = ("walk", "compiled", "vm", "jit")
+ENGINES = ("walk", "vm", "jit")
+
+#: Engines the transient-speedup gate applies to: the perf bar of
+#: transient checking is the vm's shallow opcodes and the jit's inlined
+#: tag probes (the walk also wins, but is not gated).
+TRANSIENT_GATED = ("vm", "jit")
 
 
 def _sample(fn, repeats):
@@ -409,16 +421,29 @@ def check_against(payload, baseline, max_regression):
     Returns (ok, lines): ``ok`` is False when any SMOKE_KEYS bench's
     *min* is slower than ``max_regression`` times the baseline min —
     comparing minima keeps one noisy repeat on a shared CI runner from
-    masking (or faking) a real regression.
+    masking (or faking) a real regression — or when a SMOKE_KEYS bench
+    is missing from the payload or the baseline, since a gate that
+    cannot compare must not pass.
     """
     ok = True
     lines = []
+    benches = payload.get("benches", {})
     base_benches = baseline.get("benches", {})
-    for key, entry in sorted(payload["benches"].items()):
+    for key in sorted(set(benches) | set(SMOKE_KEYS)):
+        entry = benches.get(key)
+        if entry is None:
+            ok = False
+            lines.append(f"{key:>26}: missing  <-- MISSING smoke bench")
+            continue
         current = _min_of(entry)
         base_entry = base_benches.get(key)
         if not base_entry:
-            lines.append(f"{key:>26}: {current:.6f}s (no baseline)")
+            marker = ""
+            if key in SMOKE_KEYS:
+                ok = False
+                marker = "  <-- MISSING from baseline"
+            lines.append(f"{key:>26}: {current:.6f}s (no baseline)"
+                         f"{marker}")
             continue
         base = _min_of(base_entry)
         ratio = current / base
@@ -428,6 +453,46 @@ def check_against(payload, baseline, max_regression):
             marker = f"  <-- REGRESSION (> {max_regression:.1f}x)"
         lines.append(f"{key:>26}: {current:.6f}s vs {base:.6f}s "
                      f"baseline ({base / current:.2f}x speedup){marker}")
+    return ok, lines
+
+
+def check_ratios(payload, min_transient_speedup=None,
+                 min_jit_over_vm=None):
+    """Gate the speedup claims on the fresh numbers alone.
+
+    Returns (ok, lines), like :func:`check_against`.  A ``None``
+    threshold skips its gate; a ratio whose inputs are missing fails.
+
+    * transient: ``transient_speedup`` (full / transient on the
+      residual hot loop) must reach ``min_transient_speedup`` on every
+      engine in TRANSIENT_GATED;
+    * jit over vm: the hot loop's vm min over its jit min must reach
+      ``min_jit_over_vm``.
+    """
+    gates = []  # (label, ratio or None when missing, minimum)
+    if min_transient_speedup is not None:
+        speedups = payload.get("transient_speedup", {})
+        for engine in TRANSIENT_GATED:
+            gates.append((f"transient speedup [{engine}]",
+                          speedups.get(engine), min_transient_speedup))
+    if min_jit_over_vm is not None:
+        benches = payload.get("benches", {})
+        vm = benches.get("hot_loop_vm_s")
+        jit = benches.get("hot_loop_jit_s")
+        ratio = (None if vm is None or jit is None
+                 else _min_of(vm) / _min_of(jit))
+        gates.append(("jit over vm [hot loop]", ratio, min_jit_over_vm))
+    ok = True
+    lines = []
+    for label, ratio, minimum in gates:
+        if ratio is None:
+            ok = False
+            lines.append(f"{label}: MISSING")
+        elif ratio < minimum:
+            ok = False
+            lines.append(f"{label}: {ratio:.2f}x FAIL (< {minimum:.2f}x)")
+        else:
+            lines.append(f"{label}: {ratio:.2f}x ok")
     return ok, lines
 
 
@@ -453,6 +518,10 @@ def main(argv=None):
                         help="fail unless transient checking beats full "
                              "checking by at least RATIO on the residual "
                              "hot loop for the vm and jit engines")
+    parser.add_argument("--min-jit-over-vm", type=float, default=None,
+                        metavar="RATIO",
+                        help="fail unless the jit runs the hot loop at "
+                             "least RATIO times faster than the vm")
     args = parser.parse_args(argv)
 
     # Load the baseline up front: when --out and --check name the same
@@ -470,34 +539,24 @@ def main(argv=None):
     print(json.dumps(payload, indent=2))
     print(f"[written to {args.out}]")
 
+    status = 0
     if baseline is not None:
         ok, lines = check_against(payload, baseline, args.max_regression)
         print(f"[baseline: {args.check}]")
         for line in lines:
             print(line)
         if not ok:
-            print("ERROR: lang-pipeline smoke bench regressed beyond "
-                  f"{args.max_regression}x", file=sys.stderr)
-            return 1
-
-    if args.min_transient_speedup is not None:
-        # Gate only the compiled tiers: the walk/compiled engines also
-        # win from transient checks, but the perf bar of this PR is the
-        # vm's shallow opcodes and the jit's inlined tag probes.
-        failed = False
-        for engine in ("vm", "jit"):
-            ratio = payload["transient_speedup"][engine]
-            status = "ok"
-            if ratio < args.min_transient_speedup:
-                failed = True
-                status = (f"FAIL (< {args.min_transient_speedup:.2f}x)")
-            print(f"transient speedup [{engine}]: {ratio:.2f}x {status}")
-        if failed:
-            print("ERROR: transient checking is not "
-                  f"{args.min_transient_speedup:.2f}x faster than full "
-                  "on the residual hot loop", file=sys.stderr)
-            return 1
-    return 0
+            print("ERROR: a lang-pipeline smoke bench regressed beyond "
+                  f"{args.max_regression}x or is missing", file=sys.stderr)
+            status = 1
+    ok, lines = check_ratios(payload, args.min_transient_speedup,
+                             args.min_jit_over_vm)
+    for line in lines:
+        print(line)
+    if not ok:
+        print("ERROR: a speedup ratio gate failed", file=sys.stderr)
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

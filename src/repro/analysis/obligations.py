@@ -17,8 +17,8 @@ Each site is classified:
 * ``static`` — the runtime emits no check at all (self messages,
   mode-transparent receivers);
 * ``elided`` — a check the runtime would emit, proven to always pass;
-  the planner (:mod:`.planner`) annotates the AST so the interpreter
-  and compiler skip it;
+  the planner (:mod:`.planner`) annotates the AST so the execution
+  engines skip it;
 * ``residual`` — a check that must run dynamically, with the reason.
 
 The analysis is deliberately conservative; the soundness argument for

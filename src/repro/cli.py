@@ -26,7 +26,7 @@ Usage (installed as ``python -m repro``)::
     --seed N        RNG / platform seed
     --stats         print run statistics as one JSON object (stderr)
     --no-elide      keep every dynamic check (disable repro.analysis)
-    --engine E      execution engine: walk, compiled, vm or jit
+    --engine E      execution engine: walk, vm or jit
                     (docs/VM.md, docs/PERFORMANCE.md)
 
 ``disasm`` lowers a program to the VM's register bytecode and
@@ -111,11 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="disable the lazy-copy optimization")
     run.add_argument("--engine", choices=list(ENGINES), default=None,
                      help="execution engine: walk (reference, default), "
-                          "compiled (closure compiler), vm (register "
-                          "bytecode) or jit (VM + trace-JIT tier, "
-                          "fastest on hot code) — see docs/VM.md")
-    run.add_argument("--compile", action="store_true",
-                     help="deprecated alias for --engine compiled")
+                          "vm (register bytecode) or jit (VM + trace-JIT "
+                          "tier, fastest on hot code) — see docs/VM.md")
     run.add_argument("--no-inline-caches", action="store_true",
                      help="disable the run-time caches (method tables, "
                           "call-site ICs, dfall memo); semantics are "
@@ -186,7 +183,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="arguments passed to main")
     profile.add_argument("--engine", choices=list(ENGINES), default=None,
                          help="execution engine to profile: walk "
-                              "(default), compiled or vm")
+                              "(default), vm or jit (jit profiles as the "
+                              "vm: the JIT tier stays off under a "
+                              "profiler)")
     profile.add_argument("--top", type=int, default=15,
                          help="rows in the hot-label table (default 15)")
     profile.add_argument("--checks", action="store_true",
@@ -385,7 +384,7 @@ def _cmd_run(args) -> int:
     if not args.no_elide:
         from repro.analysis import plan_elisions
         plan_elisions(checked)
-    engine = resolve_engine(args.engine, compile_flag=args.compile)
+    engine = resolve_engine(args.engine)
     options = InterpOptions(silent=args.silent, baseline=args.baseline,
                             lazy_copy=not args.eager_copy,
                             fuel=args.fuel, engine=engine,
@@ -461,8 +460,8 @@ def _analyze_embedded(args) -> int:
 def _cmd_profile(args) -> int:
     """Run a program under the cross-engine profiler.
 
-    Prints the hot-label table (opcodes for the vm, AST node kinds for
-    walk/compiled), the call-site inline-cache table, and — with
+    Prints the hot-label table (opcodes for the vm and jit, AST node
+    kinds for walk), the call-site inline-cache table, and — with
     ``--checks`` — the per-check-site residual counts.  Unless
     ``--no-elide`` is given the same run's elision plan is diffed
     against the observed check firings; a check that fired at a site
@@ -493,7 +492,7 @@ def _cmd_profile(args) -> int:
     if not args.no_elide:
         from repro.analysis import analyze_program
         report = analyze_program(checked, annotate=True, file=args.file)
-    engine = resolve_engine(args.engine, compile_flag=False)
+    engine = resolve_engine(args.engine)
     profiler = Profiler(engine)
     options = InterpOptions(silent=args.silent, fuel=args.fuel,
                             engine=engine,

@@ -1,4 +1,4 @@
-"""Register-bytecode lowering for the ENT VM (the third engine).
+"""Register-bytecode lowering for the ENT VM (and the JIT built on it).
 
 ``lower_body`` translates a typechecked (and, when the elision planner
 ran, analysis-annotated) AST body into a flat instruction stream over a
@@ -6,8 +6,7 @@ register file:
 
 * **Registers** — non-negative indices are frame slots (parameters
   occupy ``0..n-1``, locals and expression temporaries follow; shadowed
-  names get fresh slots, exactly like the closure compiler's
-  ``_CompileScope``).  *Negative* indices address the constant pool:
+  names get fresh slots).  *Negative* indices address the constant pool:
   the k-th interned constant lives at index ``-(k+1)``, so
   ``regs[-(k+1)]`` reads it with no operand-fixup pass — the register
   file is materialized as ``[slots...] + reversed(consts)`` and writes
@@ -208,8 +207,8 @@ _BINOP_MAP = {"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV,
               "%": OP_MOD, "<": OP_LT, "<=": OP_LE, ">": OP_GT,
               ">=": OP_GE, "==": OP_EQ, "!=": OP_NE}
 
-#: Node classes whose values can never be an un-eliminated MCaseV (the
-#: closure compiler's ``_NEVER_MCASE``); their ``raw`` lowering equals
+#: Node classes whose values can never be an un-eliminated MCaseV; their
+#: ``raw`` lowering equals
 #: the standard one and call arguments need no elimination descriptor.
 _NEVER_MCASE = frozenset({
     ast.IntLit, ast.FloatLit, ast.StringLit, ast.BoolLit, ast.NullLit,
@@ -409,7 +408,7 @@ class _Lowering:
                            ty.MCaseType)
         # A fresh slot, but the *name* binds only after the initializer
         # is lowered: ``int x = x;`` reads the outer x, exactly like the
-        # typechecker (and the closure compiler) scope it.
+        # typechecker (and the tree walk) scope it.
         slot = self.alloc()
         if stmt.init is not None:
             reg = self.expr(stmt.init, raw=wants, dst=slot)

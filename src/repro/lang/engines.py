@@ -1,14 +1,11 @@
 """Execution-engine registry for the ENT interpreter.
 
-Four engines execute typechecked programs with identical observable
+Three engines execute typechecked programs with identical observable
 behaviour (output, stats, exceptions — everything except ``steps``):
 
 ``walk``
     The reference tree-walking interpreter.  Slowest; easiest to audit
     against the paper's semantics.
-``compiled``
-    The closure compiler (PR 3): bodies are pre-compiled to nested
-    Python closures.
 ``vm``
     The register-bytecode VM (``repro.lang.bytecode`` +
     ``repro.lang.vm``).  Dynamic checks are explicit, counted
@@ -19,21 +16,20 @@ behaviour (output, stats, exceptions — everything except ``steps``):
     planner-proven checks elided, deoptimizing back to the VM when a
     guard fails.  Fastest on hot code; identical observables.
 
-``resolve_engine`` is the single place the deprecated ``--compile``
-boolean is folded into the engine choice.
+``resolve_engine`` validates an engine name and applies the default.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-ENGINES = ("walk", "compiled", "vm", "jit")
+ENGINES = ("walk", "vm", "jit")
 
 DEFAULT_ENGINE = "walk"
 
 #: Stable profiler-label families, shared by every engine.  The VM
-#: emits ``op.<OPNAME>`` labels, the walk/compiled engines
-#: ``node.<NodeClass>``; all engines share ``call.<Class>.<method>``,
+#: emits ``op.<OPNAME>`` labels, the walk engine ``node.<NodeClass>``;
+#: all engines share ``call.<Class>.<method>``,
 #: ``check.<kind>@<line>:<column>``, ``native.<cls>.<method>`` and
 #: ``attributor.<Class>`` — the cost model (``repro.advise``) resolves
 #: labels to per-architecture cost keys through this vocabulary.
@@ -47,14 +43,13 @@ def label_kind(label: str) -> str:
     return head if head in LABEL_KINDS else "default"
 
 
-def resolve_engine(engine: Optional[str] = None,
-                   compile_flag: bool = False) -> str:
-    """Pick the engine: an explicit ``engine`` wins, the legacy
-    ``compile_flag`` maps to ``compiled``, otherwise the default."""
-    if engine is not None:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r} "
-                f"(expected one of {', '.join(ENGINES)})")
-        return engine
-    return "compiled" if compile_flag else DEFAULT_ENGINE
+def resolve_engine(engine: Optional[str] = None) -> str:
+    """Pick the engine: an explicit ``engine`` wins, otherwise the
+    default."""
+    if engine is None:
+        return DEFAULT_ENGINE
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r} "
+            f"(expected one of {', '.join(ENGINES)})")
+    return engine

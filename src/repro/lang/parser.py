@@ -15,6 +15,11 @@ Notes on disambiguation:
 * Declaration-site mode parameters accept ``?``, ``?X``, ``X``, ``m``,
   ``X <= hi`` and ``lo <= X <= hi``; use-site mode arguments accept only
   ``?`` and names.
+
+Nesting is capped at :data:`MAX_NESTING` levels: every statement and
+every (sub)expression context opens one level, and so does each unary
+operator or cast.  Past the cap the parser raises ``EntSyntaxError`` at
+the offending token instead of exhausting Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -35,6 +40,13 @@ _PRIM_TYPE_TOKENS = {
     TokenKind.KW_MODE_TYPE: "mode",
 }
 
+#: Deepest statement/expression nesting the parser accepts.  One level
+#: costs the parser at most six Python frames, so the cap keeps it well
+#: inside the default recursion limit and leaves room for the passes
+#: that recurse over the tree (typechecker, analysis, engines).  Long
+#: operator chains deepen the tree without nesting and are not capped.
+MAX_NESTING = 120
+
 #: Tokens that may begin a primary expression (used by cast disambiguation).
 _PRIMARY_START = {
     TokenKind.IDENT, TokenKind.INT, TokenKind.FLOAT, TokenKind.STRING,
@@ -49,6 +61,10 @@ class Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        #: Current nesting depth (see :data:`MAX_NESTING`).  A parse
+        #: error abandons the parser, so levels are closed without a
+        #: ``try``/``finally``.
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # Token plumbing
@@ -85,6 +101,16 @@ class Parser:
         if kind is not TokenKind.EOF:
             self._pos += 1
         return token
+
+    def _nest(self) -> None:
+        """Open one nesting level at the current token."""
+        depth = self._depth + 1
+        if depth > MAX_NESTING:
+            token = self._tokens[self._pos]
+            raise EntSyntaxError(
+                f"nesting deeper than {MAX_NESTING} levels at "
+                f"{token.text!r}", token.span)
+        self._depth = depth
 
     def _accept(self, kind: TokenKind) -> Optional[Token]:
         token = self._tokens[self._pos]
@@ -318,6 +344,12 @@ class Parser:
         return ast.Block(stmts=stmts, span=start.span)
 
     def _parse_stmt(self) -> ast.Stmt:
+        self._nest()
+        stmt = self._parse_stmt_nested()
+        self._depth -= 1
+        return stmt
+
+    def _parse_stmt_nested(self) -> ast.Stmt:
         token = self._peek()
         kind = token.kind
         if kind is TokenKind.LBRACE:
@@ -428,83 +460,81 @@ class Parser:
                             handler=handler, span=start.span)
 
     # ------------------------------------------------------------------
-    # Expressions (precedence climbing)
+    # Expressions (operator precedence)
 
-    def _parse_expr(self) -> ast.Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_and()
-        while self._at(TokenKind.OR):
-            op = self._advance()
-            right = self._parse_and()
-            left = ast.Binary(op="||", left=left, right=right, span=op.span)
-        return left
-
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_equality()
-        while self._at(TokenKind.AND):
-            op = self._advance()
-            right = self._parse_equality()
-            left = ast.Binary(op="&&", left=left, right=right, span=op.span)
-        return left
-
-    # Binary-operator precedence for the climbing parser below.  The
-    # four cascade levels (equality < relational < additive <
-    # multiplicative) are folded into one loop producing identical
-    # left-associative trees; ``instanceof`` sits at relational level.
+    #: Operator precedence, loosest first: or < and < equality <
+    #: relational < additive < multiplicative.  ``instanceof`` binds at
+    #: relational level; it takes a class name, not an operand, so it
+    #: applies at once instead of waiting on the operator stack.
     _BIN_PREC = {
-        TokenKind.EQ: 1, TokenKind.NE: 1,
-        TokenKind.LT: 2, TokenKind.LE: 2,
-        TokenKind.GT: 2, TokenKind.GE: 2,
-        TokenKind.PLUS: 3, TokenKind.MINUS: 3,
-        TokenKind.STAR: 4, TokenKind.SLASH: 4, TokenKind.PERCENT: 4,
+        TokenKind.OR: 1,
+        TokenKind.AND: 2,
+        TokenKind.EQ: 3, TokenKind.NE: 3,
+        TokenKind.LT: 4, TokenKind.LE: 4,
+        TokenKind.GT: 4, TokenKind.GE: 4, TokenKind.KW_INSTANCEOF: 4,
+        TokenKind.PLUS: 5, TokenKind.MINUS: 5,
+        TokenKind.STAR: 6, TokenKind.SLASH: 6, TokenKind.PERCENT: 6,
     }
 
-    def _parse_equality(self) -> ast.Expr:
-        return self._parse_binary_ops(1)
-
-    def _parse_binary_ops(self, min_prec: int) -> ast.Expr:
+    def _parse_expr(self) -> ast.Expr:
+        """One expression level: unary operands joined by binary
+        operators, folded into left-associative trees by precedence on
+        explicit stacks, so an operator chain costs no recursion."""
+        self._nest()
         prec_table = self._BIN_PREC
-        left = self._parse_unary()
+        tokens = self._tokens
+        operands = [self._parse_unary()]
+        pending: List[Token] = []
         while True:
-            token = self._tokens[self._pos]
+            token = tokens[self._pos]
             kind = token.kind
-            if kind is TokenKind.KW_INSTANCEOF:
-                if min_prec > 2:
-                    return left
-                self._advance()
-                cname = self._expect_ident("instanceof").text
-                left = ast.InstanceOf(expr=left, class_name=cname,
-                                      span=token.span)
-                continue
             prec = prec_table.get(kind)
-            if prec is None or prec < min_prec:
-                return left
+            if prec is None:
+                break
+            while pending and prec_table[pending[-1].kind] >= prec:
+                self._reduce(operands, pending.pop())
             self._pos += 1
-            right = self._parse_binary_ops(prec + 1)
-            left = ast.Binary(op=token.text, left=left, right=right,
-                              span=token.span)
+            if kind is TokenKind.KW_INSTANCEOF:
+                cname = self._expect_ident("instanceof").text
+                operands[-1] = ast.InstanceOf(expr=operands[-1],
+                                              class_name=cname,
+                                              span=token.span)
+            else:
+                pending.append(token)
+                operands.append(self._parse_unary())
+        while pending:
+            self._reduce(operands, pending.pop())
+        self._depth -= 1
+        return operands[0]
+
+    @staticmethod
+    def _reduce(operands: List[ast.Expr], op: Token) -> None:
+        """Replace the top two operands with their ``op`` node."""
+        right = operands.pop()
+        operands[-1] = ast.Binary(op=op.text, left=operands[-1],
+                                  right=right, span=op.span)
 
     def _parse_unary(self) -> ast.Expr:
         token = self._tokens[self._pos]
-        if token.kind is TokenKind.MINUS:
+        kind = token.kind
+        if kind is TokenKind.MINUS or kind is TokenKind.NOT:
+            self._nest()
             self._advance()
-            return ast.Unary(op="-", expr=self._parse_unary(),
+            expr = ast.Unary(op=token.text, expr=self._parse_unary(),
                              span=token.span)
-        if token.kind is TokenKind.NOT:
-            self._advance()
-            return ast.Unary(op="!", expr=self._parse_unary(),
-                             span=token.span)
-        if token.kind is TokenKind.KW_SNAPSHOT:
+        elif kind is TokenKind.KW_SNAPSHOT:
             return self._parse_snapshot()
-        if token.kind is TokenKind.LPAREN and self._is_cast_start():
+        elif kind is TokenKind.LPAREN and self._is_cast_start():
+            self._nest()
             self._advance()
             target = self._parse_type()
             self._expect(TokenKind.RPAREN, "cast")
-            expr = self._parse_unary()
-            return ast.Cast(target=target, expr=expr, span=token.span)
-        return self._parse_postfix()
+            expr = ast.Cast(target=target, expr=self._parse_unary(),
+                            span=token.span)
+        else:
+            return self._parse_postfix()
+        self._depth -= 1
+        return expr
 
     def _is_cast_start(self) -> bool:
         """Is the upcoming ``( ... )`` a cast rather than grouping?"""

@@ -7,9 +7,9 @@ embedded runtime; what differs is only the label vocabulary:
   (an :data:`~repro.lang.bytecode.OP_PROFILE` pre-instruction is
   woven into the stream by ``instrument`` at lowering time — the
   uninstrumented dispatch loop is untouched);
-* the tree walk and the closure compiler bump ``node.<NodeClass>`` /
-  ``stmt.<NodeClass>`` per evaluated AST node, so profiles are
-  comparable cross-engine at the "what construct is hot" level;
+* the tree walk bumps ``node.<NodeClass>`` / ``stmt.<NodeClass>`` per
+  evaluated AST node, so profiles are comparable cross-engine at the
+  "what construct is hot" level;
 * every engine routes message sends through
   ``Interpreter._invoke`` while profiling (the VM's leaf fast path is
   disabled exactly as it is under tracing), so call counts, call
@@ -205,8 +205,8 @@ class NullProfiler:
     """The disabled profiler: every operation is a cheap no-op.
 
     Engines gate instrumentation at *setup* on ``profiler.enabled``
-    (bytecode instrumentation, walk-dispatch shadowing, compile-time
-    wrappers), so with this instance the engines run their unmodified
+    (bytecode instrumentation, walk-dispatch shadowing), so with this
+    instance the engines run their unmodified
     hot paths — zero per-instruction cost.
     """
 

@@ -4,7 +4,7 @@ Check elision is a pure optimization: a planned program run with
 ``elide_checks`` on must be bit-identical — outputs, every stats
 counter (with executed+elided folded together), and raised
 ``EnergyException``s — to the same program with elision off, under
-both execution engines.  The planner's soundness argument lives in
+every execution engine.  The planner's soundness argument lives in
 docs/ANALYSIS.md; these tests are its executable counterpart.
 """
 
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import plan_elisions
 from repro.core.errors import EnergyException, FuelExhausted
+from repro.lang.engines import ENGINES
 from repro.lang.interp import Interpreter, InterpOptions, NullPlatform
 from repro.lang.typechecker import check_program
 
@@ -73,7 +74,7 @@ class Main {
 KERNELS = {"hot_loop": HOT_LOOP_KERNEL, "snapshot": SNAPSHOT_KERNEL}
 
 
-def run_config(source, *, compile_flag, elide, battery=0.6):
+def run_config(source, *, engine, elide, battery=0.6):
     """Run a planned program with elision on or off.
 
     The elision plan is applied in both configurations — only the
@@ -88,7 +89,7 @@ def run_config(source, *, compile_flag, elide, battery=0.6):
     plan_elisions(checked)
     interp = Interpreter(
         checked, platform=_Battery(),
-        options=InterpOptions(compile=compile_flag, fuel=500_000,
+        options=InterpOptions(engine=engine, fuel=500_000,
                               elide_checks=elide))
     try:
         interp.run()
@@ -109,9 +110,9 @@ def fold_elided(stats):
     return out
 
 
-def assert_transparent(source, compile_flag):
-    on = run_config(source, compile_flag=compile_flag, elide=True)
-    off = run_config(source, compile_flag=compile_flag, elide=False)
+def assert_transparent(source, engine):
+    on = run_config(source, engine=engine, elide=True)
+    off = run_config(source, engine=engine, elide=False)
     # Outcome (including EnergyException messages) and output match.
     assert on[0] == off[0]
     assert on[1] == off[1]
@@ -124,32 +125,30 @@ def assert_transparent(source, compile_flag):
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
-@pytest.mark.parametrize("compile_flag", [False, True],
-                         ids=["walk", "compiled"])
-def test_examples_identical_with_and_without_elision(path, compile_flag):
-    assert_transparent(path.read_text(), compile_flag)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_examples_identical_with_and_without_elision(path, engine):
+    assert_transparent(path.read_text(), engine)
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS), ids=str)
-@pytest.mark.parametrize("compile_flag", [False, True],
-                         ids=["walk", "compiled"])
-def test_kernels_identical_with_and_without_elision(kernel, compile_flag):
-    assert_transparent(KERNELS[kernel], compile_flag)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_kernels_identical_with_and_without_elision(kernel, engine):
+    assert_transparent(KERNELS[kernel], engine)
 
 
 def test_kernels_actually_elide():
     # Guard against the suite passing vacuously: the kernels must have
     # checks the planner provably removes.
     for kernel in KERNELS.values():
-        on = run_config(kernel, compile_flag=False, elide=True)
+        on = run_config(kernel, engine="walk", elide=True)
         assert on[2]["dfall_elided"] + on[2]["bound_checks_elided"] > 0
 
 
 @settings(max_examples=30, deadline=None)
-@given(programs(), st.booleans())
+@given(programs(), st.sampled_from(ENGINES))
 def test_random_programs_identical_with_and_without_elision(
-        source, compile_flag):
-    assert_transparent(source, compile_flag)
+        source, engine):
+    assert_transparent(source, engine)
 
 
 @settings(max_examples=20, deadline=None)

@@ -7,7 +7,8 @@ mode-case elimination, and loops.  Every generated program must
 typecheck, and every run must either produce a value, exhaust its fuel
 (divergence), or stop at an EnergyException from a bad check — never a
 stuck state (``StuckError``).  An ``on_message`` hook asserts the
-dynamic waterfall invariant on every message (Corollary 1).
+dynamic waterfall invariant on every message (Corollary 1).  Both
+properties are checked on every engine under both check depths.
 """
 
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import (EnergyException, EntError, FuelExhausted,
                                StuckError)
+from repro.lang.engines import ENGINES
 from repro.lang.interp import Interpreter, InterpOptions
 from repro.lang.typechecker import check_program
 
@@ -110,36 +112,53 @@ def programs(draw):
             + body + " Sys.print(acc); } }")
 
 
+#: Every engine under both check depths.
+CONFIGS = [(engine, checks) for engine in ENGINES
+           for checks in ("full", "transient")]
+
+
+def _interpreter(source, engine, checks):
+    checked = check_program(source)  # must typecheck
+    interp = Interpreter(checked, options=InterpOptions(
+        fuel=200_000, engine=engine, checks=checks))
+    if engine == "jit":
+        # Thresholds of 1: every body runs as emitted Python.
+        interp._vm._hot_call = 1
+        interp._vm._hot_loop = 1
+    return interp
+
+
 @settings(max_examples=60, deadline=None)
 @given(programs())
 def test_soundness_never_stuck(source):
     """Theorem 1: well-typed programs reduce to a value, diverge, or
     stop at a bad check — they never get stuck."""
-    checked = check_program(source)  # must typecheck
-    interp = Interpreter(checked, options=InterpOptions(fuel=200_000))
-    try:
-        interp.run()
-    except (EnergyException, FuelExhausted):
-        pass  # bad check or bounded divergence: allowed by soundness
-    except StuckError as exc:  # pragma: no cover - a real bug
-        raise AssertionError(f"stuck state reached: {exc}\n{source}")
+    for engine, checks in CONFIGS:
+        interp = _interpreter(source, engine, checks)
+        try:
+            interp.run()
+        except (EnergyException, FuelExhausted):
+            pass  # bad check or bounded divergence: allowed by soundness
+        except StuckError as exc:  # pragma: no cover - a real bug
+            raise AssertionError(f"stuck state reached on {engine} "
+                                 f"({checks} checks): {exc}\n{source}")
 
 
 @settings(max_examples=40, deadline=None)
 @given(programs())
 def test_waterfall_invariant_preservation(source):
     """Corollary 1: dfall holds at every message of a well-typed run."""
-    checked = check_program(source)
-    interp = Interpreter(checked, options=InterpOptions(fuel=200_000))
-    violations = []
-    interp.on_message = (
-        lambda guard, sender, holds:
-        violations.append((guard, sender)) if not holds else None)
-    try:
-        interp.run()
-    except (EnergyException, FuelExhausted):
-        pass
-    assert not violations, (violations, source)
+    for engine, checks in CONFIGS:
+        interp = _interpreter(source, engine, checks)
+        violations = []
+        interp.on_message = (
+            lambda guard, sender, holds:
+            violations.append((guard, sender)) if not holds else None)
+        try:
+            interp.run()
+        except (EnergyException, FuelExhausted):
+            pass
+        assert not violations, (engine, checks, violations, source)
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,7 +4,7 @@
   bit-identical to full checking; when a check *fails*, the message is
   the full-mode message plus the documented
   `` [transient: site ...; blame ...]`` suffix and nothing else.
-* **Engine agreement** — all four engines agree on transient output,
+* **Engine agreement** — all three engines agree on transient output,
   on every ``InterpStats`` counter, and on the exact blame text.
 * **Counter invariance** — ``dfall_checks``/``bound_checks``/
   ``snapshots`` are identical between full and transient mode (shallow
@@ -27,7 +27,7 @@ from repro.platform.systems import make_platform
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 EXAMPLES = sorted((ROOT / "examples" / "ent").glob("*.ent"))
-ENGINES = ("walk", "compiled", "vm", "jit")
+ENGINES = ("walk", "vm", "jit")
 
 #: The only permitted difference between full and transient output.
 BLAME_SUFFIX = re.compile(r" \[transient[^\]]*\]")
@@ -53,7 +53,7 @@ def _normalize(lines):
 
 
 # ---------------------------------------------------------------------------
-# Differential: full vs transient, across all four engines
+# Differential: full vs transient, across all three engines
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)

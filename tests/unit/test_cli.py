@@ -100,6 +100,16 @@ class TestRun:
     def test_silent_flag_suppresses(self, program):
         assert main(["run", program(THROWING), "--silent"]) == 0
 
+    def test_deep_nesting_is_an_error_not_a_traceback(self, program,
+                                                      capsys):
+        source = ("class Main { void main() { Sys.print("
+                  + "(" * 2000 + "1" + ")" * 2000 + "); } }")
+        assert main(["run", program(source)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "nesting deeper than" in err
+        assert "Traceback" not in err
+
     def test_fuel_flag(self, program, capsys):
         looping = GOOD.replace('Sys.print("n=" + p.get());',
                                "while (true) { }")
@@ -107,10 +117,19 @@ class TestRun:
         assert main(["run", path, "--fuel", "5000"]) == 1
         assert "exceeded" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("engine", ["walk", "compiled", "vm"])
+    @pytest.mark.parametrize("engine", ["walk", "vm", "jit"])
     def test_engine_flag(self, program, capsys, engine):
         assert main(["run", program(GOOD), "--engine", engine]) == 0
         assert "n=5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["--compile"],
+                                      ["--engine", "compiled"]],
+                             ids=["compile-flag", "compiled-engine"])
+    def test_retired_compiled_engine_is_a_usage_error(self, program,
+                                                      argv):
+        with pytest.raises(SystemExit) as info:
+            main(["run", program(GOOD)] + argv)
+        assert info.value.code == 2
 
     def test_engine_vm_with_toggles(self, program, capsys):
         assert main(["run", program(GOOD), "--engine", "vm",
@@ -120,15 +139,6 @@ class TestRun:
         assert "n=5" in captured.out
         stats = json.loads(captured.err.strip().splitlines()[-1])
         assert stats["snapshots"] == 1
-
-    def test_compile_flag_is_engine_alias(self, program, capsys):
-        assert main(["run", program(GOOD), "--compile"]) == 0
-        assert "n=5" in capsys.readouterr().out
-
-    def test_explicit_engine_beats_compile_alias(self, program, capsys):
-        assert main(["run", program(GOOD), "--engine", "vm",
-                     "--compile"]) == 0
-        assert "n=5" in capsys.readouterr().out
 
 
 class TestDisasm:
@@ -191,7 +201,7 @@ class TestObs:
 
 
 class TestProfile:
-    @pytest.mark.parametrize("engine", ["walk", "compiled", "vm"])
+    @pytest.mark.parametrize("engine", ["walk", "vm", "jit"])
     def test_profile_reports_hot_labels(self, program, capsys, engine):
         assert main(["profile", program(GOOD), "--engine", engine,
                      "--checks"]) == 0
@@ -201,10 +211,10 @@ class TestProfile:
         assert "Check sites:" in out
         assert "Check totals:" in out
         assert "static-vs-observed clean" in out
-        if engine == "vm":
-            assert "op." in out
-        else:
+        if engine == "walk":
             assert "node." in out
+        else:  # the jit profiles as the vm
+            assert "op." in out
 
     def test_profile_vm_reports_ic_and_check_sites(self, program, capsys):
         assert main(["profile", program(GOOD), "--engine", "vm",

@@ -38,20 +38,3 @@ class TestFigureCommands:
             main(["figure99"])
 
 
-class TestRunCliCompileFlag:
-    def test_compile_flag(self, tmp_path, capsys):
-        from repro.cli import main as lang_main
-        program = tmp_path / "p.ent"
-        program.write_text("""
-        modes { lo <= hi; }
-        class Main {
-            void main() {
-                int acc = 0;
-                int i = 0;
-                while (i < 100) { acc = acc + i; i = i + 1; }
-                Sys.print(acc);
-            }
-        }
-        """)
-        assert lang_main(["run", str(program), "--compile"]) == 0
-        assert "4950" in capsys.readouterr().out

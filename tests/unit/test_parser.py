@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.analysis import analyze_program
 from repro.core.errors import EntSyntaxError
 from repro.lang import ast_nodes as ast
+from repro.lang.engines import ENGINES
+from repro.lang.interp import Interpreter, InterpOptions
 from repro.lang.parser import parse_expression, parse_program
+from repro.lang.typechecker import check_program
 
 MODES = "modes { energy_saver <= managed; managed <= full_throttle; }\n"
 
@@ -182,6 +186,16 @@ class TestExpressions:
         expr = parse_expression("a && b || c")
         assert expr.op == "||"
 
+    def test_logical_binds_looser_than_equality_and_instanceof(self):
+        expr = parse_expression("a || b && c == d")
+        assert expr.op == "||"
+        assert expr.right.op == "&&"
+        assert expr.right.right.op == "=="
+        expr = parse_expression("x instanceof C && y + 1 < z")
+        assert expr.op == "&&"
+        assert isinstance(expr.left, ast.InstanceOf)
+        assert expr.right.op == "<"
+
     def test_comparison(self):
         expr = parse_expression("a.size() >= 10")
         assert expr.op == ">="
@@ -260,3 +274,39 @@ class TestExpressions:
         assert parse_expression("true").value is True
         assert isinstance(parse_expression("null"), ast.NullLit)
         assert parse_expression("2.5").value == 2.5
+
+
+def nested(shape, depth):
+    """A program whose ``main`` nests ``shape`` ``depth`` levels deep
+    and prints 1 (for ``unary``, when ``depth`` is even)."""
+    body = {
+        "parens": "Sys.print(" + "(" * depth + "1" + ")" * depth + ");",
+        "unary": "Sys.print(" + "-" * depth + "1);",
+        "blocks": "{" * depth + " Sys.print(1); " + "}" * depth,
+        "if": "if (true) " * depth + "Sys.print(1);",
+        "while": ("int i = 0; " + "while (i < 1) " * depth
+                  + "i = i + 1; Sys.print(i);"),
+    }[shape]
+    return MODES + "class Main { void main() { " + body + " } }"
+
+
+class TestNestingLimit:
+    """Deep nesting ends in an ``EntSyntaxError``, never in Python's
+    ``RecursionError``; programs 100 levels deep still run."""
+
+    @pytest.mark.parametrize("shape,depth", [
+        ("parens", 150), ("parens", 2000), ("unary", 2000),
+        ("blocks", 2000), ("if", 2000), ("while", 2000)])
+    def test_too_deep_is_a_syntax_error(self, shape, depth):
+        with pytest.raises(EntSyntaxError, match="nesting deeper than"):
+            parse_program(nested(shape, depth))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("shape",
+                             ["parens", "unary", "blocks", "if", "while"])
+    def test_hundred_levels_run(self, shape, engine):
+        checked = check_program(nested(shape, 100))
+        analyze_program(checked, annotate=True)
+        interp = Interpreter(checked, options=InterpOptions(engine=engine))
+        interp.run()
+        assert interp.output == ["1"]
