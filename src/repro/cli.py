@@ -115,8 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "tier, fastest on hot code) — see docs/VM.md")
     run.add_argument("--no-inline-caches", action="store_true",
                      help="disable the run-time caches (method tables, "
-                          "call-site ICs, dfall memo); semantics are "
-                          "identical — see docs/PERFORMANCE.md")
+                          "call-site ICs); semantics are identical — see "
+                          "docs/PERFORMANCE.md")
     run.add_argument("--checks", choices=["full", "transient"],
                      default="full",
                      help="dynamic-check depth: full (the paper's deep "

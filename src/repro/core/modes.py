@@ -17,7 +17,9 @@ concrete mode constants, which is all the runtime ever manipulates.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from repro.core.errors import ModeLatticeError, UnknownModeError
 
@@ -105,12 +107,17 @@ class ModeLattice:
             modes.add(lesser)
             modes.add(greater)
         self._modes: FrozenSet[Mode] = frozenset(modes)
-        self._leq: Dict[Mode, FrozenSet[Mode]] = self._close()
+        #: The order's upward closure, mode -> the modes ≥ it: the one
+        #: check kernel every runtime reads.  A dfall check holds iff
+        #: ``sender in up[guard]``; a snapshot bound check passes iff
+        #: ``mode in up[lo] and hi in up[mode]``.  Read-only.
+        self.up: Mapping[Mode, FrozenSet[Mode]] = MappingProxyType(
+            self._close())
         # Down-sets are the transpose of the up-set closure; precomputing
         # them here makes down_set/meet O(1) lookups instead of per-query
         # scans over the whole lattice.
         self._geq: Dict[Mode, FrozenSet[Mode]] = {
-            m: frozenset(o for o in self._modes if m in self._leq[o])
+            m: frozenset(o for o in self._modes if m in self.up[o])
             for m in self._modes}
         self._validate_antisymmetry()
         # Validation visits every pair anyway, so it doubles as the pass
@@ -168,7 +175,7 @@ class ModeLattice:
 
     def _validate_antisymmetry(self) -> None:
         for a, b in itertools.combinations(self._modes, 2):
-            if b in self._leq[a] and a in self._leq[b]:
+            if b in self.up[a] and a in self.up[b]:
                 raise ModeLatticeError(
                     f"mode declaration cycle: {a} <= {b} and {b} <= {a}")
 
@@ -218,7 +225,7 @@ class ModeLattice:
     def leq(self, lesser: Mode, greater: Mode) -> bool:
         """The declared order: ``lesser <= greater``?"""
         try:
-            up = self._leq[lesser]
+            up = self.up[lesser]
         except KeyError:
             raise UnknownModeError(lesser.name) from None
         if greater in up:
@@ -238,7 +245,7 @@ class ModeLattice:
         """All modes ≥ ``mode`` (including itself)."""
         if mode not in self._modes:
             raise UnknownModeError(mode.name)
-        return self._leq[mode]
+        return self.up[mode]
 
     def down_set(self, mode: Mode) -> FrozenSet[Mode]:
         """All modes ≤ ``mode`` (including itself)."""
@@ -248,15 +255,15 @@ class ModeLattice:
             raise UnknownModeError(mode.name) from None
 
     def _lub(self, a: Mode, b: Mode) -> Optional[Mode]:
-        uppers = self._leq[a] & self._leq[b]
+        uppers = self.up[a] & self.up[b]
         minimal = [u for u in uppers
-                   if not any(v != u and u in self._leq[v] for v in uppers)]
+                   if not any(v != u and u in self.up[v] for v in uppers)]
         return minimal[0] if len(minimal) == 1 else None
 
     def _glb(self, a: Mode, b: Mode) -> Optional[Mode]:
         lowers = self.down_set(a) & self.down_set(b)
         maximal = [l for l in lowers
-                   if not any(v != l and v in self._leq[l] for v in lowers)]
+                   if not any(v != l and v in self.up[l] for v in lowers)]
         return maximal[0] if len(maximal) == 1 else None
 
     def join(self, a: Mode, b: Mode) -> Mode:
@@ -302,7 +309,11 @@ class ModeLattice:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModeLattice):
             return NotImplemented
-        return self._leq == other._leq
+        return self.up == other.up
 
     def __hash__(self) -> int:
-        return hash(frozenset((m, s) for m, s in self._leq.items()))
+        return hash(frozenset(self.up.items()))
+
+    def __reduce__(self):
+        # The read-only closure view does not pickle; rebuild instead.
+        return (ModeLattice, (self._pairs, self._modes))

@@ -13,7 +13,7 @@ Platform objects          one per system letter,   fresh per device
 EntRuntime                one, ``reset_device``    fresh per device
                           per device
 Instrumented ENT classes  one :class:`DeviceApp`   fresh per device
-+ mode-case tables        (shared dfall memo)
++ mode-case tables
 ========================  =======================  ====================
 
 The ``embedded`` engine is the reference: it is what a straightforward

@@ -21,8 +21,8 @@ register file:
   counters keep the executed+elided sum invariant).  Under
   ``--checks transient`` the residual checks lower to the dedicated
   shallow opcodes instead (``CALL_SHALLOW``, ``SNAPSHOT_SHALLOW``):
-  the VM and JIT collapse them to O(1) probes against the
-  interpreter's precomputed upward-closure table.
+  the VM and JIT collapse them to O(1) probes of the mode lattice's
+  precomputed upward closure (``ModeLattice.up``).
 * **Superinstructions** — fused compare-and-branch (``JF_LT`` & co),
   ``INC`` for the canonical ``i = i + 1``, ``FIELD_ADD`` for
   ``this.f = this.f + x``, ``RET_FIELD`` for ``return this.f``, and

@@ -34,10 +34,13 @@ Hot-path engineering (all behaviour-transparent; see
 * variable reads branch on the typechecker's ``resolved_kind``
   annotation instead of re-discovering what a name means on every
   evaluation;
-* method/attributor lookup, object-construction environments and the
-  dfall guard are memoized behind ``InterpOptions.inline_caches`` — a
-  toggle whose only purpose is letting the transparency test suite
-  assert that outputs, stats and exceptions are identical either way;
+* method/attributor lookup and object-construction environments are
+  memoized behind ``InterpOptions.inline_caches`` — a toggle whose only
+  purpose is letting the transparency test suite assert that outputs,
+  stats and exceptions are identical either way;
+* every dfall verdict and bound check is one probe of the mode
+  lattice's precomputed upward closure (``ModeLattice.up``), the same
+  table the VM, the JIT and the embedded runtime read;
 * mode-case elimination threads the owning object's mode through the
   interpreter (``_elim_owner``) instead of stashing it on the shared
   AST node, so concurrent interpreters over one ``CheckedProgram``
@@ -49,7 +52,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from dataclasses import fields as field_list
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core.errors import (BadCastError, EnergyException,
                                EntRuntimeError, FuelExhausted, StuckError)
@@ -117,9 +120,8 @@ class InterpOptions:
     baseline: bool = False
     lazy_copy: bool = True
     fuel: Optional[int] = None
-    check_dfall: bool = True
     #: Enable the run-time caches (flattened method tables, construction
-    #: templates, per-call-site inline caches, the dfall memo).
+    #: templates, per-call-site inline caches).
     #: Semantics are identical with the flag off; it exists so the
     #: transparency tests can compare cached and uncached runs
     #: bit-for-bit.
@@ -148,6 +150,9 @@ class InterpOptions:
 
     def __post_init__(self) -> None:
         resolve_engine(self.engine)  # an unknown engine fails here
+        if self.checks not in ("full", "transient"):
+            raise ValueError(f"unknown checks {self.checks!r}; "
+                             f"expected one of: full, transient")
 
 
 @dataclass
@@ -327,8 +332,6 @@ class Interpreter:
         self._env_templates: Dict[tuple, Dict[str, Optional[Mode]]] = {}
         #: class name -> (field defaults, ((name, init, wants_mcase),…)).
         self._field_templates: Dict[str, tuple] = {}
-        #: (receiver mode, sender mode) -> waterfall-invariant verdict.
-        self._dfall_cache: Dict[Tuple[Mode, Mode], bool] = {}
         #: id(MethodInfo) -> per-parameter wants-mcase tuple (static
         #: typed data, like ``_mode_by_name``; always on).
         self._param_wants: Dict[int, tuple] = {}
@@ -345,20 +348,14 @@ class Interpreter:
         #: (one attribute load instead of two on the per-node paths).
         self._fuel = self.options.fuel
         self.engine = engine = resolve_engine(self.options.engine)
-        # Transient checking (``--checks transient``): deep checks
-        # collapse to tag comparisons against a precomputed upward-
-        # closure table — O(1) set probes instead of lattice walks.
-        # Meaningless under baseline (no checks run at all).  Computed
-        # before the VM is constructed: bytecode lowering and the VM's
-        # fast-path gates read it.
+        # Transient checking (``--checks transient``): a re-snapshot of
+        # an already-tagged object skips the attributor and the copy and
+        # only probes the tag against its bounds.  Meaningless under
+        # baseline (no checks run at all).  Computed before the VM is
+        # constructed: bytecode lowering and the VM's fast-path gates
+        # read it.
         self._transient = (self.options.checks == "transient"
                            and not self.options.baseline)
-        self._mode_up: Dict[Mode, frozenset] = {}
-        if self._transient:
-            modes = tuple(self.lattice.modes)
-            self._mode_up = {
-                m: frozenset(x for x in modes if self.lattice.leq(m, x))
-                for m in modes}
         self._vm = None
         if engine == "vm" or engine == "jit":
             from repro.lang.vm import VM, JITVM
@@ -369,12 +366,10 @@ class Interpreter:
         # Planner-driven check elision, fixed at construction.  Off
         # under silent (failed checks are *allowed* there, so snapshot
         # facts are not enforced) and baseline (no checks exist to
-        # elide); the dfall variant additionally requires check_dfall.
+        # elide).
         opts = self.options
-        elide = (opts.elide_checks and not opts.silent
-                 and not opts.baseline)
-        self._elide_bound_on = elide
-        self._elide_dfall_on = elide and opts.check_dfall
+        self._elide_on = (opts.elide_checks and not opts.silent
+                          and not opts.baseline)
         if self.profiler.enabled:
             self._install_profiling()
 
@@ -685,7 +680,7 @@ class Interpreter:
         else:
             guard = receiver.effective_mode
             closure = guard if guard is not None else frame.current_mode
-        if elide_dfall and not self_call and self._elide_dfall_on:
+        if elide_dfall and not self_call and self._elide_on:
             # The planner proved this check always holds (see
             # docs/ANALYSIS.md); skip it but keep the count so the
             # transparency suite can fold executed + elided together.
@@ -774,8 +769,9 @@ class Interpreter:
     def _check_dfall(self, guard: Optional[Mode],
                      sender: Optional[Mode], self_call: bool,
                      receiver: ObjectV, minfo: MethodInfo, span) -> None:
-        """The dynamic waterfall invariant ``dfall(o, m)``."""
-        if self.options.baseline or not self.options.check_dfall:
+        """The dynamic waterfall invariant ``dfall(o, m)``: one probe of
+        the lattice's upward closure, in either check mode."""
+        if self.options.baseline:
             return
         if self_call:
             # Internal view: an object may always message itself.
@@ -792,18 +788,8 @@ class Interpreter:
                 f"program cannot reach this state")
         sender_mode = sender if sender is not None else TOP
         if self._transient:
-            # Shallow tag comparison: one set probe against the
-            # precomputed upward closure, no lattice walk.
             self.stats.shallow_checks += 1
-            holds = sender_mode in self._mode_up[guard]
-        elif self.options.inline_caches:
-            key = (guard, sender_mode)
-            holds = self._dfall_cache.get(key)
-            if holds is None:
-                holds = self.lattice.leq(guard, sender_mode)
-                self._dfall_cache[key] = holds
-        else:
-            holds = self.lattice.leq(guard, sender_mode)
+        holds = sender_mode in self.lattice.up[guard]
         if self.tracer.enabled:
             self.tracer.emit(DfallCheckEvent(
                 ts=self.tracer.now(), cls=receiver.class_info.name,
@@ -1392,39 +1378,40 @@ class Interpreter:
                         frame: _Frame, elide_bound: bool = False,
                         span=None) -> object:
         """Snapshot an already-evaluated value against ``(lo, hi)`` bound
-        atoms (shared with the VM and the JIT)."""
+        atoms (shared with the VM and the JIT).
+
+        Under ``--checks transient`` a re-snapshot of an already-tagged
+        object is *shallow*: the tag was fixed by the first (deep)
+        snapshot and can never change again, so the attributor run and
+        the copy are skipped and the bound check reads the tag."""
         if not isinstance(value, ObjectV):
             raise StuckError(f"cannot snapshot {value!r}")
-        if self._transient and value.is_snapshot:
-            # Transient re-snapshot: the tag was established by an
-            # earlier (deep) snapshot and can never change again, so
-            # the attributor re-run and the copy collapse to an O(1)
-            # tag-vs-bounds comparison; the object passes through.
-            return self._snapshot_shallow(value, bounds, frame,
-                                          elide_bound, span)
-        attributor = self._find_attributor(value.class_info)
-        if attributor is None:
-            raise StuckError(
-                f"class {value.class_info.name} has no attributor")
+        shallow = self._transient and value.is_snapshot
+        if not shallow:
+            attributor = self._find_attributor(value.class_info)
+            if attributor is None:
+                raise StuckError(
+                    f"class {value.class_info.name} has no attributor")
         self.stats.snapshots += 1
         traced = self.tracer.enabled
-        previous_mode = value.effective_mode
-        attr_frame = _Frame(this_obj=value,
-                            mode_env=dict(value.mode_env),
-                            current_mode=BOTTOM)
-        mode = self._run_attributor_body(attributor, attr_frame,
-                                         value.class_info.name)
-        if traced:
-            self.tracer.emit(AttributorEvent(
-                ts=self.tracer.now(), cls=value.class_info.name,
-                mode=mode.name, source="interp"))
-        if self.options.baseline:
-            # Overhead baseline: no tagging bookkeeping, no checks.
-            first = value.class_info.params[0]
-            if first.var is not None:
-                value.mode_env[first.var] = mode
-            return value
-        elided = elide_bound and self._elide_bound_on
+        previous_mode = mode = value.effective_mode
+        if not shallow:
+            attr_frame = _Frame(this_obj=value,
+                                mode_env=dict(value.mode_env),
+                                current_mode=BOTTOM)
+            mode = self._run_attributor_body(attributor, attr_frame,
+                                             value.class_info.name)
+            if traced:
+                self.tracer.emit(AttributorEvent(
+                    ts=self.tracer.now(), cls=value.class_info.name,
+                    mode=mode.name, source="interp"))
+            if self.options.baseline:
+                # Overhead baseline: no tagging bookkeeping, no checks.
+                first = value.class_info.params[0]
+                if first.var is not None:
+                    value.mode_env[first.var] = mode
+                return value
+        elided = elide_bound and self._elide_on
         if elided:
             # The planner proved the bound check vacuous or entailed by
             # the attributor's possible modes (see docs/ANALYSIS.md);
@@ -1433,6 +1420,9 @@ class Interpreter:
             self.stats.bound_checks_elided += 1
             if self.profiler.enabled:
                 self.profiler.check_elided("snapshot_bound", span)
+            if shallow:
+                # Nothing to observe: no attributor ran, the tag stays.
+                return value
             ok = True
             if traced or self.on_snapshot is not None:
                 lower = self._resolve_atom(bounds[0], frame)
@@ -1449,11 +1439,13 @@ class Interpreter:
             lower = lower if lower is not None else BOTTOM
             upper = upper if upper is not None else TOP
             self.stats.bound_checks += 1
+            if shallow:
+                self.stats.shallow_checks += 1
             if self.profiler.enabled:
                 self.profiler.check("snapshot_bound", span,
                                     frame.current_mode)
-            ok = (self.lattice.leq(lower, mode)
-                  and self.lattice.leq(mode, upper))
+            up = self.lattice.up
+            ok = mode in up[lower] and upper in up[mode]
         if traced:
             self.tracer.emit(SnapshotEvent(
                 ts=self.tracer.now(), cls=value.class_info.name,
@@ -1468,8 +1460,8 @@ class Interpreter:
                        f"{value.class_info.name} returned {mode.name}, "
                        f"outside [{lower.name}, {upper.name}]")
             if self._transient:
-                # The deep (first-snapshot) check also names its site
-                # in transient mode; the failing site is its own blame.
+                # Deep and shallow checks both name their site in
+                # transient mode, plus the tag's provenance.
                 message += self._blame("snapshot_bound", span,
                                        value.provenance)
             if traced:
@@ -1478,6 +1470,8 @@ class Interpreter:
                                              source="interp")
             raise EnergyException(message, mode=mode, lower=lower,
                                   upper=upper)
+        if shallow:
+            return value
         if traced and mode is not previous_mode:
             self.tracer.mode_transition(
                 f"object:{value.class_info.name}", previous_mode, mode)
@@ -1491,53 +1485,6 @@ class Interpreter:
         if span is not None:
             copy.provenance = site_id("snapshot_bound", span)
         return copy
-
-    def _snapshot_shallow(self, value: ObjectV, bounds, frame: _Frame,
-                          elide_bound: bool, span) -> object:
-        """The transient re-snapshot check (``--checks transient``): an
-        O(1) comparison of the established mode tag against the bounds
-        via the precomputed upward-closure table.  No attributor run,
-        no copy — monotonic type change is preserved because the tag
-        was fixed by the first (deep) snapshot."""
-        self.stats.snapshots += 1
-        mode = value.effective_mode
-        if elide_bound and self._elide_bound_on:
-            self.stats.bound_checks_elided += 1
-            if self.profiler.enabled:
-                self.profiler.check_elided("snapshot_bound", span)
-            return value
-        lower = self._resolve_atom(bounds[0], frame)
-        upper = self._resolve_atom(bounds[1], frame)
-        lower = lower if lower is not None else BOTTOM
-        upper = upper if upper is not None else TOP
-        self.stats.bound_checks += 1
-        self.stats.shallow_checks += 1
-        if self.profiler.enabled:
-            self.profiler.check("snapshot_bound", span,
-                                frame.current_mode)
-        up = self._mode_up
-        ok = mode in up[lower] and upper in up[mode]
-        if self.tracer.enabled:
-            self.tracer.emit(SnapshotEvent(
-                ts=self.tracer.now(), cls=value.class_info.name,
-                mode=mode.name, lower=lower.name, upper=upper.name,
-                ok=ok, lazy=False, source="interp"))
-        if self.on_snapshot is not None:
-            self.on_snapshot(value, mode, lower, upper, ok)
-        if not ok and not self.options.silent:
-            self.stats.energy_exceptions += 1
-            message = (f"bad check: attributor of "
-                       f"{value.class_info.name} returned {mode.name}, "
-                       f"outside [{lower.name}, {upper.name}]")
-            message += self._blame("snapshot_bound", span,
-                                   value.provenance)
-            if self.tracer.enabled:
-                self.tracer.energy_exception(message, mode=mode,
-                                             lower=lower, upper=upper,
-                                             source="interp")
-            raise EnergyException(message, mode=mode, lower=lower,
-                                  upper=upper)
-        return value
 
     def _eval_mcase(self, expr: ast.MCaseExpr, frame: _Frame,
                     want_mcase) -> MCaseV:

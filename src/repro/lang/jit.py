@@ -13,10 +13,11 @@ emitted code:
   monomorphic site emits a direct ``class_info is C`` identity test and,
   on success, enters the callee's register frame with no method lookup,
   no argument-descriptor interpretation and no dispatch loop.
-* **Check elision** exactly where the PR 4 planner proved it safe: a
+* **Check elision** exactly where the planner proved it safe: a
   ``CALL_NODFALL`` site emits a bare ``dfall_elided`` counter bump (the
-  engine-invariant accounting), a ``CALL_DFALL`` site emits the inlined
-  waterfall-memo probe with the full :meth:`Interpreter._check_dfall`
+  engine-invariant accounting), a ``CALL_DFALL``/``CALL_SHALLOW`` site
+  emits the inlined waterfall probe of the lattice's upward closure
+  (``ModeLattice.up``) with the full :meth:`Interpreter._check_dfall`
   fallback, and ``SNAPSHOT``/``SNAPSHOT_ELIDE`` keep their helper calls.
 * **Deopt guards**: when a specialization assumption breaks (the
   receiver's class changed under a hot site), the emitted code falls
@@ -305,7 +306,6 @@ class _Emitter:
                 ("_cast", interp._cast_value),
                 ("_render", interp.render),
                 ("_modes", interp._mode_by_name),
-                ("_dfall_cache", interp._dfall_cache),
                 ("_is_sub", interp.table.is_subclass),
                 ("call_native_static", call_native_static),
                 ("call_string_method", call_string_method),
@@ -603,14 +603,14 @@ class _Emitter:
                 or op == OP_SNAPSHOT_SHALLOW:
             elide = op == OP_SNAPSHOT_ELIDE
             bounds = inst[3]
-            if (op == OP_SNAPSHOT_SHALLOW and self.vm._shallow_plain
+            if (op == OP_SNAPSHOT_SHALLOW and self.vm._dfall_plain
                     and bounds[0].__class__ is Mode
                     and bounds[1].__class__ is Mode):
                 # Transient re-snapshot, concrete bounds: specialize
                 # the passing probe to two set-membership tests; the
                 # first snapshot, hooks, and failures take the helper.
-                up = self.bind(self.interp._mode_up, "_mode_up")
-                up_lo = self.bind(self.interp._mode_up[bounds[0]])
+                up = self.bind(self.interp.lattice.up, "_up")
+                up_lo = self.bind(self.interp.lattice.up[bounds[0]])
                 hi = self.bind(bounds[1])
                 slow = (f"_snapshot(_v, {self.lit(bounds)}, frame, "
                         f"elide_bound=False, span={self.lit(inst[4])})")
@@ -836,27 +836,21 @@ class _Emitter:
 
     def _emit_dfall(self, d, op, minfo_name, span_expr) -> None:
         """The waterfall check at a non-self leaf send: planner-elided
-        counting, the transient shallow probe, the inlined memo probe,
-        or the full helper — the same split as the VM's leaf path."""
+        counting, the inlined closure probe, or the full helper — the
+        same split as the VM's leaf path."""
         w = self.w
-        if op == OP_CALL_NODFALL and self.interp._elide_dfall_on:
+        if op == OP_CALL_NODFALL and self.interp._elide_on:
             w(d, "_stats.dfall_elided += 1")
-        elif op == OP_CALL_SHALLOW and self.vm._dfall_plain:
-            up = self.bind(self.interp._mode_up, "_mode_up")
+        elif self.vm._dfall_plain:
+            up = self.bind(self.interp.lattice.up, "_up")
             top = self.bind(TOP, "_TOP")
             w(d, "_sm = (current_mode if current_mode is not None "
                  f"else {top})")
             w(d, "if _interp.on_message is None and _gm is not None "
                  f"and _sm in {up}[_gm]:")
             w(d + 1, "_stats.dfall_checks += 1")
-            w(d + 1, "_stats.shallow_checks += 1")
-            w(d, "else:")
-            w(d + 1, f"_check_dfall(_gm, current_mode, False, _recv, "
-                     f"{minfo_name}, {span_expr})")
-        elif self.vm._dfall_plain:
-            w(d, "if _interp.on_message is None and _dfall_cache.get("
-                 "(_gm, current_mode)) is True:")
-            w(d + 1, "_stats.dfall_checks += 1")
+            if self.interp._transient:
+                w(d + 1, "_stats.shallow_checks += 1")
             w(d, "else:")
             w(d + 1, f"_check_dfall(_gm, current_mode, False, _recv, "
                      f"{minfo_name}, {span_expr})")

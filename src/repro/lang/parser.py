@@ -18,8 +18,12 @@ Notes on disambiguation:
 
 Nesting is capped at :data:`MAX_NESTING` levels: every statement and
 every (sub)expression context opens one level, and so does each unary
-operator or cast.  Past the cap the parser raises ``EntSyntaxError`` at
-the offending token instead of exhausting Python's recursion limit.
+operator or cast.  The cap also bounds the expression *tree*: a binary
+operator, ``instanceof``, field access or method call node sits one
+level above its operand, so long operator and member chains count too.
+Past the cap the parser raises ``EntSyntaxError`` at the offending
+token instead of leaving the tree-recursive passes to exhaust Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -40,11 +44,11 @@ _PRIM_TYPE_TOKENS = {
     TokenKind.KW_MODE_TYPE: "mode",
 }
 
-#: Deepest statement/expression nesting the parser accepts.  One level
-#: costs the parser at most six Python frames, so the cap keeps it well
-#: inside the default recursion limit and leaves room for the passes
-#: that recurse over the tree (typechecker, analysis, engines).  Long
-#: operator chains deepen the tree without nesting and are not capped.
+#: Deepest statement/expression nesting, and expression tree depth, the
+#: parser accepts.  One level costs the parser at most six Python
+#: frames, so the cap keeps it well inside the default recursion limit
+#: and leaves room for the passes that recurse over the tree
+#: (typechecker, analysis, engines).
 MAX_NESTING = 120
 
 #: Tokens that may begin a primary expression (used by cast disambiguation).
@@ -65,6 +69,11 @@ class Parser:
         #: error abandons the parser, so levels are closed without a
         #: ``try``/``finally``.
         self._depth = 0
+        #: Deepest level the expression tree under construction
+        #: reaches.  Reset to the current depth at the start of every
+        #: operand, so ``_peak - _depth`` is then the height of the
+        #: operand parsed so far.
+        self._peak = 0
 
     # ------------------------------------------------------------------
     # Token plumbing
@@ -106,11 +115,16 @@ class Parser:
         """Open one nesting level at the current token."""
         depth = self._depth + 1
         if depth > MAX_NESTING:
-            token = self._tokens[self._pos]
-            raise EntSyntaxError(
-                f"nesting deeper than {MAX_NESTING} levels at "
-                f"{token.text!r}", token.span)
+            raise self._too_deep(self._tokens[self._pos])
         self._depth = depth
+        if depth > self._peak:
+            self._peak = depth
+
+    @staticmethod
+    def _too_deep(token: Token) -> EntSyntaxError:
+        return EntSyntaxError(
+            f"nesting deeper than {MAX_NESTING} levels at {token.text!r}",
+            token.span)
 
     def _accept(self, kind: TokenKind) -> Optional[Token]:
         token = self._tokens[self._pos]
@@ -479,11 +493,20 @@ class Parser:
     def _parse_expr(self) -> ast.Expr:
         """One expression level: unary operands joined by binary
         operators, folded into left-associative trees by precedence on
-        explicit stacks, so an operator chain costs no recursion."""
+        explicit stacks, so an operator chain costs no recursion.
+
+        The folded tree is no deeper than its deepest operand plus one
+        level per operator; that bound counts against
+        :data:`MAX_NESTING`, checked at every operator."""
         self._nest()
         prec_table = self._BIN_PREC
         tokens = self._tokens
+        depth = self._depth
+        outer = self._peak
+        self._peak = depth
         operands = [self._parse_unary()]
+        tallest = self._peak  # deepest level any operand reaches
+        ops = 0
         pending: List[Token] = []
         while True:
             token = tokens[self._pos]
@@ -491,6 +514,9 @@ class Parser:
             prec = prec_table.get(kind)
             if prec is None:
                 break
+            ops += 1
+            if tallest + ops > MAX_NESTING:
+                raise self._too_deep(token)
             while pending and prec_table[pending[-1].kind] >= prec:
                 self._reduce(operands, pending.pop())
             self._pos += 1
@@ -501,10 +527,17 @@ class Parser:
                                               span=token.span)
             else:
                 pending.append(token)
+                self._peak = depth
                 operands.append(self._parse_unary())
+                if self._peak + ops > MAX_NESTING:
+                    raise self._too_deep(token)
+                if self._peak > tallest:
+                    tallest = self._peak
         while pending:
             self._reduce(operands, pending.pop())
         self._depth -= 1
+        reach = tallest + ops
+        self._peak = reach if reach > outer else outer
         return operands[0]
 
     @staticmethod
@@ -576,6 +609,12 @@ class Parser:
         expr = self._parse_primary()
         tokens = self._tokens
         while tokens[self._pos].kind is TokenKind.DOT:
+            # Each member node sits one level above the chain so far;
+            # call arguments open their own expression level.
+            reach = self._peak + 1
+            if reach > MAX_NESTING:
+                raise self._too_deep(tokens[self._pos])
+            self._peak = reach
             self._pos += 1
             name = self._expect_ident("member access").text
             if tokens[self._pos].kind is TokenKind.LPAREN:

@@ -108,20 +108,14 @@ class VM:
         #: profiles are emitted.
         self._fast_ok = (not interp.tracer.enabled
                          and not interp.profiler.enabled)
-        #: Gate for the inlined dfall-cache hit (below): only when the
-        #: full :meth:`Interpreter._check_dfall` would count the check,
-        #: probe the memo and raise nothing on a positive verdict.
-        opts = interp.options
-        self._dfall_plain = (not opts.baseline and opts.check_dfall
+        #: Gate for the inlined check probes (leaf sends and transient
+        #: re-snapshots): only when the shared helpers would just count
+        #: a passing check — no tracer events, no profiler counters;
+        #: hooks are re-probed at dispatch — read the lattice's upward
+        #: closure inline; anything else re-enters the helper.
+        self._dfall_plain = (not interp.options.baseline
                              and not interp.tracer.enabled
                              and not interp.profiler.enabled)
-        #: Transient fast-path gate (``--checks transient``): the
-        #: shallow opcodes inline the upward-closure probe only when
-        #: nothing needs the deep helper's observability (tracer
-        #: events, profiler counters); hooks are re-probed at dispatch.
-        self._shallow_plain = (interp._transient
-                               and not interp.tracer.enabled
-                               and not interp.profiler.enabled)
 
     # ------------------------------------------------------------------
     # Entry points (wired as ``Interpreter._call_body`` /
@@ -420,32 +414,22 @@ class VM:
                                     guard = receiver.effective_mode
                                     if not self_call:
                                         if (op == OP_CALL_NODFALL
-                                                and interp._elide_dfall_on):
+                                                and interp._elide_on):
                                             stats.dfall_elided += 1
-                                        # Transient shallow probe: one
-                                        # set-membership test against
-                                        # the upward closure; failures
-                                        # re-enter the full helper for
-                                        # the blame-carrying raise.
-                                        elif (op == OP_CALL_SHALLOW
-                                              and self._dfall_plain
+                                        # Inlined closure probe: a
+                                        # passing check only bumps the
+                                        # counters; failures re-enter
+                                        # the full helper for the raise.
+                                        elif (self._dfall_plain
                                               and interp.on_message is None
                                               and guard is not None
                                               and (current_mode
                                                    if current_mode
                                                    is not None else TOP)
-                                              in interp._mode_up[guard]):
+                                              in interp.lattice.up[guard]):
                                             stats.dfall_checks += 1
-                                            stats.shallow_checks += 1
-                                        # Inlined memo hit: the full
-                                        # check would only bump the
-                                        # counter and pass.
-                                        elif (self._dfall_plain
-                                              and interp.on_message is None
-                                              and interp._dfall_cache.get(
-                                                  (guard, current_mode))
-                                              is True):
-                                            stats.dfall_checks += 1
+                                            if interp._transient:
+                                                stats.shallow_checks += 1
                                         else:
                                             interp._check_dfall(
                                                 guard, current_mode,
@@ -814,7 +798,7 @@ class VM:
                         # bounds, failures) re-enters the shared
                         # helper, which owns the blame raise.
                         src = regs[inst[2]]
-                        if (self._shallow_plain
+                        if (self._dfall_plain
                                 and src.__class__ is ObjectV
                                 and src.is_snapshot
                                 and interp.on_snapshot is None):
@@ -823,7 +807,7 @@ class VM:
                             upper = bounds[1]
                             if (lower.__class__ is Mode
                                     and upper.__class__ is Mode):
-                                up = interp._mode_up
+                                up = interp.lattice.up
                                 mode = src.effective_mode
                                 if (mode in up[lower]
                                         and upper in up[mode]):

@@ -70,11 +70,9 @@ class RuntimeStats:
 
     messages: int = 0
     dfall_checks: int = 0
-    #: Dfall checks answered from the verdict memo instead of a fresh
-    #: lattice comparison.  The memo is the embedded runtime's dynamic
-    #: fallback for check elision: the ENT-language planner proves
-    #: checks away statically, while the embedded API (no static
-    #: types) amortizes repeated (guard, sender) verdicts at run time.
+    #: Always 0: every dfall check reads the lattice's upward closure
+    #: (``ModeLattice.up``), so there is no verdict memo to hit.  Kept
+    #: because the benchmark harness (``entbench``) reads it.
     dfall_memo_hits: int = 0
     snapshots: int = 0
     copies: int = 0
@@ -97,12 +95,12 @@ class EmbeddedDeviceState:
     """The per-device slice of an :class:`EntRuntime`, picklable.
 
     A fleet shard keeps ONE runtime (the shared immutable config: the
-    mode lattice, the dfall verdict memo, the instrumented classes and
-    their mode-case tables) and swaps this struct per simulated
-    device.  It captures exactly what varies device to device: the
-    closure-mode stack, the stats counters, and the mode tag of the
-    device's agent object.  Mode objects travel as names — they are
-    interned, so restore reconstructs identical instances.
+    mode lattice, the instrumented classes and their mode-case tables)
+    and swaps this struct per simulated device.  It captures exactly
+    what varies device to device: the closure-mode stack, the stats
+    counters, and the mode tag of the device's agent object.  Mode
+    objects travel as names — they are interned, so restore
+    reconstructs identical instances.
     """
 
     #: Closure-mode stack as mode names, bottom (boot ``$top``) first.
@@ -144,12 +142,6 @@ class EntRuntime:
             attach_platform(self.tracer, platform)
         self._mode_stack = [TOP]
         self._self_stack = [None]
-        # (receiver mode, sender mode) -> waterfall verdict.  The
-        # lattice is fixed at construction, so entries never invalidate;
-        # only the verdict is memoized — stats, tracer events and the
-        # EnergyException path below are identical with a cold cache
-        # (see docs/PERFORMANCE.md).
-        self._dfall_cache: Dict[Tuple[Mode, Mode], bool] = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -347,13 +339,7 @@ class EntRuntime:
                 self.tracer.energy_exception(message)
             raise EnergyException(message)
         sender = self.current_mode
-        key = (guard, sender)
-        holds = self._dfall_cache.get(key)
-        if holds is None:
-            holds = self.lattice.leq(guard, sender)
-            self._dfall_cache[key] = holds
-        else:
-            self.stats.dfall_memo_hits += 1
+        holds = sender in self.lattice.up[guard]
         if self.tracer.enabled:
             self.tracer.emit(DfallCheckEvent(
                 ts=self.tracer.now(), cls=type(obj).__name__,
@@ -403,7 +389,8 @@ class EntRuntime:
             self.profiler.check_id(
                 f"snapshot_bound@{type(obj).__name__}", "snapshot_bound",
                 self.current_mode)
-        ok = self.lattice.leq(lo, mode) and self.lattice.leq(mode, hi)
+        up = self.lattice.up
+        ok = mode in up[lo] and hi in up[mode]
         lazy = ok and self.lazy_copy and not tag.is_snapshot
         if traced:
             self.tracer.emit(SnapshotEvent(
@@ -454,10 +441,10 @@ class EntRuntime:
     def capture_device_state(self, agent=None) -> EmbeddedDeviceState:
         """Capture the mutable per-device half of this runtime.
 
-        The lattice, the dfall verdict memo, and every instrumented
-        class stay behind as shared config — a restored device never
-        duplicates them.  ``agent`` optionally names the device's
-        entry object so its snapshot tag travels with the state.
+        The lattice and every instrumented class stay behind as shared
+        config — a restored device never duplicates them.  ``agent``
+        optionally names the device's entry object so its snapshot tag
+        travels with the state.
         """
         state = EmbeddedDeviceState(
             mode_stack=tuple(mode.name for mode in self._mode_stack),
@@ -498,7 +485,7 @@ class EntRuntime:
 
         Equivalent to restoring the state of a newly constructed
         runtime: mode stack back to ``$top``, stats cleared.  Shared
-        config (lattice, dfall memo, instrumented classes) is kept —
+        config (lattice, instrumented classes) is kept —
         that reuse is the fleet's batching win.
         """
         self._mode_stack = [TOP]

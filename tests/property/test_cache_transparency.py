@@ -1,11 +1,12 @@
-"""Cache-transparency tests for the PR-3 hot-path caches.
+"""Cache-transparency tests for the hot-path caches.
 
 Every cache added for performance — the engines' inline caches
-(``InterpOptions.inline_caches``), the constraint-set memo
-(``ConstraintSet.MEMOIZE``), and the embedded runtime's dfall memo —
-must be invisible to observable behaviour: outputs, every ``InterpStats``
-counter, and raised ``EnergyException``s are bit-identical with caches
-on and off, on every engine.  See docs/PERFORMANCE.md.
+(``InterpOptions.inline_caches``) and the constraint-set memo
+(``ConstraintSet.MEMOIZE``) — must be invisible to observable
+behaviour: outputs, every ``InterpStats`` counter, and raised
+``EnergyException``s are bit-identical with caches on and off, on every
+engine.  The embedded runtime's dfall checks keep no state between
+runs either.  See docs/PERFORMANCE.md.
 """
 
 import pathlib
@@ -133,7 +134,7 @@ def test_typechecking_and_run_identical_without_memo():
 
 
 # ---------------------------------------------------------------------------
-# Embedded runtime dfall memo
+# Embedded runtime dfall checks
 
 
 def _drive_runtime():
@@ -165,8 +166,9 @@ def _drive_runtime():
 
 
 def test_embedded_dfall_memo_transparent():
-    # The second run hits a warm memo everywhere the first run warmed
-    # it; a third with a fresh runtime is fully cold.  All identical.
+    # Two runs on fresh runtimes give identical verdicts and stats:
+    # every dfall check reads the lattice's upward closure, so no state
+    # carries over from one check to the next.
     first = _drive_runtime()
     second = _drive_runtime()
     assert first == second

@@ -9,9 +9,9 @@ invariant this module exercises across seeds and systems:
   platform it was captured from; ``Platform.reset`` is bit-equal to
   fresh construction.
 * **Embedded-runtime device split** — an :class:`EmbeddedDeviceState`
-  pickles and restores onto a *shared* runtime (one lattice, one dfall
-  memo, one set of instrumented classes) with identical subsequent
-  semantics and stats.
+  pickles and restores onto a *shared* runtime (one lattice, one set
+  of instrumented classes) with identical subsequent semantics and
+  stats.
 * **SplitMix seeding** — per-device parameter derivation is a pure
   function of ``(seed, index)``; streams pickle; no step of an episode
   ever constructs a fresh ``random.Random``.
@@ -144,20 +144,12 @@ class TestEmbeddedDeviceStatePickle:
             assert rt2.stats.as_dict() == rt.stats.as_dict()
             assert rt2.current_mode is rt.current_mode
             # Identical subsequent semantics: same mode decisions,
-            # same counter movement.  dfall_memo_hits is excluded: the
-            # verdict memo belongs to the (possibly shared) runtime,
-            # not to the device — rt's memo is warm, rt2's is cold.
+            # same movement on every counter.
             for r, a in ((rt, agent), (rt2, agent2)):
                 snap = r.snapshot(a)
                 with r.booted(snap):
                     snap.work()
-
-            def semantic(stats):
-                counters = stats.as_dict()
-                counters.pop("dfall_memo_hits")
-                return counters
-
-            assert semantic(rt2.stats) == semantic(rt.stats)
+            assert rt2.stats.as_dict() == rt.stats.as_dict()
 
     def test_reset_device_restores_boot_state(self):
         platform, rt, agent_cls = self._runtime_with_agent(0)

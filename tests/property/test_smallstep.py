@@ -1,5 +1,6 @@
 """The small-step reference semantics (Figure 5) and its agreement with
-the production big-step interpreter on the kernel fragment."""
+every production engine (walk, vm, jit) under both check depths on the
+kernel fragment."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.errors import (BadCastError, EnergyException,
                                EntRuntimeError, StuckError)
 from repro.core.modes import Mode
+from repro.lang.engines import ENGINES
 from repro.lang.interp import Interpreter, InterpOptions
 from repro.lang.smallstep import (KernelError, SmallStepMachine,
                                   run_kernel)
@@ -36,45 +38,51 @@ def kernel_program(body_expr: str, lib: str = KERNEL_LIB) -> str:
                   + body_expr + "; } }")
 
 
-def run_both(source: str):
-    """Reduce under both semantics; return comparable outcomes."""
-    checked = check_program(source)
+#: The big-step side of every agreement check: each engine under both
+#: check depths, the JIT at thresholds of 1 so every body it reaches
+#: runs as emitted Python.
+CONFIGS = [(engine, checks) for engine in ENGINES
+           for checks in ("full", "transient")]
 
-    def outcome(run):
-        try:
-            return ("ok", run())
-        except EnergyException:
-            return ("energy", None)
-        except BadCastError:
-            return ("badcast", None)
-        except EntRuntimeError as exc:
-            return ("runtime", type(exc).__name__)
 
-    def small():
-        value, _ = run_kernel(checked)
-        return value
+def outcome(run):
+    """Run ``run`` and return a comparable ``(kind, value)`` outcome."""
+    try:
+        return ("ok", run())
+    except EnergyException:
+        return ("energy", None)
+    except BadCastError:
+        return ("badcast", None)
+    except EntRuntimeError as exc:
+        return ("runtime", type(exc).__name__)
 
-    def big():
-        interp = Interpreter(check_program(source),
-                             options=InterpOptions(fuel=100_000))
-        return interp.run()
 
-    return outcome(small), outcome(big)
+def big_step(source: str, engine: str, checks: str):
+    interp = Interpreter(check_program(source), options=InterpOptions(
+        fuel=100_000, engine=engine, checks=checks))
+    if engine == "jit":
+        interp._vm._hot_call = 1
+        interp._vm._hot_loop = 1
+    return interp.run()
+
+
+def norm(result):
+    """Compare only the outcome class for non-primitive results."""
+    kind, value = result
+    if kind == "ok" and not isinstance(value,
+                                       (int, float, str, bool,
+                                        type(None), Mode)):
+        return (kind, "object")
+    return result
 
 
 def assert_agree(source: str):
-    small, big = run_both(source)
-    # Normalize object values: compare only the outcome class for
-    # non-primitive results.
-    def norm(outcome):
-        kind, value = outcome
-        if kind == "ok" and not isinstance(value,
-                                           (int, float, str, bool,
-                                            type(None), Mode)):
-            return (kind, "object")
-        return outcome
-
-    assert norm(small) == norm(big), (small, big, source)
+    """The Figure 5 relation is the oracle for every engine and both
+    check depths."""
+    small = norm(outcome(lambda: run_kernel(check_program(source))[0]))
+    for engine, checks in CONFIGS:
+        big = norm(outcome(lambda: big_step(source, engine, checks)))
+        assert small == big, (engine, checks, small, big, source)
 
 
 class TestSmallStepBasics:
@@ -205,9 +213,9 @@ def kernel_expressions(draw, depth=0):
     return f"(new D@mode<?>({size})).n"
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(kernel_expressions())
 def test_semantics_agree_on_random_kernel_programs(body):
-    """Differential testing: the Figure 5 small-step relation and the
-    big-step interpreter compute identical results on the kernel."""
+    """Differential testing: the Figure 5 small-step relation and every
+    big-step engine compute identical results on the kernel."""
     assert_agree(kernel_program(body))

@@ -110,6 +110,16 @@ class TestRun:
         assert "nesting deeper than" in err
         assert "Traceback" not in err
 
+    def test_long_operator_chain_is_an_error_not_a_traceback(
+            self, program, capsys):
+        source = ("class Main { void main() { Sys.print("
+                  + " + ".join(["1"] * 2000) + "); } }")
+        assert main(["run", program(source)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "nesting deeper than 120 levels at '+'" in err
+        assert "Traceback" not in err
+
     def test_fuel_flag(self, program, capsys):
         looping = GOOD.replace('Sys.print("n=" + p.get());',
                                "while (true) { }")

@@ -1,5 +1,5 @@
-"""Unit tests for the PR-3 hot-path caches: flattened method tables,
-per-call-site inline caches, slot-resolved frames, the dfall memo, and
+"""Unit tests for the hot-path caches: flattened method tables,
+per-call-site inline caches, slot-resolved frames, dfall counting, and
 the ``--no-inline-caches`` escape hatch (see docs/PERFORMANCE.md)."""
 
 import pytest
@@ -105,7 +105,9 @@ def test_slot_resolved_frames_keep_sibling_scopes_apart():
     assert outputs == [[str(10 + 100 + 3000)]] * len(ENGINES)
 
 
-def test_dfall_memo_populates_and_stays_consistent():
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("inline_caches", [True, False])
+def test_dfall_checks_counted_on_every_engine(engine, inline_caches):
     source = HEADER + """
 class Hot@mode<high> {
     Hot() { }
@@ -119,21 +121,12 @@ class Main {
     }
 }
 """
-    checked = check_program(source)
-    interp = Interpreter(checked, options=InterpOptions())
+    interp = Interpreter(check_program(source), options=InterpOptions(
+        engine=engine, inline_caches=inline_caches))
     interp.run()
-    # Constructor + 25 pings: 26 checks, but only two distinct
-    # (guard, sender) pairs — the memo stays tiny no matter how hot
-    # the loop is.
+    # Constructor + 25 pings: 26 checks, each one probe of the lattice's
+    # upward closure, however hot the loop and whichever path sends.
     assert interp.stats.dfall_checks == 26
-    assert len(interp._dfall_cache) == 2
-    assert all(interp._dfall_cache.values())
-
-    uncached = Interpreter(check_program(source),
-                           options=InterpOptions(inline_caches=False))
-    uncached.run()
-    assert uncached.stats.dfall_checks == 26
-    assert len(uncached._dfall_cache) == 0
 
 
 def test_cli_no_inline_caches_flag(tmp_path, capsys):

@@ -223,3 +223,13 @@ class TestNatives:
         """
         interp = run_source(source, args=["x", "y"])
         assert interp.output == ["x", "y"]
+
+
+class TestOptions:
+    def test_misspelled_checks_rejected(self):
+        with pytest.raises(ValueError, match="full, transient"):
+            InterpOptions(checks="transiant")
+
+    def test_check_dfall_option_removed(self):
+        with pytest.raises(TypeError):
+            InterpOptions(check_dfall=False)

@@ -1,5 +1,7 @@
 """Unit tests for the mode lattice (repro.core.modes)."""
 
+import pickle
+
 import pytest
 
 from repro.core.errors import ModeLatticeError, UnknownModeError
@@ -134,6 +136,17 @@ class TestModeLattice:
         a = ModeLattice.linear(["p1", "p2"])
         b = ModeLattice.linear(["p1", "p2"])
         assert a == b
+
+    def test_up_closure_is_read_only_and_pickles(self, chain):
+        # ``up`` is the check kernel every runtime reads: it must agree
+        # with leq, refuse writes, and survive pickling with the rest.
+        for lesser in chain.modes:
+            assert chain.up[lesser] == {
+                m for m in chain.modes if chain.leq(lesser, m)}
+        with pytest.raises(TypeError):
+            chain.up[Mode("managed")] = frozenset()
+        clone = pickle.loads(pickle.dumps(chain))
+        assert clone == chain and clone.up == chain.up
 
     def test_singleton_lattice(self):
         lattice = ModeLattice.linear(["only"])

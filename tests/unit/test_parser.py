@@ -278,7 +278,10 @@ class TestExpressions:
 
 def nested(shape, depth):
     """A program whose ``main`` nests ``shape`` ``depth`` levels deep
-    and prints 1 (for ``unary``, when ``depth`` is even)."""
+    and prints 1 (for ``unary``, when ``depth`` is even).  The ``chain``
+    and ``calls`` shapes are flat: a ``depth``-term ``+`` chain and a
+    ``depth``-call member chain, each one tree level per link.
+    ``mixed`` nests ``0 + 1 * (…)``: three levels per parenthesis."""
     body = {
         "parens": "Sys.print(" + "(" * depth + "1" + ")" * depth + ");",
         "unary": "Sys.print(" + "-" * depth + "1);",
@@ -286,24 +289,32 @@ def nested(shape, depth):
         "if": "if (true) " * depth + "Sys.print(1);",
         "while": ("int i = 0; " + "while (i < 1) " * depth
                   + "i = i + 1; Sys.print(i);"),
+        "chain": "Sys.print(" + "0 + " * (depth - 1) + "1);",
+        "calls": "Sys.print(this" + ".me()" * (depth - 1) + ".one());",
+        "mixed": "Sys.print(" + "0 + 1 * (" * depth + "1" + ")" * depth
+                 + ");",
     }[shape]
-    return MODES + "class Main { void main() { " + body + " } }"
+    return (MODES + "class Main { Main me() { return this; } "
+            "int one() { return 1; } void main() { " + body + " } }")
 
 
 class TestNestingLimit:
-    """Deep nesting ends in an ``EntSyntaxError``, never in Python's
-    ``RecursionError``; programs 100 levels deep still run."""
+    """Deep nesting and long operator or member chains end in an
+    ``EntSyntaxError``, never in Python's ``RecursionError``; programs
+    100 levels deep still run."""
 
     @pytest.mark.parametrize("shape,depth", [
         ("parens", 150), ("parens", 2000), ("unary", 2000),
-        ("blocks", 2000), ("if", 2000), ("while", 2000)])
+        ("blocks", 2000), ("if", 2000), ("while", 2000),
+        ("chain", 250), ("chain", 2000), ("calls", 250),
+        ("calls", 2000), ("mixed", 50)])
     def test_too_deep_is_a_syntax_error(self, shape, depth):
         with pytest.raises(EntSyntaxError, match="nesting deeper than"):
             parse_program(nested(shape, depth))
 
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("shape",
-                             ["parens", "unary", "blocks", "if", "while"])
+    @pytest.mark.parametrize("shape", ["parens", "unary", "blocks", "if",
+                                       "while", "chain", "calls"])
     def test_hundred_levels_run(self, shape, engine):
         checked = check_program(nested(shape, 100))
         analyze_program(checked, annotate=True)
