@@ -120,14 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="e3 work units (default: benchmark's)")
     episode.add_argument("--silent", action="store_true",
                          help="e1 silent build")
-    from repro.lang.engines import ENGINES
-    episode.add_argument("--engine", default=None,
-                         choices=list(ENGINES),
-                         help="repro.lang engine to record for the "
-                              "episode (the engine registry: walk, "
-                              "vm or jit); episodes run "
-                              "through the embedded API, so this is "
-                              "validated provenance")
     episode.add_argument("--seed", type=int, default=0)
     episode.add_argument("--trace", metavar="PATH", required=True,
                          help="write the episode trace to PATH")
@@ -181,8 +173,7 @@ def _run_episode(args) -> int:
     if args.experiment == "e1":
         result = run_e1_episode(workload, args.system, args.boot,
                                 args.workload_mode, silent=args.silent,
-                                seed=args.seed, tracer=tracer,
-                                engine=args.engine)
+                                seed=args.seed, tracer=tracer)
         summary = (f"e1 {result.benchmark} system={result.system} "
                    f"boot={result.boot_mode} "
                    f"workload={result.workload_mode} "
@@ -193,7 +184,7 @@ def _run_episode(args) -> int:
     elif args.experiment == "e2":
         result = run_e2_episode(workload, args.system, args.boot,
                                 args.workload_mode, seed=args.seed,
-                                tracer=tracer, engine=args.engine)
+                                tracer=tracer)
         summary = (f"e2 {result.benchmark} system={result.system} "
                    f"boot={result.boot_mode} qos={result.qos_mode} "
                    f"E={result.energy_j:.2f}J "
@@ -201,7 +192,7 @@ def _run_episode(args) -> int:
     else:
         result = run_e3_episode(workload, variant=args.variant,
                                 seed=args.seed, units=args.units,
-                                tracer=tracer, engine=args.engine)
+                                tracer=tracer)
         summary = (f"e3 {result.benchmark} variant={result.variant} "
                    f"sleeps={result.sleeps} "
                    f"E={result.energy_j:.2f}J "

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import EnergyException
 from repro.eval.parallel import EpisodeTask, run_episodes
-from repro.lang.engines import resolve_engine
 from repro.obs.tracer import NULL_TRACER
 from repro.platform.systems import Platform, make_platform
 from repro.runtime.embedded import EntRuntime
@@ -55,10 +54,6 @@ class EpisodeResult:
     duration_s: float
     exception_raised: bool
     task: Optional[TaskResult] = None
-    #: ``repro.lang`` engine requested for the episode, or ``None`` —
-    #: episodes execute through the embedded API (native Python), so
-    #: the value is validated provenance, not a different semantics.
-    engine: Optional[str] = None
 
     @property
     def violating(self) -> bool:
@@ -80,8 +75,6 @@ class TraceResult:
     energy_j: float = 0.0
     duration_s: float = 0.0
     sleeps: int = 0
-    #: See :attr:`EpisodeResult.engine`.
-    engine: Optional[str] = None
 
 
 def _scaled_size(workload: Workload, workload_mode: str,
@@ -134,16 +127,9 @@ def _build_app(workload: Workload, rt: EntRuntime, system: str):
 
 def run_e1_episode(workload: Workload, system: str, boot_mode: str,
                    workload_mode: str, silent: bool = False,
-                   seed: int = 0, tracer=None, profiler=None,
-                   engine: Optional[str] = None) -> EpisodeResult:
-    """One battery-exception run (one bar of Figure 8).
-
-    ``engine`` is validated against the ``repro.lang`` engine registry
-    and recorded on the result and the episode's trace span; the
-    episode itself runs through the embedded API regardless.
-    """
-    if engine is not None:
-        engine = resolve_engine(engine)
+                   seed: int = 0, tracer=None,
+                   profiler=None) -> EpisodeResult:
+    """One battery-exception run (one bar of Figure 8)."""
     tracer = tracer if tracer is not None else NULL_TRACER
     platform = make_platform(
         system, seed=seed,
@@ -157,11 +143,9 @@ def run_e1_episode(workload: Workload, system: str, boot_mode: str,
     exception_raised = False
     qos_mode = workload.default_qos_mode()
     task_result: Optional[TaskResult] = None
-    span_meta = {"engine": engine} if engine is not None else {}
     with tracer.span(f"e1:{workload.name}", category="episode",
                      system=system, boot_mode=boot_mode,
-                     workload_mode=workload_mode, silent=silent,
-                     **span_meta):
+                     workload_mode=workload_mode, silent=silent):
         with tracer.span("snapshot-agent", category="phase"):
             agent = rt.snapshot(Agent())
         with rt.booted(agent):
@@ -180,19 +164,15 @@ def run_e1_episode(workload: Workload, system: str, boot_mode: str,
         benchmark=workload.name, system=system, boot_mode=boot_mode,
         workload_mode=workload_mode, qos_mode=qos_mode, silent=silent,
         energy_j=meter.end(), duration_s=platform.now() - start,
-        exception_raised=exception_raised, task=task_result,
-        engine=engine)
+        exception_raised=exception_raised, task=task_result)
 
 
 def run_e2_episode(workload: Workload, system: str, boot_mode: str,
                    workload_mode: str = FT,
-                   seed: int = 0, tracer=None, profiler=None,
-                   engine: Optional[str] = None) -> EpisodeResult:
+                   seed: int = 0, tracer=None,
+                   profiler=None) -> EpisodeResult:
     """One battery-casing run (one bar of Figure 10): the boot mode
-    eliminates a mode case selecting the QoS level.  ``engine`` as in
-    :func:`run_e1_episode`."""
-    if engine is not None:
-        engine = resolve_engine(engine)
+    eliminates a mode case selecting the QoS level."""
     tracer = tracer if tracer is not None else NULL_TRACER
     platform = make_platform(
         system, seed=seed,
@@ -205,10 +185,9 @@ def run_e2_episode(workload: Workload, system: str, boot_mode: str,
     meter = platform.meter()
     meter.begin()
     start = platform.now()
-    span_meta = {"engine": engine} if engine is not None else {}
     with tracer.span(f"e2:{workload.name}", category="episode",
                      system=system, boot_mode=boot_mode,
-                     workload_mode=workload_mode, **span_meta):
+                     workload_mode=workload_mode):
         agent = rt.snapshot(Agent())
         qos_mode = qos_case.for_object(agent)
         with rt.booted(agent):
@@ -221,7 +200,7 @@ def run_e2_episode(workload: Workload, system: str, boot_mode: str,
         benchmark=workload.name, system=system, boot_mode=boot_mode,
         workload_mode=workload_mode, qos_mode=qos_mode, silent=False,
         energy_j=meter.end(), duration_s=platform.now() - start,
-        exception_raised=False, task=task_result, engine=engine)
+        exception_raised=False, task=task_result)
 
 
 def run_e3_episode(workload: Workload, variant: str = "ent",
@@ -229,8 +208,7 @@ def run_e3_episode(workload: Workload, variant: str = "ent",
                    units: Optional[int] = None,
                    tracer=None,
                    profiler=None,
-                   platform: Optional[Platform] = None,
-                   engine: Optional[str] = None) -> TraceResult:
+                   platform: Optional[Platform] = None) -> TraceResult:
     """One temperature-casing run (one curve of Figure 11), System A.
 
     ``platform`` may be a pre-built (possibly pre-advanced) System-A
@@ -243,8 +221,6 @@ def run_e3_episode(workload: Workload, variant: str = "ent",
             f"{workload.name} has no unit-of-work decomposition for E3")
     if variant not in ("ent", "java"):
         raise ValueError(f"unknown E3 variant {variant!r}")
-    if engine is not None:
-        engine = resolve_engine(engine)
     tracer = tracer if tracer is not None else NULL_TRACER
     if platform is None:
         platform = make_platform("A", seed=seed)
@@ -266,9 +242,8 @@ def run_e3_episode(workload: Workload, variant: str = "ent",
     sleeps = 0
     count = units if units is not None else workload.e3_units
     qos = workload.qos_value(FT)  # large dataset stresses the CPU
-    span_meta = {"engine": engine} if engine is not None else {}
     with tracer.span(f"e3:{workload.name}", category="episode",
-                     variant=variant, units=count, **span_meta):
+                     variant=variant, units=count):
         for index in range(count):
             with tracer.span("work-unit", category="phase", index=index):
                 workload.execute_unit(platform, qos, seed=seed + index)
@@ -292,8 +267,7 @@ def run_e3_episode(workload: Workload, variant: str = "ent",
              if start <= t <= start + duration]
     return TraceResult(benchmark=workload.name, variant=variant,
                        trace=trace, energy_j=meter.end(),
-                       duration_s=duration, sleeps=sleeps,
-                       engine=engine)
+                       duration_s=duration, sleeps=sleeps)
 
 
 def repeated_energies(run, times: int = 10,

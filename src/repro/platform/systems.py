@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.obs.events import PlatformReadEvent
 from repro.obs.tracer import NULL_TRACER
@@ -36,8 +36,8 @@ from repro.platform.meter import (BatteryManagerMeter, EnergyLedger, Meter,
                                   RaplMeter, WattsUpMeter)
 from repro.platform.thermal import ThermalModel
 
-__all__ = ["Platform", "PlatformConfig", "PlatformState", "SystemA",
-           "SystemB", "SystemC", "make_platform", "platform_from_config"]
+__all__ = ["Platform", "PlatformConfig", "SystemA", "SystemB", "SystemC",
+           "make_platform", "platform_from_config"]
 
 #: Meter classes by the symbolic name :class:`PlatformConfig` carries
 #: (the config stays a pure-data struct; classes are looked up here).
@@ -51,13 +51,13 @@ _METER_NAMES = {cls: name for name, cls in _METERS.items()}
 
 @dataclass(frozen=True)
 class PlatformConfig:
-    """The immutable half of a platform: hardware constants only.
+    """A platform's hardware constants, as pure data.
 
     Everything here is shared by *all* simulated devices of one system
     — the fleet layer builds one config per system letter and reuses
-    it across millions of devices, while the mutable half travels as a
-    :class:`PlatformState`.  The struct is hashable (usable as a cache
-    key) and picklable (plain floats, strings, and a frozen
+    it across millions of devices, re-seating one platform per device
+    with :meth:`Platform.reset`.  The struct is hashable (usable as a
+    cache key) and picklable (plain floats, strings, and a frozen
     :class:`~repro.platform.cpu.CpuSpec`).
     """
 
@@ -76,33 +76,6 @@ class PlatformConfig:
     ambient_c: float
     r_th_c_per_w: float
     tau_s: float
-
-
-@dataclass
-class PlatformState:
-    """The mutable half of a platform: one device's simulation state.
-
-    Small, picklable, and complete: restoring a state into a platform
-    built from the same :class:`PlatformConfig` reproduces the exact
-    float-for-float stepping of the platform the state was captured
-    from (the property suite proves it).  The temperature trace and
-    tracer binding are observation, not simulation, and are not part
-    of the state — restore resets the trace at the restored instant.
-    """
-
-    now_s: float
-    battery_capacity_j: float
-    battery_charge_j: float
-    temp_c: float
-    governor_util: float
-    cpu_level: int
-    total_work_units: float
-    speed_factor: float
-    sleep_total_s: float
-    #: Component joules in :data:`EnergyLedger.COMPONENTS` order.
-    ledger: Tuple[float, ...]
-    #: ``random.Random.getstate()`` of the platform RNG.
-    rng_state: object
 
 
 class Platform:
@@ -125,6 +98,10 @@ class Platform:
     battery_capacity_j = 1.8e5
     #: Per-run relative speed jitter (1 sigma).
     run_jitter_rel = 0.01
+    #: Lumped-RC thermal model: ambient (C), resistance (C/W), tau (s).
+    ambient_c = 35.0
+    r_th_c_per_w = 1.2
+    tau_s = 25.0
 
     def __init__(self, cpu_spec: Optional[CpuSpec] = None,
                  governor: str = "ondemand", seed: int = 0,
@@ -133,7 +110,8 @@ class Platform:
         self.rng = random.Random(seed)
         self.clock = SimClock()
         self.cpu = Cpu(cpu_spec or INTEL_I5, governor=governor)
-        self.thermal = ThermalModel()
+        self.thermal = ThermalModel(self.ambient_c, self.r_th_c_per_w,
+                                    self.tau_s)
         self.battery = Battery(self.battery_capacity_j,
                                fraction=battery_fraction)
         self.ledger = EnergyLedger()
@@ -243,7 +221,7 @@ class Platform:
         return self.ledger.total_j
 
     # ------------------------------------------------------------------
-    # Config/state split (fleet-scale device simulation)
+    # Fleet-scale device simulation
 
     def config(self) -> PlatformConfig:
         """This platform's immutable hardware constants."""
@@ -258,9 +236,9 @@ class Platform:
             net_active_w=self.net_active_w,
             battery_capacity_j=self.battery_capacity_j,
             run_jitter_rel=self.run_jitter_rel,
-            ambient_c=self.thermal.ambient_c,
-            r_th_c_per_w=self.thermal.r_th,
-            tau_s=self.thermal.tau)
+            ambient_c=self.ambient_c,
+            r_th_c_per_w=self.r_th_c_per_w,
+            tau_s=self.tau_s)
 
     def reset(self, seed: int = 0, battery_fraction: float = 1.0,
               capacity_scale: float = 1.0) -> None:
@@ -278,9 +256,8 @@ class Platform:
         self.rng.seed(seed)
         self.clock = SimClock()
         self.cpu = Cpu(self.cpu.spec, governor=self.governor_name)
-        self.thermal = ThermalModel(ambient_c=self.thermal.ambient_c,
-                                    r_th_c_per_w=self.thermal.r_th,
-                                    tau_s=self.thermal.tau)
+        self.thermal = ThermalModel(self.ambient_c, self.r_th_c_per_w,
+                                    self.tau_s)
         self.battery = Battery(self.battery_capacity_j * capacity_scale,
                                fraction=battery_fraction)
         self.ledger = EnergyLedger()
@@ -288,47 +265,6 @@ class Platform:
             0.5, 1.0 + self.rng.gauss(0.0, self.run_jitter_rel))
         self.sleep_total_s = 0.0
         self.temperature_trace = [(0.0, self.thermal.temperature_c)]
-
-    def capture_state(self) -> PlatformState:
-        """The picklable mutable half of this platform (one device)."""
-        governor = self.cpu.governor
-        ledger = self.ledger
-        return PlatformState(
-            now_s=self.clock.now,
-            battery_capacity_j=self.battery.capacity_joules,
-            battery_charge_j=self.battery.charge_joules,
-            temp_c=self.thermal.temperature_c,
-            governor_util=governor.utilization,
-            cpu_level=self.cpu.current_level,
-            total_work_units=self.cpu.total_work_units,
-            speed_factor=self._speed_factor,
-            sleep_total_s=self.sleep_total_s,
-            ledger=tuple(getattr(ledger, component)
-                         for component in EnergyLedger.COMPONENTS),
-            rng_state=self.rng.getstate())
-
-    def restore_state(self, state: PlatformState) -> None:
-        """Seat a captured device state into this platform.
-
-        The platform must have been built from the same
-        :class:`PlatformConfig`; subsequent stepping is then identical
-        to the platform the state came from.  Scripted battery levels
-        are simulation inputs, not state, and are cleared.
-        """
-        self.clock = SimClock(start=state.now_s)
-        self.battery = Battery(state.battery_capacity_j, fraction=1.0)
-        self.battery._charge = state.battery_charge_j
-        self.thermal.set_temperature(state.temp_c)
-        governor = self.cpu.governor
-        if hasattr(governor, "_util"):
-            governor._util = state.governor_util
-        self.cpu.current_level = state.cpu_level
-        self.cpu.total_work_units = state.total_work_units
-        self._speed_factor = state.speed_factor
-        self.sleep_total_s = state.sleep_total_s
-        self.ledger = EnergyLedger(*state.ledger)
-        self.rng.setstate(state.rng_state)
-        self.temperature_trace = [(state.now_s, state.temp_c)]
 
     def __repr__(self) -> str:
         return (f"<{type(self).__name__} t={self.clock.now:.3f}s "
@@ -375,14 +311,14 @@ class SystemB(Platform):
     net_active_w = 0.4
     battery_capacity_j = 3.6e4   # a simulated 10 Wh pack
     run_jitter_rel = 0.006
+    # Passively cooled small board: higher thermal resistance.
+    r_th_c_per_w = 7.0
+    tau_s = 40.0
 
     def __init__(self, seed: int = 0, governor: str = "ondemand",
                  battery_fraction: float = 1.0) -> None:
         super().__init__(PI2_BCM2836, governor=governor, seed=seed,
                          battery_fraction=battery_fraction)
-        # Passively cooled small board: higher thermal resistance.
-        self.thermal = ThermalModel(ambient_c=35.0, r_th_c_per_w=7.0,
-                                    tau_s=40.0)
 
 
 class SystemC(Platform):
@@ -404,13 +340,14 @@ class SystemC(Platform):
     net_active_w = 0.85
     battery_capacity_j = 3.7e4   # 2700 mAh at 3.8 V
     run_jitter_rel = 0.028
+    ambient_c = 33.0
+    r_th_c_per_w = 6.0
+    tau_s = 55.0
 
     def __init__(self, seed: int = 0, governor: str = "ondemand",
                  battery_fraction: float = 1.0) -> None:
         super().__init__(SNAPDRAGON_808, governor=governor, seed=seed,
                          battery_fraction=battery_fraction)
-        self.thermal = ThermalModel(ambient_c=33.0, r_th_c_per_w=6.0,
-                                    tau_s=55.0)
 
 
 _SYSTEMS = {"A": SystemA, "B": SystemB, "C": SystemC}
@@ -448,6 +385,13 @@ def platform_from_config(config: PlatformConfig, seed: int = 0,
     config came from: all per-class constants become instance
     attributes, and the RNG/jitter initialization path is the shared
     :class:`Platform` one.
+
+    Every platform built here is a plain :class:`Platform`, whatever
+    its system, so the attribute sites in :class:`Platform`'s methods
+    (``cpu_work``, ``_account``, ...) only ever see one type and stay
+    monomorphic.  That is why fleet shards build their platforms here
+    rather than with :func:`make_platform`: a batched shard runs
+    faster on them.
     """
     platform = Platform.__new__(Platform)
     platform.name = config.name
@@ -460,10 +404,9 @@ def platform_from_config(config: PlatformConfig, seed: int = 0,
     platform.net_active_w = config.net_active_w
     platform.battery_capacity_j = config.battery_capacity_j
     platform.run_jitter_rel = config.run_jitter_rel
+    platform.ambient_c = config.ambient_c
+    platform.r_th_c_per_w = config.r_th_c_per_w
+    platform.tau_s = config.tau_s
     Platform.__init__(platform, config.cpu, governor=config.governor,
                       seed=seed, battery_fraction=battery_fraction)
-    platform.thermal = ThermalModel(ambient_c=config.ambient_c,
-                                    r_th_c_per_w=config.r_th_c_per_w,
-                                    tau_s=config.tau_s)
-    platform.temperature_trace = [(0.0, platform.thermal.temperature_c)]
     return platform

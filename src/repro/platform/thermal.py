@@ -33,9 +33,6 @@ class ThermalModel:
     def temperature_c(self) -> float:
         return self._temp
 
-    def set_temperature(self, celsius: float) -> None:
-        self._temp = float(celsius)
-
     def steady_state(self, power_w: float) -> float:
         """Equilibrium temperature under constant ``power_w``."""
         return self.ambient_c + self.r_th * power_w

@@ -39,9 +39,9 @@ from __future__ import annotations
 import copy
 import functools
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from repro.core.errors import EnergyException, EntError
 from repro.core.modes import BOTTOM, TOP, Mode, ModeLattice
@@ -52,8 +52,8 @@ from repro.obs.tracer import NULL_TRACER, attach_platform
 from repro.runtime.ext import Ext
 from repro.runtime.tagging import TAG_ATTR, ObjectTag, ensure_tag, get_tag
 
-__all__ = ["EmbeddedDeviceState", "EntRuntime", "ModeCase",
-           "RuntimeStats", "STANDARD_MODES", "THERMAL_MODES"]
+__all__ = ["EntRuntime", "ModeCase", "RuntimeStats", "STANDARD_MODES",
+           "THERMAL_MODES"]
 
 #: The battery-mode chain used across the paper's benchmarks.
 STANDARD_MODES = ("energy_saver", "managed", "full_throttle")
@@ -88,29 +88,6 @@ class RuntimeStats:
     def reset(self) -> None:
         for f in dataclass_fields(self):
             setattr(self, f.name, f.default)
-
-
-@dataclass
-class EmbeddedDeviceState:
-    """The per-device slice of an :class:`EntRuntime`, picklable.
-
-    A fleet shard keeps ONE runtime (the shared immutable config: the
-    mode lattice, the instrumented classes and their mode-case tables)
-    and swaps this struct per simulated device.  It captures exactly
-    what varies device to device: the closure-mode stack, the stats
-    counters, and the mode tag of the device's agent object.  Mode
-    objects travel as names — they are interned, so restore
-    reconstructs identical instances.
-    """
-
-    #: Closure-mode stack as mode names, bottom (boot ``$top``) first.
-    mode_stack: Tuple[str, ...]
-    #: Stats counter values in :class:`RuntimeStats` field order.
-    stats: Tuple[int, ...]
-    #: The agent object's snapshot tag (None = un-snapshotted ``?``).
-    agent_mode: Optional[str] = None
-    agent_is_snapshot: bool = False
-    agent_snap_tagged: bool = False
 
 
 class EntRuntime:
@@ -438,55 +415,13 @@ class EntRuntime:
     # ------------------------------------------------------------------
     # Per-device state (fleet-scale sharding)
 
-    def capture_device_state(self, agent=None) -> EmbeddedDeviceState:
-        """Capture the mutable per-device half of this runtime.
-
-        The lattice and every instrumented class stay behind as shared
-        config — a restored device never duplicates them.  ``agent``
-        optionally names the device's entry object so its snapshot tag
-        travels with the state.
-        """
-        state = EmbeddedDeviceState(
-            mode_stack=tuple(mode.name for mode in self._mode_stack),
-            stats=tuple(getattr(self.stats, f.name)
-                        for f in dataclass_fields(self.stats)))
-        if agent is not None:
-            tag = get_tag(agent)
-            if tag is not None:
-                state.agent_mode = (tag.mode.name
-                                    if tag.mode is not None else None)
-                state.agent_is_snapshot = tag.is_snapshot
-                state.agent_snap_tagged = tag.snap_tagged
-        return state
-
-    def restore_device_state(self, state: EmbeddedDeviceState,
-                             agent=None) -> None:
-        """Seat a captured device state into this runtime.
-
-        Subsequent checking behaves exactly as it did on the runtime
-        the state was captured from (same lattice required).  The
-        self-call stack cannot meaningfully migrate across processes
-        and restores to top-level (no pending self-sends).
-        """
-        self._mode_stack = [Mode(name) for name in state.mode_stack]
-        self._self_stack = [None] * len(self._mode_stack)
-        for f, value in zip(dataclass_fields(self.stats), state.stats):
-            setattr(self.stats, f.name, value)
-        if agent is not None:
-            tag = ensure_tag(agent)
-            tag.dynamic = True
-            tag.mode = (Mode(state.agent_mode)
-                        if state.agent_mode is not None else None)
-            tag.is_snapshot = state.agent_is_snapshot
-            tag.snap_tagged = state.agent_snap_tagged
-
     def reset_device(self) -> None:
         """Zero the per-device state (a fresh device on this runtime).
 
-        Equivalent to restoring the state of a newly constructed
-        runtime: mode stack back to ``$top``, stats cleared.  Shared
-        config (lattice, instrumented classes) is kept —
-        that reuse is the fleet's batching win.
+        Leaves the runtime as a newly constructed one would be: mode
+        stack back to ``$top``, stats cleared.  Shared config (lattice,
+        instrumented classes) is kept — that reuse is the fleet's
+        batching win.
         """
         self._mode_stack = [TOP]
         self._self_stack = [None]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.modes import Mode, ModeLattice
 
@@ -72,13 +72,15 @@ class TaskResult:
 
 
 class Workload(abc.ABC):
-    """One benchmark application.
+    """One benchmark application: its Figure 7 row plus its kernel.
 
-    Subclasses define the Figure 6/7 metadata and the kernel.  The
-    ``workload_settings`` map gives each battery mode's input-size
-    parameter; ``attribute`` must recover the mode from such a
-    parameter (the task attributor's thresholds).  ``qos_settings``
-    maps each mode to its QoS knob value.
+    Subclasses give the Figure 6 metadata, the kernel (:meth:`execute`,
+    the only abstract method) and their Figure 7 row as three tables
+    keyed by battery mode: ``_SIZES`` (each mode's input-size
+    parameter), ``_QOS`` (each mode's QoS knob value) and
+    ``_THRESHOLDS`` (the task attributor's two size cutoffs,
+    ``{MG: ..., FT: ...}``).  :meth:`task_size`, :meth:`attribute`
+    and :meth:`qos_value` read those tables.
     """
 
     #: Benchmark name (Figure 6, column 1).
@@ -112,20 +114,34 @@ class Workload(abc.ABC):
 
     # ------------------------------------------------------------------
 
-    @abc.abstractmethod
+    #: Figure 7 row, keyed by battery mode.  Declared without values,
+    #: so a workload that omits one fails at first use.
+    _SIZES: Dict[str, float]
+    _QOS: Dict[str, float]
+    _THRESHOLDS: Dict[str, float]
+
     def task_size(self, workload_mode: str) -> float:
         """The Figure 7 input-size parameter for a workload mode."""
+        return self._SIZES[workload_mode]
 
-    @abc.abstractmethod
     def attribute(self, size: float) -> str:
         """The task attributor: classify an input size into a mode.
 
-        Must satisfy ``attribute(task_size(m)) == m`` for every mode.
+        A size strictly above a cutoff is in that cutoff's mode, so
+        ``attribute(task_size(m)) == m`` for every mode exactly when
+        ``task_size(ES) <= t[MG] < task_size(MG) <= t[FT] <
+        task_size(FT)`` for ``t = _THRESHOLDS``.
         """
+        thresholds = self._THRESHOLDS
+        if size > thresholds[FT]:
+            return FT
+        if size > thresholds[MG]:
+            return MG
+        return ES
 
-    @abc.abstractmethod
     def qos_value(self, qos_mode: str) -> float:
         """The Figure 7 QoS knob value for a mode."""
+        return self._QOS[qos_mode]
 
     @abc.abstractmethod
     def execute(self, platform, size: float, qos: float,

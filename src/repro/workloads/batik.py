@@ -62,19 +62,7 @@ class Batik(Workload):
 
     _SIZES = {ES: 16 << 10, MG: 261 << 10, FT: 2 << 20}
     _QOS = {ES: 512, MG: 1024, FT: 2048}
-
-    def task_size(self, workload_mode: str) -> float:
-        return self._SIZES[workload_mode]
-
-    def attribute(self, size: float) -> str:
-        if size > (1 << 20):
-            return FT
-        if size > (100 << 10):
-            return MG
-        return ES
-
-    def qos_value(self, qos_mode: str) -> float:
-        return self._QOS[qos_mode]
+    _THRESHOLDS = {MG: 100 << 10, FT: 1 << 20}
 
     def execute(self, platform, size: float, qos: float,
                 seed: int = 0) -> TaskResult:

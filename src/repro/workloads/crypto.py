@@ -78,19 +78,7 @@ class Crypto(Workload):
 
     _SIZES = {ES: 1 << 20, MG: 2 << 20, FT: 4 << 20}
     _QOS = {ES: 768, MG: 1024, FT: 1280}
-
-    def task_size(self, workload_mode: str) -> float:
-        return self._SIZES[workload_mode]
-
-    def attribute(self, size: float) -> str:
-        if size > (3 << 20):
-            return FT
-        if size > (1 << 20) * 1.5:
-            return MG
-        return ES
-
-    def qos_value(self, qos_mode: str) -> float:
-        return self._QOS[qos_mode]
+    _THRESHOLDS = {MG: (1 << 20) * 1.5, FT: 3 << 20}
 
     def system_scale(self, system: str) -> float:
         return 0.5 if system == "B" else 1.0

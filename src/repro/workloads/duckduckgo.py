@@ -60,19 +60,7 @@ class DuckDuckGo(Workload):
 
     _SIZES = {ES: 8, MG: 16, FT: 24}
     _QOS = {ES: _QUALITY_NONE, MG: _QUALITY_JS, FT: _QUALITY_AUTO}
-
-    def task_size(self, workload_mode: str) -> float:
-        return self._SIZES[workload_mode]
-
-    def attribute(self, size: float) -> str:
-        if size > 20:
-            return FT
-        if size > 10:
-            return MG
-        return ES
-
-    def qos_value(self, qos_mode: str) -> float:
-        return self._QOS[qos_mode]
+    _THRESHOLDS = {MG: 10, FT: 20}
 
     def execute(self, platform, size: float, qos: float,
                 seed: int = 0) -> TaskResult:

@@ -119,19 +119,7 @@ class FindBugs(Workload):
 
     _SIZES = {ES: 5_363, MG: 20_136, FT: 56_704}
     _QOS = {ES: 1.0, MG: 2.0, FT: 3.0}  # effort level
-
-    def task_size(self, workload_mode: str) -> float:
-        return self._SIZES[workload_mode]
-
-    def attribute(self, size: float) -> str:
-        if size > 30_000:
-            return FT
-        if size > 10_000:
-            return MG
-        return ES
-
-    def qos_value(self, qos_mode: str) -> float:
-        return self._QOS[qos_mode]
+    _THRESHOLDS = {MG: 10_000, FT: 30_000}
 
     def execute(self, platform, size: float, qos: float,
                 seed: int = 0) -> TaskResult:

@@ -89,19 +89,7 @@ class JavaBoy(Workload):
 
     _SIZES = {ES: 64 << 10, MG: 512 << 10, FT: 1 << 20}
     _QOS = {ES: 2.0, MG: 4.0, FT: 6.0}
-
-    def task_size(self, workload_mode: str) -> float:
-        return self._SIZES[workload_mode]
-
-    def attribute(self, size: float) -> str:
-        if size > (700 << 10):
-            return FT
-        if size > (128 << 10):
-            return MG
-        return ES
-
-    def qos_value(self, qos_mode: str) -> float:
-        return self._QOS[qos_mode]
+    _THRESHOLDS = {MG: 128 << 10, FT: 700 << 10}
 
     def execute(self, platform, size: float, qos: float,
                 seed: int = 0) -> TaskResult:

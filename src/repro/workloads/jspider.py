@@ -62,19 +62,7 @@ class JSpider(Workload):
 
     _SIZES = {ES: 89, MG: 1058, FT: 1967}
     _QOS = {ES: 3, MG: 4, FT: 5}
-
-    def task_size(self, workload_mode: str) -> float:
-        return self._SIZES[workload_mode]
-
-    def attribute(self, size: float) -> str:
-        if size > 1200:
-            return FT
-        if size > 200:
-            return MG
-        return ES
-
-    def qos_value(self, qos_mode: str) -> float:
-        return self._QOS[qos_mode]
+    _THRESHOLDS = {MG: 200, FT: 1200}
 
     def execute(self, platform, size: float, qos: float,
                 seed: int = 0) -> TaskResult:

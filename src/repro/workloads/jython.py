@@ -129,19 +129,7 @@ class Jython(Workload):
 
     _SIZES = {ES: 400, MG: 1200, FT: 2400}
     _QOS = {ES: 0, MG: 1, FT: 2}
-
-    def task_size(self, workload_mode: str) -> float:
-        return self._SIZES[workload_mode]
-
-    def attribute(self, size: float) -> str:
-        if size > 1600:
-            return FT
-        if size > 700:
-            return MG
-        return ES
-
-    def qos_value(self, qos_mode: str) -> float:
-        return self._QOS[qos_mode]
+    _THRESHOLDS = {MG: 700, FT: 1600}
 
     def execute(self, platform, size: float, qos: float,
                 seed: int = 0) -> TaskResult:

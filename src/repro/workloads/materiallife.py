@@ -69,19 +69,7 @@ class MaterialLife(Workload):
 
     _SIZES = {ES: 1_000, MG: 2_000, FT: 5_000}
     _QOS = {ES: 5.0, MG: 10.0, FT: 15.0}
-
-    def task_size(self, workload_mode: str) -> float:
-        return self._SIZES[workload_mode]
-
-    def attribute(self, size: float) -> str:
-        if size > 3_000:
-            return FT
-        if size > 1_500:
-            return MG
-        return ES
-
-    def qos_value(self, qos_mode: str) -> float:
-        return self._QOS[qos_mode]
+    _THRESHOLDS = {MG: 1_500, FT: 3_000}
 
     def execute(self, platform, size: float, qos: float,
                 seed: int = 0) -> TaskResult:

@@ -45,19 +45,7 @@ class NewPipe(Workload):
 
     _SIZES = {ES: 150.0, MG: 390.0, FT: 960.0}          # seconds
     _QOS = {ES: 256 * 144, MG: 426 * 240, FT: 640 * 360}  # pixels
-
-    def task_size(self, workload_mode: str) -> float:
-        return self._SIZES[workload_mode]
-
-    def attribute(self, size: float) -> str:
-        if size > 600.0:
-            return FT
-        if size > 200.0:
-            return MG
-        return ES
-
-    def qos_value(self, qos_mode: str) -> float:
-        return self._QOS[qos_mode]
+    _THRESHOLDS = {MG: 200.0, FT: 600.0}
 
     def execute(self, platform, size: float, qos: float,
                 seed: int = 0) -> TaskResult:

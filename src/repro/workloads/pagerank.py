@@ -65,19 +65,7 @@ class PageRank(Workload):
 
     _SIZES = {ES: 325_557, MG: 972_933, FT: 1_352_053}
     _QOS = {ES: 0.01, MG: 0.001, FT: 0.0001}
-
-    def task_size(self, workload_mode: str) -> float:
-        return self._SIZES[workload_mode]
-
-    def attribute(self, size: float) -> str:
-        if size > 1_000_000:
-            return FT
-        if size > 400_000:
-            return MG
-        return ES
-
-    def qos_value(self, qos_mode: str) -> float:
-        return self._QOS[qos_mode]
+    _THRESHOLDS = {MG: 400_000, FT: 1_000_000}
 
     def execute(self, platform, size: float, qos: float,
                 seed: int = 0) -> TaskResult:

@@ -36,19 +36,7 @@ class SoundRecorder(Workload):
 
     _SIZES = {ES: 180.0, MG: 240.0, FT: 300.0}
     _QOS = {ES: 8_000.0, MG: 24_000.0, FT: 48_000.0}
-
-    def task_size(self, workload_mode: str) -> float:
-        return self._SIZES[workload_mode]
-
-    def attribute(self, size: float) -> str:
-        if size > 270.0:
-            return FT
-        if size > 210.0:
-            return MG
-        return ES
-
-    def qos_value(self, qos_mode: str) -> float:
-        return self._QOS[qos_mode]
+    _THRESHOLDS = {MG: 210.0, FT: 270.0}
 
     def execute(self, platform, size: float, qos: float,
                 seed: int = 0) -> TaskResult:

@@ -78,19 +78,7 @@ class Sunflow(Workload):
     # Per-pixel sample budgets drawn from Fig 7's adaptive ranges
     # (1/4, 1/4-4, 1/4-16).
     _QOS = {ES: 0.9, MG: 2.2, FT: 4.5}
-
-    def task_size(self, workload_mode: str) -> float:
-        return self._SIZES[workload_mode]
-
-    def attribute(self, size: float) -> str:
-        if size > 6:
-            return FT
-        if size > 3:
-            return MG
-        return ES
-
-    def qos_value(self, qos_mode: str) -> float:
-        return self._QOS[qos_mode]
+    _THRESHOLDS = {MG: 3, FT: 6}
 
     def system_scale(self, system: str) -> float:
         # The paper shrinks Pi inputs to match the slower processor.

@@ -38,19 +38,7 @@ class Video(Workload):
 
     _SIZES = {ES: 854 * 480, MG: 1280 * 720, FT: 1920 * 1080}
     _QOS = {ES: 10.0, MG: 20.0, FT: 30.0}
-
-    def task_size(self, workload_mode: str) -> float:
-        return self._SIZES[workload_mode]
-
-    def attribute(self, size: float) -> str:
-        if size > 1_500_000:
-            return FT
-        if size > 500_000:
-            return MG
-        return ES
-
-    def qos_value(self, qos_mode: str) -> float:
-        return self._QOS[qos_mode]
+    _THRESHOLDS = {MG: 500_000, FT: 1_500_000}
 
     def execute(self, platform, size: float, qos: float,
                 seed: int = 0) -> TaskResult:

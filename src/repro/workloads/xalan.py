@@ -123,19 +123,7 @@ class Xalan(Workload):
 
     _SIZES = {ES: 250, MG: 800, FT: 1600}
     _QOS = {ES: 1, MG: 2, FT: 3}
-
-    def task_size(self, workload_mode: str) -> float:
-        return self._SIZES[workload_mode]
-
-    def attribute(self, size: float) -> str:
-        if size > 1000:
-            return FT
-        if size > 450:
-            return MG
-        return ES
-
-    def qos_value(self, qos_mode: str) -> float:
-        return self._QOS[qos_mode]
+    _THRESHOLDS = {MG: 450, FT: 1000}
 
     def execute(self, platform, size: float, qos: float,
                 seed: int = 0) -> TaskResult:

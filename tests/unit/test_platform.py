@@ -10,6 +10,7 @@ from repro.platform import (Battery, Cpu, EnergyLedger, INTEL_I5,
                             PI2_BCM2836, RaplMeter, SimClock, SystemA,
                             SystemB, SystemC, ThermalModel, WattsUpMeter,
                             make_platform)
+from repro.platform.systems import platform_from_config, system_config
 
 
 class TestClock:
@@ -261,6 +262,16 @@ class TestSystems:
         assert len(platform.temperature_trace) > 1
         times = [t for t, _ in platform.temperature_trace]
         assert times == sorted(times)
+
+    @pytest.mark.parametrize("system", ["A", "B", "C"])
+    def test_trace_starts_at_the_systems_own_temperature(self, system):
+        # Each system's thermal constants are in place before the
+        # first sample, under both constructors (System C idles at a
+        # 33 C ambient, not the 35 C default).
+        for platform in (make_platform(system),
+                         platform_from_config(system_config(system))):
+            assert platform.temperature_trace[0] == \
+                (0.0, platform.thermal.temperature_c)
 
 
 class TestReran:

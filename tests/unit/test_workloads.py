@@ -6,6 +6,8 @@ kernels are deterministic for a seed, energy grows with workload size,
 and the QoS knob orders energy es <= mg <= ft.
 """
 
+import math
+
 import pytest
 
 from repro.platform import make_platform
@@ -72,6 +74,21 @@ class TestWorkloadContract:
         classify the Figure 7 inputs correctly."""
         for mode in BATTERY_MODES:
             assert workload.attribute(workload.task_size(mode)) == mode
+
+    def test_attributor_thresholds(self, workload):
+        """A cutoff itself attributes to the mode below it (strict
+        ``>``), the next float up to the mode above, and the cutoffs
+        separate the three Figure 7 sizes."""
+        cutoffs = workload._THRESHOLDS
+        assert set(cutoffs) == {MG, FT}
+        for lower, upper in ((ES, MG), (MG, FT)):
+            cutoff = cutoffs[upper]
+            assert workload.attribute(cutoff) == lower
+            assert workload.attribute(math.nextafter(cutoff, math.inf)) \
+                == upper
+        assert (workload.task_size(ES) <= cutoffs[MG]
+                < workload.task_size(MG) <= cutoffs[FT]
+                < workload.task_size(FT))
 
     def test_sizes_strictly_increasing(self, workload):
         assert (workload.task_size(ES) < workload.task_size(MG)
