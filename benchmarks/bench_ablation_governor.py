@@ -12,13 +12,13 @@ the ondemand and the performance governor and checks:
   the application-level knob loses its hardware-level ally.
 """
 
-from repro.platform.systems import SystemB
+from repro.platform.systems import make_platform
 from repro.workloads import ES, FT, get_workload
 
 
 def _video_energy(qos_mode: str, governor: str) -> float:
     workload = get_workload("video")
-    platform = SystemB(seed=1, governor=governor)
+    platform = make_platform("B", seed=1, governor=governor)
     workload.execute(platform, workload.task_size(FT),
                      workload.qos_value(qos_mode), seed=1)
     return platform.energy_total_j()

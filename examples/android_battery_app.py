@@ -11,13 +11,13 @@ startup interaction, jitter included.
 Run:  python examples/android_battery_app.py
 """
 
-from repro.platform import SystemC
+from repro.platform import make_platform
 from repro.runtime import EntRuntime
 from repro.workloads import get_workload
 
 
 def watch_video(battery_level: float, minutes: float = 6.5):
-    platform = SystemC(seed=11, battery_fraction=battery_level)
+    platform = make_platform("C", seed=11, battery_fraction=battery_level)
     rt = EntRuntime.standard(platform)
     newpipe = get_workload("newpipe")
 

@@ -14,7 +14,7 @@ Run:  python examples/crawler.py
 """
 
 from repro.lang import InterpOptions, run_source
-from repro.platform.systems import SystemA
+from repro.platform.systems import make_platform
 
 CRAWLER = """
 modes { energy_saver <= managed; managed <= full_throttle; }
@@ -110,7 +110,7 @@ class Main {
 
 
 def crawl_at_battery(battery: float) -> list:
-    platform = SystemA()
+    platform = make_platform("A")
     platform.battery.set_fraction(battery)
     interp = run_source(CRAWLER, platform=platform,
                         options=InterpOptions())

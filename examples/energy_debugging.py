@@ -19,7 +19,7 @@ Run:  python examples/energy_debugging.py
 
 from repro.core.errors import EnergyException, WaterfallError
 from repro.lang import check_program, run_source
-from repro.platform import SystemA
+from repro.platform import make_platform
 
 MODES = "modes { energy_saver <= managed; managed <= full_throttle; }\n"
 
@@ -92,7 +92,7 @@ def step2_runtime_exception() -> None:
     source = (MODES
               + SITE_AND_AGENT.replace("SNAPSHOT", "snapshot ds [_, X]")
               + MAIN)
-    platform = SystemA(seed=3)
+    platform = make_platform("A", seed=3)
     platform.battery.set_fraction(0.55)   # managed territory
     try:
         run_source(source, platform=platform)
@@ -121,7 +121,7 @@ def step3_adapt_and_measure() -> None:
               + SITE_AND_AGENT.replace("SNAPSHOT", "snapshot ds [_, X]")
               + handler_main)
     for battery, label in ((0.9, "full battery"), (0.55, "low battery")):
-        platform = SystemA(seed=3)
+        platform = make_platform("A", seed=3)
         platform.battery.set_fraction(battery)
         meter = platform.meter()
         meter.begin()

@@ -12,13 +12,13 @@ thermal steady state, the ENT version duty-cycles around the threshold.
 Run:  python examples/temperature_aware_renderer.py
 """
 
-from repro.platform import SystemA
+from repro.platform import make_platform
 from repro.runtime import EntRuntime
 from repro.workloads import FT, get_workload
 
 
 def render_run(temperature_aware: bool, buckets: int = 45):
-    platform = SystemA(seed=7)
+    platform = make_platform("A", seed=7)
     rt = EntRuntime.thermal(platform)
     sunflow = get_workload("sunflow")
 

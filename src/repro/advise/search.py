@@ -443,10 +443,8 @@ def advise_source(source: str, file: str = "<advise>",
 
     keys = sorted(tasks)
     results: Dict[Tuple[int, int, int], Dict[str, object]] = {}
-    jobs = cfg.jobs
-    if jobs == 0:
-        import os
-        jobs = os.cpu_count() or 1
+    from repro.eval.parallel import resolve_jobs
+    jobs = resolve_jobs(cfg.jobs)
     if jobs > 1 and len(keys) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for key, result in zip(

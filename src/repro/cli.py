@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -86,6 +87,36 @@ from repro.lang.lexer import tokenize
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
 from repro.lang.typechecker import check_program
+
+
+def bounded_float(lo: float, hi: float = math.inf, *,
+                  open_lo: bool = False):
+    """An argparse ``type=``: a finite float in ``[lo, hi]`` (``(lo,
+    hi]`` with ``open_lo``), so a bad value is a usage error naming
+    its flag rather than a traceback from deep inside a run."""
+    def parse(text: str) -> float:
+        value = float(text)
+        above = lo < value if open_lo else lo <= value
+        if not (math.isfinite(value) and above and value <= hi):
+            left = "(" if open_lo else "["
+            right = "]" if math.isfinite(hi) else ")"
+            raise argparse.ArgumentTypeError(
+                f"must be in {left}{lo:g}, {hi:g}{right}, got {text!r}")
+        return value
+    parse.__name__ = "float"
+    return parse
+
+
+def bounded_int(lo: int):
+    """An argparse ``type=``: an integer ``>= lo``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {lo}, got {text!r}")
+        return value
+    parse.__name__ = "int"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,7 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="maximum evaluation steps")
     run.add_argument("--system", choices=["A", "B", "C"], default=None,
                      help="attach a platform simulator")
-    run.add_argument("--battery", type=float, default=1.0,
+    run.add_argument("--battery", type=bounded_float(0.0, 1.0),
+                     default=1.0,
                      help="initial battery fraction (with --system)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--stats", action="store_true",
@@ -142,7 +174,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      default="jsonl",
                      help="trace format: jsonl (repro obs report) or "
                           "chrome (Perfetto)")
-    run.add_argument("--trace-capacity", type=int, default=65536,
+    run.add_argument("--trace-capacity", type=bounded_int(1),
+                     default=65536,
                      help="trace ring-buffer capacity (events)")
 
     analyze = sub.add_parser(
@@ -217,14 +250,16 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--system", choices=["A", "B", "C"],
                          default=None,
                          help="attach a platform simulator")
-    profile.add_argument("--battery", type=float, default=1.0,
+    profile.add_argument("--battery", type=bounded_float(0.0, 1.0),
+                         default=1.0,
                          help="initial battery fraction (with --system)")
     profile.add_argument("--seed", type=int, default=0)
     profile.add_argument("--lenient-mcase", action="store_true")
     profile.add_argument("--no-elide", action="store_true",
                          help="run every dynamic check (also skips the "
                               "static-vs-observed diff)")
-    profile.add_argument("--trace-capacity", type=int, default=65536,
+    profile.add_argument("--trace-capacity", type=bounded_int(1),
+                         default=65536,
                          help="event capacity for the --energy tracer")
 
     advise = sub.add_parser(
@@ -252,12 +287,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="A",
                         help="platform simulator for calibration "
                              "(default A)")
-    advise.add_argument("--battery", type=float, action="append",
-                        default=None, metavar="F",
+    advise.add_argument("--battery", type=bounded_float(0.0, 1.0),
+                        action="append", default=None, metavar="F",
                         help="battery level for the calibration "
                              "episodes; repeat for a grid "
                              "(default 1.0)")
-    advise.add_argument("--jobs", type=int, default=1,
+    advise.add_argument("--jobs", type=bounded_int(0), default=1,
                         help="parallel calibration workers; 0 = one "
                              "per CPU (results are identical for any "
                              "value)")
@@ -305,18 +340,14 @@ def _build_parser() -> argparse.ArgumentParser:
     tokens = sub.add_parser("tokens", help="print the token stream")
     tokens.add_argument("file")
 
-    lint = sub.add_parser(
-        "lint",
-        help="statically check Python code using the embedded ENT API")
-    lint.add_argument("file")
-
     fleet = sub.add_parser(
         "fleet",
         help="fleet-scale device simulation (docs/FLEET.md)")
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
     fleet_run = fleet_sub.add_parser(
         "run", help="simulate a device population across shards")
-    fleet_run.add_argument("--devices", type=int, default=10_000,
+    fleet_run.add_argument("--devices", type=bounded_int(0),
+                           default=10_000,
                            help="population size (default 10000)")
     fleet_run.add_argument("--shards", type=int, default=1,
                            help="worker processes; 1 runs in-process")
@@ -327,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "objects per device; the differential "
                                 "reference)")
     fleet_run.add_argument("--seed", type=int, default=0)
-    fleet_run.add_argument("--steps", type=int, default=16,
+    fleet_run.add_argument("--steps", type=bounded_int(1), default=16,
                            help="adaptive-loop iterations per device")
     fleet_run.add_argument("--json", action="store_true",
                            help="emit the full report as one JSON "
@@ -748,18 +779,6 @@ def _cmd_eval(args) -> int:
     return eval_main(args.eval_args)
 
 
-def _cmd_lint(args) -> int:
-    from repro.runtime.lint import lint_source
-
-    findings = lint_source(_read(args.file), filename=args.file)
-    for finding in findings:
-        print(f"{args.file}:{finding}")
-    errors = [f for f in findings if f.code.startswith("E")]
-    if not findings:
-        print(f"{args.file}: OK")
-    return 1 if errors else 0
-
-
 _COMMANDS = {
     "check": _cmd_check,
     "run": _cmd_run,
@@ -770,7 +789,6 @@ _COMMANDS = {
     "disasm": _cmd_disasm,
     "pretty": _cmd_pretty,
     "tokens": _cmd_tokens,
-    "lint": _cmd_lint,
     "eval": _cmd_eval,
     "fleet": _cmd_fleet,
 }

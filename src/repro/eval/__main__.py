@@ -25,6 +25,14 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.cli import bounded_float, bounded_int
+from repro.eval.config import e3_benchmarks
+from repro.eval.export import FIGURES
+from repro.workloads.base import BATTERY_MODES
+from repro.workloads.registry import ALL_WORKLOADS
+
+_JOBS_HELP = "parallel episode workers (default: serial, 0 = all cores)"
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -32,87 +40,61 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Regenerate the ENT paper's evaluation "
                     "(Figures 6-11)")
     sub = parser.add_subparsers(dest="command", required=True)
+    workloads = [workload.name for workload in ALL_WORKLOADS]
 
     for name in ("figure6", "figure7", "figure8", "figure9", "figure10",
                  "figure11", "all"):
         cmd = sub.add_parser(name, help=f"regenerate {name}")
         cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--jobs", type=int, default=None,
-                         help="parallel episode workers (default: "
-                              "serial, 0 = all cores)")
+        cmd.add_argument("--jobs", type=bounded_int(0), default=None,
+                         help=_JOBS_HELP)
         cmd.add_argument("--trace", metavar="PATH", default=None,
                          help="record the (merged) episode trace")
         cmd.add_argument("--trace-format", choices=["jsonl", "chrome"],
                          default="jsonl")
-        cmd.add_argument("--trace-capacity", type=int, default=262144)
+        cmd.add_argument("--trace-capacity", type=bounded_int(1),
+                         default=262144)
         if name in ("figure8", "figure11"):
             cmd.add_argument("--benchmarks", nargs="*", default=None,
+                             choices=(workloads if name == "figure8"
+                                      else e3_benchmarks()),
                              help="restrict to these benchmarks")
 
     export = sub.add_parser("export", help="write figure data as JSON")
     export.add_argument("--dir", default="results")
     export.add_argument("--seed", type=int, default=0)
-    export.add_argument("--figures", nargs="*", default=None)
-    export.add_argument("--jobs", type=int, default=None,
-                        help="parallel episode workers (default: "
-                             "serial, 0 = all cores)")
+    export.add_argument("--figures", nargs="*", default=None,
+                        choices=FIGURES)
+    export.add_argument("--jobs", type=bounded_int(0), default=None,
+                        help=_JOBS_HELP)
 
     drain = sub.add_parser(
         "drain", help="adaptive run across a battery discharge")
     drain.add_argument("--benchmark", nargs="+", default=["jspider"],
+                       choices=workloads,
                        help="benchmark(s); several run as a sweep")
-    drain.add_argument("--system", default="A")
+    drain.add_argument("--system", choices=["A", "B", "C"], default="A")
     drain.add_argument("--iterations", type=int, default=40)
-    drain.add_argument("--battery-scale", type=float, default=0.003)
+    drain.add_argument("--battery-scale",
+                       type=bounded_float(0.0, open_lo=True),
+                       default=0.003)
     drain.add_argument("--seed", type=int, default=0)
-    drain.add_argument("--jobs", type=int, default=None,
-                       help="parallel sweep workers (default: serial, "
-                            "0 = all cores)")
-
-    from repro.lang.engines import ENGINES
-
-    advise = sub.add_parser(
-        "advise",
-        help="Pareto mode advisor over a battery episode grid "
-             "(repro.advise; docs/ADVISE.md)")
-    advise.add_argument("--file", default="examples/ent/crawler.ent",
-                        help="ENT program to advise "
-                             "(default examples/ent/crawler.ent)")
-    advise.add_argument("--system", choices=["A", "B", "C"],
-                        default="A")
-    advise.add_argument("--batteries", type=float, nargs="+",
-                        default=[1.0, 0.6, 0.3],
-                        help="battery levels forming the episode "
-                             "grid (default 1.0 0.6 0.3)")
-    advise.add_argument("--arch",
-                        choices=["sim45nm", "skylake", "cortex-a53"],
-                        default="sim45nm")
-    advise.add_argument("--engine", default=None,
-                        choices=list(ENGINES))
-    advise.add_argument("--runs", type=int, default=2,
-                        help="calibration runs per battery level")
-    advise.add_argument("--samples", type=int, default=128,
-                        help="Monte-Carlo draws per pinned class")
-    advise.add_argument("--seed", type=int, default=0)
-    advise.add_argument("--jobs", type=int, default=None,
-                        help="parallel calibration workers (default: "
-                             "serial, 0 = all cores; results are "
-                             "bit-identical for any value)")
-    advise.add_argument("--json", action="store_true",
-                        help="emit the full result as one JSON object")
+    drain.add_argument("--jobs", type=bounded_int(0), default=None,
+                       help=_JOBS_HELP)
 
     episode = sub.add_parser(
         "episode", help="run one traced E1/E2/E3 episode")
     episode.add_argument("--experiment", choices=["e1", "e2", "e3"],
                          required=True)
-    episode.add_argument("--benchmark", default=None,
+    episode.add_argument("--benchmark", default=None, choices=workloads,
                          help="workload name (default: jspider for "
                               "e1/e2, sunflow for e3)")
     episode.add_argument("--system", choices=["A", "B", "C"], default="A",
                          help="platform (e1/e2; e3 always runs on A)")
     episode.add_argument("--boot", default="full_throttle",
-                         help="boot mode (e1/e2)")
+                         choices=BATTERY_MODES, help="boot mode (e1/e2)")
     episode.add_argument("--workload-mode", default="full_throttle",
+                         choices=BATTERY_MODES,
                          help="workload attribution mode (e1/e2)")
     episode.add_argument("--variant", choices=["ent", "java"],
                          default="ent", help="e3 variant")
@@ -125,39 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="write the episode trace to PATH")
     episode.add_argument("--trace-format", choices=["jsonl", "chrome"],
                          default="jsonl")
-    episode.add_argument("--trace-capacity", type=int, default=65536)
+    episode.add_argument("--trace-capacity", type=bounded_int(1),
+                         default=65536)
 
     return parser
-
-
-def _run_advise(args) -> int:
-    """Advise over a battery episode grid (``repro.eval advise``).
-
-    The grid plays the role of the drain sweep's episodes: each
-    candidate assignment is calibrated at every battery level, so the
-    frontier reflects the program's behaviour across the discharge,
-    not a single lucky episode.  Output is bit-identical for any
-    ``--jobs`` value.
-    """
-    from repro.advise import AdviseConfig, advise_file, builtin_model
-    from repro.lang.engines import resolve_engine
-
-    config = AdviseConfig(
-        arch=args.arch,
-        engine=resolve_engine(args.engine),
-        system=args.system,
-        seed=args.seed,
-        runs=args.runs,
-        samples=args.samples,
-        batteries=tuple(args.batteries),
-        jobs=args.jobs if args.jobs is not None else 1)
-    result = advise_file(args.file, config=config,
-                         model=builtin_model(args.arch))
-    if args.json:
-        print(result.to_json())
-    else:
-        print(result.render())
-    return 0
 
 
 def _run_episode(args) -> int:
@@ -251,7 +204,8 @@ def _write_figure_trace(args, tracer) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "all":
         tracer = _figure_tracer(args)
         for name in ("figure7", "figure6", "figure8", "figure9",
@@ -284,9 +238,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                       f"E={step.energy_j:.1f}J")
             print(f"monotone downward: {run.monotone_downward()}")
         return 0
-    if args.command == "advise":
-        return _run_advise(args)
     if args.command == "episode":
+        if (args.experiment == "e3" and args.benchmark is not None
+                and args.benchmark not in e3_benchmarks()):
+            parser.error(f"argument --benchmark: {args.benchmark} has no "
+                         f"unit-of-work decomposition for e3 (choose "
+                         f"from {', '.join(e3_benchmarks())})")
         return _run_episode(args)
     tracer = _figure_tracer(args)
     _print_figure(args.command, args.seed, jobs=args.jobs, tracer=tracer,

@@ -89,15 +89,13 @@ def battery_drain_run(benchmark: str = "jspider", system: str = "A",
     live battery level), eliminates the QoS mode case on the boot mode,
     and processes one unit of the workload at that QoS.
     ``battery_scale`` shrinks the battery so a full discharge fits in
-    ``iterations`` (1.0 = the platform's real capacity).
+    ``iterations`` (1.0 = the platform's real capacity); it must be
+    positive, like any battery capacity.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     workload: Workload = get_workload(benchmark)
-    platform = make_platform(system, seed=seed,
-                             battery_fraction=start_fraction)
-    if battery_scale != 1.0:
-        platform.battery.capacity_joules *= battery_scale
-        platform.battery.set_fraction(start_fraction)
+    platform = make_platform(system)
+    platform.reset(seed, start_fraction, battery_scale)
     rt = EntRuntime.standard(platform, tracer=tracer, profiler=profiler)
 
     @rt.dynamic

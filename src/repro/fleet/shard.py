@@ -41,7 +41,7 @@ from repro.fleet.spec import FleetSpec, device_params
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prof import Profile
 from repro.platform.meter import EnergyLedger
-from repro.platform.systems import platform_from_config, system_config
+from repro.platform.systems import SYSTEMS, Platform
 from repro.runtime.embedded import EntRuntime
 
 __all__ = ["ENGINES", "ShardTask", "ShardResult", "run_shard",
@@ -108,11 +108,8 @@ def run_shard(task: ShardTask) -> ShardResult:
     batched = task.engine == "batched"
     started = time.perf_counter()
 
-    # Shared immutable config: one per system letter, built lazily so a
-    # shard whose slice never draws system C never pays for it.
-    configs: Dict[str, object] = {}
     # Batched engine's long-lived objects (per system / per shard).
-    platforms: Dict[str, object] = {}
+    platforms: Dict[str, Platform] = {}
     shared_rt: Optional[EntRuntime] = None
     shared_app: Optional[DeviceApp] = None
     if batched:
@@ -133,18 +130,15 @@ def run_shard(task: ShardTask) -> ShardResult:
     devices = 0
     for index in range(task.start, task.stop):
         params = device_params(spec, index)
-        config = configs.get(params.system)
-        if config is None:
-            config = configs[params.system] = system_config(params.system)
         if batched:
             platform = platforms.get(params.system)
             if platform is None:
                 platform = platforms[params.system] = \
-                    platform_from_config(config)
+                    Platform(SYSTEMS[params.system])
             rt, app = shared_rt, shared_app
             rt.reset_device()
         else:
-            platform = platform_from_config(config)
+            platform = Platform(SYSTEMS[params.system])
             rt = EntRuntime.standard()
             app = DeviceApp(rt, spec)
         # Both engines seat the device through the same reset path, so

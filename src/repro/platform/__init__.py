@@ -8,7 +8,7 @@ from repro.platform.cpu import (INTEL_I5, PI2_BCM2836, SNAPDRAGON_808, Cpu,
 from repro.platform.meter import (BatteryManagerMeter, EnergyLedger, Meter,
                                   RaplMeter, WattsUpMeter)
 from repro.platform.reran import Recording, ReranReplayer, TouchEvent
-from repro.platform.systems import (Platform, SystemA, SystemB, SystemC,
+from repro.platform.systems import (SYSTEMS, Platform, PlatformConfig,
                                     make_platform)
 from repro.platform.thermal import ThermalModel
 
@@ -24,14 +24,13 @@ __all__ = [
     "PerformanceGovernor",
     "PI2_BCM2836",
     "Platform",
+    "PlatformConfig",
     "RaplMeter",
     "Recording",
     "ReranReplayer",
     "SNAPDRAGON_808",
+    "SYSTEMS",
     "SimClock",
-    "SystemA",
-    "SystemB",
-    "SystemC",
     "ThermalModel",
     "TouchEvent",
     "WattsUpMeter",

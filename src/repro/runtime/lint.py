@@ -27,7 +27,7 @@ The lint is intraprocedural and conservative: it only reports when the
 decorator/construction/messaging chain is syntactically evident, so
 every finding is actionable.  It is available as an API
 (:func:`lint_source`, :func:`lint_file`) and powers
-``python -m repro lint`` via :mod:`repro.cli`.
+``python -m repro analyze --embedded`` via :mod:`repro.cli`.
 """
 
 from __future__ import annotations

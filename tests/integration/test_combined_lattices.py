@@ -10,7 +10,7 @@ temperature-attributed Sleeper duty-cycles the CPU in between.
 import pytest
 
 from repro.lang import run_source
-from repro.platform import SystemA
+from repro.platform import make_platform
 
 COMBINED = """
 modes {
@@ -72,7 +72,7 @@ class Main {
 class TestCombinedLattices:
     @pytest.fixture(scope="class")
     def high_battery(self):
-        platform = SystemA(seed=5)
+        platform = make_platform("A", seed=5)
         platform.battery.set_fraction(0.95)
         from repro.lang import run_source as rs
         interp = rs(COMBINED, platform=platform)
@@ -91,7 +91,7 @@ class TestCombinedLattices:
 
     def test_low_battery_means_less_work_and_heat(self):
         def run(battery):
-            platform = SystemA(seed=5)
+            platform = make_platform("A", seed=5)
             platform.battery.set_fraction(battery)
             interp = run_source(COMBINED, platform=platform)
             worked = int(interp.output[0].split("=")[1])

@@ -287,7 +287,7 @@ class TestTemperatureProgram:
     """
 
     def test_runs_on_real_platform(self):
-        from repro.platform import SystemA
-        interp = run_source(self.SOURCE, platform=SystemA(seed=1))
+        from repro.platform import make_platform
+        interp = run_source(self.SOURCE, platform=make_platform("A", seed=1))
         assert interp.output == ["done"]
         assert interp.stats.snapshots == 5

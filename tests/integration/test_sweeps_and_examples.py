@@ -45,6 +45,15 @@ class TestBatteryDrain:
         assert run.total_energy_j > 0
         assert all(step.energy_j > 0 for step in run.steps)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_non_positive_battery_scale_is_rejected(self, scale):
+        # The scaled capacity goes through Battery's own check: no
+        # ZeroDivisionError at 0, no silent empty run below it.
+        with pytest.raises(ValueError,
+                           match="battery capacity must be positive"):
+            battery_drain_run("crypto", "A", iterations=5,
+                              battery_scale=scale)
+
 
 @pytest.mark.parametrize("script", [
     "quickstart.py",

@@ -4,8 +4,8 @@ The fleet service rests on three refactors, each with a crisp
 invariant this module exercises across seeds and systems:
 
 * **Platform reuse** — ``Platform.reset`` is bit-equal to fresh
-  construction, and a platform built from a system's
-  :class:`PlatformConfig` steps float-for-float like the system class.
+  construction, and every platform of a system shares its one
+  :class:`PlatformConfig` row.
 * **Embedded-runtime reuse** — ``EntRuntime.reset_device`` returns a
   shared runtime (one lattice, one set of instrumented classes) to its
   boot state, and those tables are shared across devices.
@@ -21,11 +21,9 @@ from repro.core.rng import SplitMix64, derive_seed, splitmix64
 from repro.fleet import FleetSpec, device_params
 from repro.fleet.device import DeviceApp, run_device
 from repro.platform.meter import EnergyLedger
-from repro.platform.systems import (make_platform, platform_from_config,
-                                    system_config)
+from repro.platform.systems import SYSTEMS, Platform, make_platform
 from repro.runtime.embedded import EntRuntime
 
-SYSTEMS = ("A", "B", "C")
 SEEDS = (0, 7, 991)
 
 
@@ -69,11 +67,10 @@ class TestPlatformStatePickle:
     def test_reset_is_bit_equal_to_fresh_construction(self):
         for system in SYSTEMS:
             for seed in SEEDS:
-                config = system_config(system)
-                fresh = platform_from_config(config, seed=seed,
-                                             battery_fraction=0.7)
-                reused = platform_from_config(config, seed=seed + 999,
-                                              battery_fraction=0.1)
+                config = SYSTEMS[system]
+                fresh = Platform(config, seed=seed, battery_fraction=0.7)
+                reused = Platform(config, seed=seed + 999,
+                                  battery_fraction=0.1)
                 _exercise(reused, SplitMix64(3))  # dirty it thoroughly
                 reused.reset(seed, battery_fraction=0.7)
                 assert _observe(reused) == _observe(fresh)
@@ -81,26 +78,23 @@ class TestPlatformStatePickle:
                 _exercise(reused, SplitMix64(5))
                 assert _observe(reused) == _observe(fresh)
 
-    def test_platform_from_config_matches_system_class(self):
-        for system in SYSTEMS:
-            direct = make_platform(system, seed=4, battery_fraction=0.8)
-            from_config = platform_from_config(system_config(system),
-                                               seed=4,
-                                               battery_fraction=0.8)
-            _exercise(direct, SplitMix64(9))
-            _exercise(from_config, SplitMix64(9))
-            assert _observe(from_config) == _observe(direct)
-
     def test_shared_config_not_duplicated(self):
         # The immutable half really is shared: platforms built from one
-        # config alias its CpuSpec (and the config is hashable, so the
-        # fleet can key caches on it).
-        config = system_config("B")
-        p1 = platform_from_config(config)
-        p2 = platform_from_config(config)
-        assert p1.cpu.spec is config.cpu
-        assert p2.cpu.spec is config.cpu
-        assert hash(config) == hash(system_config("B"))
+        # config alias it and its CpuSpec (and the config is hashable,
+        # so the fleet can key caches on it).
+        config = SYSTEMS["B"]
+        p1 = Platform(config)
+        p2 = make_platform("B", seed=3)
+        for platform in (p1, p2):
+            assert platform.config is config
+            assert platform.cpu.spec is config.cpu
+        assert hash(config) == hash(SYSTEMS["B"])
+        # Rows are plain data: each survives a pickle round trip (the
+        # meter class pickles by reference).
+        for row in SYSTEMS.values():
+            clone = pickle.loads(pickle.dumps(row))
+            assert clone == row
+            assert hash(clone) == hash(row)
 
 
 class TestEmbeddedDeviceStatePickle:
@@ -137,8 +131,7 @@ class TestEmbeddedDeviceStatePickle:
         rt = EntRuntime.standard()
         app = DeviceApp(rt, spec)
         plans_before = {name: case for name, case in app.plans.items()}
-        config = system_config("A")
-        platform = platform_from_config(config)
+        platform = Platform(SYSTEMS["A"])
         for index in range(spec.devices):
             params = device_params(spec, index)
             platform.reset(params.platform_seed, params.start_fraction,
@@ -190,7 +183,7 @@ class TestSplitMixSeeding:
         # instantiate random.Random anywhere on the hot path.
         spec = FleetSpec(devices=1, seed=6)
         params = device_params(spec, 0)
-        platform = platform_from_config(system_config(params.system))
+        platform = Platform(SYSTEMS[params.system])
         platform.reset(params.platform_seed, params.start_fraction,
                        spec.battery_scale)
         rt = EntRuntime.standard()
@@ -220,8 +213,7 @@ class TestSplitMixSeeding:
             run = []
             for index in range(spec.devices):
                 params = device_params(spec, index)
-                platform = platform_from_config(
-                    system_config(params.system))
+                platform = Platform(SYSTEMS[params.system])
                 platform.reset(params.platform_seed,
                                params.start_fraction, spec.battery_scale)
                 rt = EntRuntime.standard()

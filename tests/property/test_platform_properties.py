@@ -5,7 +5,7 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.platform import Battery, SystemA, ThermalModel
+from repro.platform import Battery, ThermalModel, make_platform
 from repro.platform.cpu import INTEL_I5, OndemandGovernor
 
 _power = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
@@ -105,7 +105,7 @@ class TestPlatformInvariants:
            st.integers(min_value=0, max_value=10))
     @settings(max_examples=50, deadline=None)
     def test_energy_time_battery_consistent(self, actions, seed):
-        platform = SystemA(seed=seed)
+        platform = make_platform("A", seed=seed)
         start_charge = platform.battery.charge_joules
         for action in actions:
             if action == "work":
@@ -126,8 +126,8 @@ class TestPlatformInvariants:
 
     @given(st.integers(min_value=0, max_value=50))
     def test_cpu_work_energy_scales_linearly_at_fixed_level(self, seed):
-        a = SystemA(seed=seed, governor="performance")
-        b = SystemA(seed=seed, governor="performance")
+        a = make_platform("A", seed=seed, governor="performance")
+        b = make_platform("A", seed=seed, governor="performance")
         a.cpu_work(1000.0)
         b.cpu_work(2000.0)
         assert math.isclose(b.ledger.cpu_j, 2 * a.ledger.cpu_j,

@@ -288,3 +288,46 @@ class TestPrettyAndTokens:
         out = capsys.readouterr().out
         assert "KW_SNAPSHOT" in out
         assert "EOF" in out
+
+
+class TestAdvise:
+    def test_repeated_battery_matches_the_library(self, program, capsys):
+        from repro.advise import AdviseConfig, advise_file, builtin_model
+        from repro.lang.engines import resolve_engine
+
+        path = program(GOOD)
+        assert main(["advise", path, "--battery", "1.0", "--battery", "0.3",
+                     "--runs", "1", "--samples", "16", "--json"]) == 0
+        config = AdviseConfig(arch="sim45nm", engine=resolve_engine(None),
+                              system="A", seed=0, runs=1, samples=16,
+                              batteries=(1.0, 0.3), jobs=1)
+        expected = advise_file(path, config=config,
+                               model=builtin_model("sim45nm"))
+        assert capsys.readouterr().out == expected.to_json() + "\n"
+
+
+class TestBadFlagValues:
+    """A bad flag value is a usage error (exit 2) naming the flag, not
+    a traceback from deep inside the run."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "{prog}", "--system", "A", "--battery", "1.5"],
+         "--battery"),
+        (["run", "{prog}", "--system", "A", "--battery", "nan"],
+         "--battery"),
+        (["profile", "{prog}", "--system", "B", "--battery", "-0.1"],
+         "--battery"),
+        (["advise", "{prog}", "--battery", "2"], "--battery"),
+        (["run", "{prog}", "--trace", "{trace}", "--trace-capacity", "0"],
+         "--trace-capacity"),
+        (["fleet", "run", "--devices", "-5"], "--devices"),
+        (["fleet", "run", "--steps", "0"], "--steps"),
+        (["advise", "{prog}", "--jobs", "-3"], "--jobs"),
+    ])
+    def test_exits_2_naming_the_flag(self, program, tmp_path, capsys,
+                                     argv, flag):
+        fill = {"prog": program(GOOD), "trace": str(tmp_path / "t.jsonl")}
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**fill) for arg in argv])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.errors import EnergyException, EntError
 from repro.core.modes import TOP, Mode
-from repro.platform import SystemA
+from repro.platform import make_platform
 from repro.runtime import EntRuntime, mode_of
 
 
@@ -62,16 +62,16 @@ class TestContextRestoration:
 
 class TestExtAndPlatform:
     def test_rebinding_platform(self, rt):
-        a = SystemA(seed=1)
+        a = make_platform("A", seed=1)
         a.battery.set_fraction(0.2)
         rt.bind_platform(a)
         assert rt.ext.battery() == pytest.approx(0.2)
-        b = SystemA(seed=2)
+        b = make_platform("A", seed=2)
         rt.bind_platform(b)
         assert rt.ext.battery() == pytest.approx(1.0)
 
     def test_ext_now_tracks_clock(self):
-        platform = SystemA(seed=1)
+        platform = make_platform("A", seed=1)
         rt = EntRuntime.standard(platform)
         platform.cpu_work(1000.0)
         assert rt.ext.now() > 0

@@ -38,3 +38,34 @@ class TestFigureCommands:
             main(["figure99"])
 
 
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["figure10", "--trace", "{trace}", "--trace-capacity", "-4"],
+     "--trace-capacity"),
+    (["episode", "--experiment", "e1", "--trace", "{trace}",
+      "--trace-capacity", "0"], "--trace-capacity"),
+    (["figure8", "--jobs", "-1"], "--jobs"),
+    (["drain", "--battery-scale", "0"], "--battery-scale"),
+    (["figure8", "--benchmarks", "nosuch"], "--benchmarks"),
+    (["figure11", "--benchmarks", "nosuch"], "--benchmarks"),
+    (["drain", "--benchmark", "nosuch"], "--benchmark"),
+    (["drain", "--system", "Z"], "--system"),
+    (["episode", "--experiment", "e1", "--benchmark", "nosuch",
+      "--trace", "{trace}"], "--benchmark"),
+    (["episode", "--experiment", "e1", "--boot", "bogus",
+      "--trace", "{trace}"], "--boot"),
+    (["episode", "--experiment", "e1", "--workload-mode", "bogus",
+      "--trace", "{trace}"], "--workload-mode"),
+    (["export", "--dir", "{dir}", "--figures", "figure99"], "--figures"),
+    (["figure11", "--benchmarks", "jspider"], "--benchmarks"),
+    (["episode", "--experiment", "e3", "--benchmark", "jspider",
+      "--trace", "{trace}"], "--benchmark"),
+])
+def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, argv,
+                                                flag):
+    fill = {"trace": str(tmp_path / "t.jsonl"), "dir": str(tmp_path)}
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**fill) for arg in argv])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err

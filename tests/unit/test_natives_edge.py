@@ -140,8 +140,8 @@ class TestExtBinding:
         assert interp.output == ["1.0", "45.0"]
 
     def test_bound_platform_values(self):
-        from repro.platform import SystemA
-        platform = SystemA(seed=1)
+        from repro.platform import make_platform
+        platform = make_platform("A", seed=1)
         platform.battery.set_fraction(0.25)
         interp = run("Sys.print(Ext.battery() < 0.3);",
                      platform=platform)

@@ -5,12 +5,10 @@ import math
 
 import pytest
 
-from repro.platform import (Battery, Cpu, EnergyLedger, INTEL_I5,
+from repro.platform import (SYSTEMS, Battery, Cpu, EnergyLedger, INTEL_I5,
                             OndemandGovernor, PerformanceGovernor,
-                            PI2_BCM2836, RaplMeter, SimClock, SystemA,
-                            SystemB, SystemC, ThermalModel, WattsUpMeter,
-                            make_platform)
-from repro.platform.systems import platform_from_config, system_config
+                            PI2_BCM2836, Platform, RaplMeter, SimClock,
+                            ThermalModel, WattsUpMeter, make_platform)
 
 
 class TestClock:
@@ -193,28 +191,32 @@ class TestMeters:
 
 class TestSystems:
     def test_factory(self):
-        assert isinstance(make_platform("A"), SystemA)
-        assert isinstance(make_platform("b"), SystemB)
-        assert isinstance(make_platform("C"), SystemC)
+        for letter in ("A", "b", "C"):
+            platform = make_platform(letter)
+            assert type(platform) is Platform
+            assert platform.config is SYSTEMS[letter.upper()]
+        tuned = make_platform("B", governor="performance")
+        assert tuned.config.governor == "performance"
+        assert tuned.config.cpu is SYSTEMS["B"].cpu
         with pytest.raises(ValueError):
             make_platform("Z")
 
     def test_work_consumes_energy_and_time(self):
-        platform = SystemA(seed=1)
+        platform = make_platform("A", seed=1)
         platform.cpu_work(1000.0)
         assert platform.now() > 0
         assert platform.energy_total_j() > 0
 
     def test_sleep_is_cheaper_than_work(self):
-        busy = SystemA(seed=1)
+        busy = make_platform("A", seed=1)
         busy.cpu_work(12_000.0)
         duration = busy.now()
-        idle = SystemA(seed=1)
+        idle = make_platform("A", seed=1)
         idle.sleep(duration)
         assert idle.energy_total_j() < busy.energy_total_j()
 
     def test_work_heats_sleep_cools(self):
-        platform = SystemA(seed=1)
+        platform = make_platform("A", seed=1)
         for _ in range(20):
             platform.cpu_work(12_000.0)
         hot = platform.cpu_temperature()
@@ -223,12 +225,12 @@ class TestSystems:
         assert platform.cpu_temperature() < hot
 
     def test_battery_drains(self):
-        platform = SystemB(seed=1, battery_fraction=1.0)
+        platform = make_platform("B", seed=1, battery_fraction=1.0)
         platform.cpu_work(50_000.0)
         assert platform.battery_fraction() < 1.0
 
     def test_io_and_net_accounted(self):
-        platform = SystemA(seed=1)
+        platform = make_platform("A", seed=1)
         platform.io_bytes(1.0e6)
         platform.net_bytes(1.0e6)
         assert platform.ledger.io_j > 0
@@ -242,8 +244,8 @@ class TestSystems:
         assert 2 < PI2_BCM2836.max_power() < 5
 
     def test_run_jitter_seeded(self):
-        a1 = SystemA(seed=4)
-        a2 = SystemA(seed=4)
+        a1 = make_platform("A", seed=4)
+        a2 = make_platform("A", seed=4)
         a1.cpu_work(1000.0)
         a2.cpu_work(1000.0)
         assert a1.now() == pytest.approx(a2.now())
@@ -251,13 +253,24 @@ class TestSystems:
     def test_run_jitter_varies_across_seeds(self):
         durations = set()
         for seed in range(6):
-            platform = SystemA(seed=seed)
+            platform = make_platform("A", seed=seed)
             platform.cpu_work(10_000.0)
             durations.add(round(platform.now(), 9))
         assert len(durations) > 1
 
+    def test_repr_does_not_trace_a_battery_read(self):
+        from repro.obs.tracer import Tracer
+        platform = make_platform("C", seed=1, battery_fraction=0.5)
+        tracer = Tracer()
+        platform.set_tracer(tracer)
+        before = len(tracer)
+        text = repr(platform)
+        assert len(tracer) == before
+        assert text.startswith("<Platform C ")
+        assert text.endswith("bat=50%>")
+
     def test_temperature_trace_recorded(self):
-        platform = SystemA(seed=1)
+        platform = make_platform("A", seed=1)
         platform.cpu_work(5000.0)
         assert len(platform.temperature_trace) > 1
         times = [t for t, _ in platform.temperature_trace]
@@ -266,12 +279,11 @@ class TestSystems:
     @pytest.mark.parametrize("system", ["A", "B", "C"])
     def test_trace_starts_at_the_systems_own_temperature(self, system):
         # Each system's thermal constants are in place before the
-        # first sample, under both constructors (System C idles at a
-        # 33 C ambient, not the 35 C default).
-        for platform in (make_platform(system),
-                         platform_from_config(system_config(system))):
-            assert platform.temperature_trace[0] == \
-                (0.0, platform.thermal.temperature_c)
+        # first sample (System C idles at a 33 C ambient, A and B at
+        # 35 C).
+        platform = make_platform(system)
+        assert platform.temperature_trace[0] == \
+            (0.0, SYSTEMS[system].ambient_c)
 
 
 class TestReran:
@@ -284,7 +296,7 @@ class TestReran:
     def test_replay_jitters_but_preserves_order(self):
         from repro.platform import Recording, ReranReplayer
         rec = Recording.script([(1.0, "tap", "a"), (1.0, "tap", "b")])
-        platform = SystemC(seed=2)
+        platform = make_platform("C", seed=2)
         replayer = ReranReplayer(platform, seed=2)
         events = [e.payload for e in replayer.replay(rec)]
         assert events == ["a", "b"]
@@ -294,7 +306,7 @@ class TestReran:
         from repro.platform import Recording, ReranReplayer
         rec = Recording.script([(1.0, "tap", "a")] * 5)
         def total(seed):
-            platform = SystemC(seed=1)
+            platform = make_platform("C", seed=1)
             list(ReranReplayer(platform, seed=seed).replay(rec))
             return platform.sleep_total_s
         assert total(3) == pytest.approx(total(3))
