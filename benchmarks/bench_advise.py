@@ -19,39 +19,10 @@ Two properties are checked on every run:
 
 import pathlib
 
-import pytest
-
 from repro.advise import AdviseConfig, advise_file
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 EXAMPLES = ("examples/ent/crawler.ent", "examples/ent/sensors.ent")
-
-#: Sweep parameters for the pytest-benchmark entry points (kept small;
-#: the standalone reporter below is what CI sizes up).
-FAST = dict(runs=1, samples=32)
-
-
-@pytest.mark.parametrize("example", EXAMPLES,
-                         ids=lambda p: pathlib.Path(p).stem)
-def test_bench_advise_sweep(benchmark, example):
-    config = AdviseConfig(jobs=1, **FAST)
-    result = benchmark.pedantic(
-        lambda: advise_file(str(ROOT / example), config=config),
-        rounds=3, iterations=1)
-    assert len(result.frontier) >= 3
-
-
-def test_bench_advise_jobs_agree(benchmark):
-    path = str(ROOT / EXAMPLES[0])
-    serial = benchmark(
-        lambda: advise_file(path, config=AdviseConfig(jobs=1, **FAST)))
-    parallel = advise_file(path, config=AdviseConfig(jobs=4, **FAST))
-    assert serial.to_json() == parallel.to_json()
-
-
-# ---------------------------------------------------------------------------
-# Standalone BENCH_advise.json reporter (the advise PR's CI gate).
-# ---------------------------------------------------------------------------
 
 
 def _fingerprint(result) -> str:

@@ -26,34 +26,7 @@ instrumentation per device): that ratio is the construction-amortization
 win and is recorded as ``batched_over_embedded``.
 """
 
-import pytest
-
 from repro.fleet import FleetSpec, run_fleet
-
-#: Population for the pytest-benchmark entry points (kept small; the
-#: standalone reporter below is what CI sizes up).
-PYTEST_DEVICES = 300
-
-
-@pytest.mark.parametrize("engine", ["batched", "embedded"])
-def test_bench_fleet_engine(benchmark, engine):
-    spec = FleetSpec(devices=PYTEST_DEVICES, seed=1)
-    report = benchmark.pedantic(
-        lambda: run_fleet(spec, shards=1, engine=engine),
-        rounds=3, iterations=1)
-    assert report.devices == PYTEST_DEVICES
-
-
-def test_bench_fleet_engines_agree(benchmark):
-    spec = FleetSpec(devices=PYTEST_DEVICES, seed=1)
-    batched = benchmark(lambda: run_fleet(spec, shards=1))
-    embedded = run_fleet(spec, shards=1, engine="embedded")
-    assert batched.aggregate_digest() == embedded.aggregate_digest()
-
-
-# ---------------------------------------------------------------------------
-# Standalone BENCH_fleet.json reporter (the fleet PR's CI gate).
-# ---------------------------------------------------------------------------
 
 
 def _digest_fingerprint(report):

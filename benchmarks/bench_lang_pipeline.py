@@ -3,10 +3,7 @@ interpretation throughput of the ENT implementation itself.
 
 Not a paper figure — these benches track the reproduction's own
 implementation quality (the compilers-PL equivalent of a perf suite),
-and make pipeline regressions visible.
-
-Besides the pytest-benchmark entry points, the module doubles as a
-standalone reporter::
+and make pipeline regressions visible.  Run it as a script::
 
     PYTHONPATH=src python benchmarks/bench_lang_pipeline.py \\
         --out BENCH_lang.json
@@ -24,8 +21,6 @@ one set of fresh numbers:
 * ``--min-jit-over-vm 1.5`` fails unless the JIT runs the hot loop 1.5x
   faster than the VM.
 """
-
-import pytest
 
 from repro.lang.lexer import tokenize
 from repro.lang.parser import parse_program
@@ -73,40 +68,6 @@ PROGRAM = _synthesize_program()
 CHECKED = check_program(PROGRAM)
 
 
-def test_bench_lexer(benchmark):
-    tokens = benchmark(tokenize, PROGRAM)
-    assert len(tokens) > 1000
-
-
-def test_bench_parser(benchmark):
-    program = benchmark(parse_program, PROGRAM)
-    assert len(program.classes) == 21
-
-
-def test_bench_typechecker(benchmark):
-    checked = benchmark(check_program, PROGRAM)
-    assert "Worker0" in checked.table
-
-
-def test_bench_interpreter(benchmark):
-    def run():
-        interp = Interpreter(CHECKED,
-                             options=InterpOptions(fuel=10_000_000))
-        interp.run()
-        return interp
-
-    interp = benchmark(run)
-    assert interp.output and interp.output[0].isdigit()
-
-
-def test_bench_end_to_end(benchmark):
-    from repro.lang import run_source
-
-    interp = benchmark.pedantic(run_source, args=(PROGRAM,),
-                                rounds=3, iterations=1)
-    assert interp.stats.snapshots == 21 or interp.stats.snapshots == 20
-
-
 HOT_LOOP = MODES + """
 class Acc@mode<full_throttle> {
     int total;
@@ -138,39 +99,6 @@ def _hot_checked_elided():
 HOT_ELIDED = _hot_checked_elided()
 
 
-@pytest.mark.parametrize("engine", ["walk", "vm", "jit"])
-def test_bench_execution_engines(benchmark, engine):
-    """Tree walk vs register VM vs the VM's trace-JIT tier on a
-    message-heavy hot loop."""
-
-    def run():
-        interp = Interpreter(
-            HOT_CHECKED,
-            options=InterpOptions(fuel=10_000_000, engine=engine))
-        interp.run()
-        return interp
-
-    interp = benchmark(run)
-    assert interp.output == ["23997"]
-
-
-@pytest.mark.parametrize("engine", ["walk", "vm", "jit"])
-def test_bench_check_elision(benchmark, engine):
-    """The hot loop with repro.analysis check elision planned in."""
-
-    def run():
-        interp = Interpreter(
-            HOT_ELIDED,
-            options=InterpOptions(fuel=10_000_000, engine=engine))
-        interp.run()
-        return interp
-
-    interp = benchmark(run)
-    assert interp.output == ["23997"]
-    assert interp.stats.dfall_elided == 8000
-    assert interp.stats.dfall_checks == 0
-
-
 HOT_RESIDUAL = MODES + """
 class R@mode<?X> {
     int load;
@@ -199,33 +127,6 @@ class Main {
 RESIDUAL_CHECKED = check_program(HOT_RESIDUAL)
 
 
-@pytest.mark.parametrize("engine", ["walk", "vm", "jit"])
-@pytest.mark.parametrize("checks", ["full", "transient"])
-def test_bench_transient_checks(benchmark, engine, checks):
-    """Full vs transient check depth on the residual-heavy loop: every
-    iteration re-snapshots the same tagged object (attributor re-run +
-    copy under full; one tag probe under transient) and pays a residual
-    dfall.  The checks stay un-elided: the attributor's mode hull is
-    wider than the snapshot bounds, so the planner cannot prove them."""
-
-    def run():
-        interp = Interpreter(
-            RESIDUAL_CHECKED,
-            options=InterpOptions(fuel=10_000_000, engine=engine,
-                                  checks=checks))
-        interp.run()
-        return interp
-
-    interp = benchmark(run)
-    assert interp.output == ["400000"]
-    assert interp.stats.bound_checks == 8000
-    if checks == "transient":
-        assert interp.stats.shallow_checks == 16_000
-        assert interp.stats.copies == 0
-    else:
-        assert interp.stats.shallow_checks == 0
-
-
 SMALLSTEP_SOURCE = MODES + """
 class D@mode<?X> {
     int n;
@@ -243,16 +144,8 @@ class Main {
 """
 
 
-def test_bench_smallstep_kernel(benchmark):
-    from repro.lang.smallstep import run_kernel
-
-    checked = check_program(SMALLSTEP_SOURCE)
-    value, _ = benchmark(run_kernel, checked)
-    assert value == 6
-
-
 # ---------------------------------------------------------------------------
-# Standalone BENCH_lang.json reporter (satellite of the perf PR).
+# The BENCH_lang.json reporter.
 # ---------------------------------------------------------------------------
 
 #: Keys the CI smoke job guards against regression.  The interpreter hot

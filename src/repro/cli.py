@@ -78,7 +78,7 @@ import argparse
 import json
 import math
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.errors import EnergyException, EntError
 from repro.lang.engines import ENGINES, resolve_engine
@@ -385,10 +385,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The UTF-8 source text of ``path`` (``-`` reads stdin)."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise EntError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                       f"{exc.start})") from None
 
 
 def _cmd_check(args) -> int:
@@ -796,8 +801,14 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    return guarded(_COMMANDS[args.command], args)
+
+
+def guarded(command: Callable[..., int], *args) -> int:
+    """``command(*args)``, with the errors a user can cause reported as
+    ``error: …`` on stderr and an exit status, never a traceback."""
     try:
-        return _COMMANDS[args.command](args)
+        return command(*args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,8 @@
-"""Experiment harnesses reproducing every table and figure (Figs 6-11)."""
+"""Experiment harnesses reproducing every table and figure (Figs 6-11),
+section 5's run-to-run deviation bands and two ablations."""
 
+from repro.eval.ablations import ablation_e3_sleep, ablation_governor
+from repro.eval.bands import stddev_bands
 from repro.eval.config import (ALL_COMBOS, VIOLATING_COMBOS, e1_benchmarks,
                                e2_benchmarks, e3_benchmarks,
                                figure6_static_rows, figure7_rows)
@@ -8,9 +11,11 @@ from repro.eval.e2 import Figure10Row, figure10
 from repro.eval.e3 import Figure11Pair, figure11, trace_stats
 from repro.eval.overhead import OverheadRow, figure6, measure_overhead
 from repro.eval.parallel import (EpisodeTask, resolve_jobs, run_episodes)
-from repro.eval.report import (format_figure6, format_figure7,
-                               format_figure8, format_figure9,
-                               format_figure10, format_figure11,
+from repro.eval.report import (format_ablation_e3_sleep,
+                               format_ablation_governor, format_figure6,
+                               format_figure7, format_figure8,
+                               format_figure9, format_figure10,
+                               format_figure11, format_stddev_bands,
                                render_table)
 from repro.eval.runner import (EpisodeResult, TraceResult,
                                repeated_energies, run_e1_episode,
@@ -33,6 +38,8 @@ __all__ = [
     "OverheadRow",
     "TraceResult",
     "VIOLATING_COMBOS",
+    "ablation_e3_sleep",
+    "ablation_governor",
     "e1_benchmarks",
     "e2_benchmarks",
     "e3_benchmarks",
@@ -43,12 +50,15 @@ __all__ = [
     "figure7_rows",
     "figure8",
     "figure9",
+    "format_ablation_e3_sleep",
+    "format_ablation_governor",
     "format_figure10",
     "format_figure11",
     "format_figure6",
     "format_figure7",
     "format_figure8",
     "format_figure9",
+    "format_stddev_bands",
     "measure_overhead",
     "render_table",
     "repeated_energies",
@@ -57,5 +67,6 @@ __all__ = [
     "run_e1_episode",
     "run_e2_episode",
     "run_e3_episode",
+    "stddev_bands",
     "trace_stats",
 ]

@@ -4,19 +4,25 @@ Usage::
 
     python -m repro.eval figure9                 # print one figure
     python -m repro.eval figure8 --jobs 0        # fan out across cores
-    python -m repro.eval all                     # print everything
-    python -m repro.eval export --dir results    # write JSON data
+    python -m repro.eval all                     # print every artifact
+    python -m repro.eval export --dir results    # write .json + .txt
     python -m repro.eval drain --benchmark jspider crypto --jobs 2
     python -m repro.eval episode --experiment e3 --benchmark sunflow \\
         --trace /tmp/e3.jsonl            # traced single episode
 
-Figures print in the same text form the benchmark harness writes to
-``results/figure*.txt``.  ``--jobs N`` fans the episode grid out over a
-process pool (``0`` = one worker per core; results are bit-identical
-to serial — see :mod:`repro.eval.parallel`).  ``episode`` runs one
-E1/E2/E3 episode with a tracer attached and writes the event trace
-(analyse it with ``python -m repro obs report``); the figure commands
-accept ``--trace`` too, with per-worker rings merged into one stream.
+Every row of :data:`repro.eval.export.ARTIFACTS` prints under ``all``
+exactly as ``export`` writes it to ``results/<name>.txt``, and each
+figure row also has a subcommand of its own.  ``stddev_bands`` and the
+two ablations keep their protocol's seeds and run no traced episodes,
+so ``--seed`` and ``--trace`` reach the figures only.  ``--jobs N``
+fans the episode grid out over a process pool (``0`` = one worker per
+core; results are bit-identical to serial — see
+:mod:`repro.eval.parallel`).
+``episode`` runs one E1/E2/E3 episode with a tracer attached and writes
+the event trace (analyse it with ``python -m repro obs report``); the
+figure commands accept ``--trace`` too, with per-worker rings merged
+into one stream.  Errors go through :func:`repro.cli.guarded`, the
+handler ``python -m repro eval`` uses, so both report them alike.
 """
 
 from __future__ import annotations
@@ -25,46 +31,50 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.cli import bounded_float, bounded_int
+from repro.cli import bounded_float, bounded_int, guarded
 from repro.eval.config import e3_benchmarks
-from repro.eval.export import FIGURES
+from repro.eval.export import ARTIFACTS
 from repro.workloads.base import BATTERY_MODES
 from repro.workloads.registry import ALL_WORKLOADS
 
 _JOBS_HELP = "parallel episode workers (default: serial, 0 = all cores)"
+_SEED_HELP = ("figure episode seed (stddev_bands and the ablations keep "
+              "their protocol's seeds)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.eval",
         description="Regenerate the ENT paper's evaluation "
-                    "(Figures 6-11)")
+                    "(Figures 6-11, section 5's bands, ablations)")
     sub = parser.add_subparsers(dest="command", required=True)
     workloads = [workload.name for workload in ALL_WORKLOADS]
 
-    for name in ("figure6", "figure7", "figure8", "figure9", "figure10",
-                 "figure11", "all"):
-        cmd = sub.add_parser(name, help=f"regenerate {name}")
-        cmd.add_argument("--seed", type=int, default=0)
+    figures = [name for name in ARTIFACTS if name.startswith("figure")]
+    for name in (*figures, "all"):
+        cmd = sub.add_parser(name, help=f"print {name}")
+        cmd.add_argument("--seed", type=int, default=0,
+                         help=_SEED_HELP if name == "all" else None)
         cmd.add_argument("--jobs", type=bounded_int(0), default=None,
                          help=_JOBS_HELP)
         cmd.add_argument("--trace", metavar="PATH", default=None,
-                         help="record the (merged) episode trace")
+                         help="record the (merged) figure episode trace")
         cmd.add_argument("--trace-format", choices=["jsonl", "chrome"],
                          default="jsonl")
         cmd.add_argument("--trace-capacity", type=bounded_int(1),
                          default=262144)
-        if name in ("figure8", "figure11"):
+        artifact = ARTIFACTS.get(name)
+        if artifact is not None and artifact.benchmarks is not None:
             cmd.add_argument("--benchmarks", nargs="*", default=None,
-                             choices=(workloads if name == "figure8"
-                                      else e3_benchmarks()),
+                             choices=artifact.benchmarks,
                              help="restrict to these benchmarks")
 
-    export = sub.add_parser("export", help="write figure data as JSON")
+    export = sub.add_parser(
+        "export", help="write every artifact as .json and .txt")
     export.add_argument("--dir", default="results")
-    export.add_argument("--seed", type=int, default=0)
+    export.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     export.add_argument("--figures", nargs="*", default=None,
-                        choices=FIGURES)
+                        choices=ARTIFACTS)
     export.add_argument("--jobs", type=bounded_int(0), default=None,
                         help=_JOBS_HELP)
 
@@ -74,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=workloads,
                        help="benchmark(s); several run as a sweep")
     drain.add_argument("--system", choices=["A", "B", "C"], default="A")
-    drain.add_argument("--iterations", type=int, default=40)
+    drain.add_argument("--iterations", type=bounded_int(1), default=40)
     drain.add_argument("--battery-scale",
                        type=bounded_float(0.0, open_lo=True),
                        default=0.003)
@@ -98,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="workload attribution mode (e1/e2)")
     episode.add_argument("--variant", choices=["ent", "java"],
                          default="ent", help="e3 variant")
-    episode.add_argument("--units", type=int, default=None,
+    episode.add_argument("--units", type=bounded_int(1), default=None,
                          help="e3 work units (default: benchmark's)")
     episode.add_argument("--silent", action="store_true",
                          help="e1 silent build")
@@ -158,32 +168,6 @@ def _run_episode(args) -> int:
     return 0
 
 
-def _print_figure(name: str, seed: int, jobs=None, tracer=None,
-                  benchmarks=None) -> None:
-    from repro.eval import (figure6, figure8, figure9, figure10,
-                            figure11, format_figure6, format_figure7,
-                            format_figure8, format_figure9,
-                            format_figure10, format_figure11)
-    if name == "figure6":
-        print(format_figure6(figure6(seed=seed)))
-    elif name == "figure7":
-        print(format_figure7())
-    elif name == "figure8":
-        print(format_figure8(figure8("A", seed=seed, jobs=jobs,
-                                     tracer=tracer,
-                                     benchmarks=benchmarks)))
-    elif name == "figure9":
-        print(format_figure9(figure9(seed=seed, jobs=jobs,
-                                     tracer=tracer)))
-    elif name == "figure10":
-        print(format_figure10(figure10(seed=seed, jobs=jobs,
-                                       tracer=tracer)))
-    elif name == "figure11":
-        print(format_figure11(figure11(seed=seed, jobs=jobs,
-                                       tracer=tracer,
-                                       benchmarks=benchmarks)))
-
-
 def _figure_tracer(args):
     """A Tracer when ``--trace`` was given, else None (NULL)."""
     if getattr(args, "trace", None) is None:
@@ -206,20 +190,12 @@ def _write_figure_trace(args, tracer) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "all":
-        tracer = _figure_tracer(args)
-        for name in ("figure7", "figure6", "figure8", "figure9",
-                     "figure10", "figure11"):
-            _print_figure(name, args.seed, jobs=args.jobs, tracer=tracer)
-            print()
-        _write_figure_trace(args, tracer)
-        return 0
     if args.command == "export":
         from repro.eval.export import export_all
         written = export_all(directory=args.dir, seed=args.seed,
                              figures=args.figures, jobs=args.jobs)
-        for name, path in written.items():
-            print(f"{name}: {path}")
+        for name, paths in written.items():
+            print(f"{name}: {' '.join(paths)}")
         return 0
     if args.command == "drain":
         from repro.eval.sweeps import drain_sweep
@@ -246,11 +222,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                          f"from {', '.join(e3_benchmarks())})")
         return _run_episode(args)
     tracer = _figure_tracer(args)
-    _print_figure(args.command, args.seed, jobs=args.jobs, tracer=tracer,
-                  benchmarks=getattr(args, "benchmarks", None))
+    everything = args.command == "all"
+    for name in ARTIFACTS if everything else [args.command]:
+        artifact = ARTIFACTS[name]
+        print(artifact.to_text(artifact.compute(
+            args.seed, args.jobs, tracer,
+            getattr(args, "benchmarks", None))))
+        if everything:
+            print()
     _write_figure_trace(args, tracer)
     return 0
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(guarded(main))

@@ -1,14 +1,16 @@
 """Plain-text renderers for every table and figure of the evaluation.
 
-The benchmark harness prints the same rows/series the paper reports;
-these functions turn the experiment data structures into aligned text
-tables (and an ASCII rendition of the Figure 11 traces).
+These functions turn the experiment data structures into aligned text
+tables (and an ASCII rendition of the Figure 11 traces): the
+``results/*.txt`` files and what ``python -m repro.eval`` prints.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence
 
+from repro.eval.ablations import GovernorRow, SleepAblation
+from repro.eval.bands import StddevBand
 from repro.eval.config import (VIOLATING_COMBOS, figure6_static_rows,
                                figure7_rows)
 from repro.eval.e1 import Figure8Row, Figure9Bar
@@ -19,7 +21,8 @@ from repro.workloads.base import BATTERY_MODES, ES, FT, MG
 
 __all__ = ["render_table", "format_figure6", "format_figure7",
            "format_figure8", "format_figure9", "format_figure10",
-           "format_figure11"]
+           "format_figure11", "format_stddev_bands",
+           "format_ablation_governor", "format_ablation_e3_sleep"]
 
 
 def render_table(headers: Sequence[str],
@@ -138,4 +141,43 @@ def format_figure11(pairs: List[Figure11Pair]) -> str:
             f"(peak {java_stats['peak_c']:.1f}), "
             f"{pair.ent.sleeps} sleeps")
         lines.extend(_ascii_trace(pair))
+    return "\n".join(lines)
+
+
+def format_stddev_bands(bands: List[StddevBand]) -> str:
+    body = [[band.system, band.benchmark,
+             f"{len(band.energies_j)} of "
+             f"{len(band.energies_j) + band.discarded_first}",
+             f"{band.rel_std * 100:.2f}%"] for band in bands]
+    summary = []
+    for system in dict.fromkeys(band.system for band in bands):
+        devs = [band.rel_std for band in bands if band.system == system]
+        summary.append([system, len(devs)]
+                       + [sum(dev <= limit for dev in devs)
+                          for limit in (0.02, 0.03, 0.05)]
+                       + [f"{max(devs) * 100:.2f}%"])
+    return ("Run-to-run relative standard deviation (section 5 bands)\n"
+            + render_table(["system", "benchmark", "runs kept",
+                            "rel. std dev"], body)
+            + "\n\n"
+            + render_table(["system", "pairs", "within 2%", "within 3%",
+                            "within 5%", "max"], summary))
+
+
+def format_ablation_governor(rows: List[GovernorRow]) -> str:
+    lines = ["Ablation: governor x QoS on Pi video (energy in J)"]
+    for row in rows:
+        lines.append(f"  {row.governor:12s} es={row.energy_j[ES]:8.1f} "
+                     f"ft={row.energy_j[FT]:8.1f} "
+                     f"saving={row.percent_saved:5.2f}%")
+    return "\n".join(lines)
+
+
+def format_ablation_e3_sleep(ablation: SleepAblation) -> str:
+    lines = ["Ablation: E3 hot-mode sleep interval vs plateau"]
+    for ms, trace in ablation.sweep.items():
+        stats = trace_stats(trace)
+        lines.append(f"  hot_sleep={ms:6.0f}ms  "
+                     f"tail={stats['tail_mean_c']:5.1f}C  "
+                     f"peak={stats['peak_c']:5.1f}C")
     return "\n".join(lines)

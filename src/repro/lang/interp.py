@@ -393,7 +393,21 @@ class Interpreter:
     # Entry point
 
     def run(self, args: Optional[List[str]] = None) -> object:
-        """Boot the program: ``cl(⊤, mbody(main, Main⟨⊤⟩))``."""
+        """Boot the program: ``cl(⊤, mbody(main, Main⟨⊤⟩))``.
+
+        ENT calls are Python calls on every engine, so unbounded ENT
+        recursion (in a method, a constructor or an attributor) ends
+        in Python's ``RecursionError``.  It is converted here, once,
+        into an :class:`EntRuntimeError`: not an ``EnergyException``,
+        so no ENT ``try``/``catch`` can swallow it, and no per-call
+        depth counter on the hot paths.
+        """
+        try:
+            return self._boot(args)
+        except RecursionError:
+            raise EntRuntimeError("call depth exceeded") from None
+
+    def _boot(self, args: Optional[List[str]]) -> object:
         if "Main" not in self.table:
             raise EntRuntimeError("program has no class Main")
         boot_frame = _Frame(this_obj=None, mode_env={}, current_mode=TOP)

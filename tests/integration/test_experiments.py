@@ -154,6 +154,12 @@ class TestE3Shape:
             assert pair.ent.sleeps > 0
             assert pair.java.sleeps == 0
 
+    def test_short_ent_run_records_a_trace(self):
+        trace = run_e3_episode(get_workload("xalan"), "ent", seed=0,
+                               units=60)
+        assert trace.trace
+        assert trace.sleeps >= 0
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             run_e3_episode(get_workload("sunflow"), "sometimes")
@@ -168,6 +174,37 @@ class TestOverhead:
         """Figure 6: runtime support costs within a few percent."""
         row = measure_overhead("jspider", repeats=5)
         assert abs(row.overhead_percent) < 15.0
+
+    @pytest.mark.parametrize("baseline", [False, True],
+                             ids=["ent", "baseline"])
+    def test_timed_episode_does_work(self, baseline):
+        """The episode Figure 6 times, under the full runtime and the
+        no-op-snapshot baseline."""
+        from repro.eval.overhead import _build_episode
+
+        run, _ = _build_episode(get_workload("jspider"), "A",
+                                baseline=baseline, seed=1)
+        assert run().units_done > 0
+
+    def test_runtime_bill_is_counted_not_timed(self):
+        """Figure 6's overhead is the runtime's mechanism bill over the
+        baseline's kernel time.  Without timing anything: on all 15
+        benchmarks one episode bills one snapshot and one message, and
+        the full runtime does exactly the baseline's simulated work."""
+        from repro.eval.overhead import _build_episode, _episode_counts
+        from repro.workloads.registry import ALL_WORKLOADS
+
+        for workload in ALL_WORKLOADS:
+            system = workload.systems[0]
+            assert _episode_counts(workload, system, seed=1) == {
+                "snapshots": 1, "messages": 1, "elims": 0}, workload.name
+            ent, ent_rt = _build_episode(workload, system,
+                                         baseline=False, seed=1)
+            base, base_rt = _build_episode(workload, system,
+                                           baseline=True, seed=1)
+            assert ent() == base(), workload.name
+            assert ent_rt.platform.energy_total_j() == \
+                base_rt.platform.energy_total_j(), workload.name
 
     def test_static_columns(self):
         row = measure_overhead("batik", repeats=1)

@@ -1,6 +1,8 @@
 """The gates of ``benchmarks/bench_lang_pipeline.py``, driven on
 synthetic payloads (no timing): the baseline regression gate, the
-transient-speedup gate and the jit-over-vm gate."""
+transient-speedup gate and the jit-over-vm gate.  Also what the
+reporter's programs compute, so the scenarios it times stay the ones
+its docstrings describe."""
 
 import importlib.util
 import pathlib
@@ -119,3 +121,40 @@ class TestCheckRatios:
                                        min_jit_over_vm=1.5)
         assert not ok
         assert len(lines) == 3
+
+
+class TestReporterPrograms:
+    def test_pipeline_program(self):
+        from repro.lang import run_source
+        from repro.lang.smallstep import run_kernel
+
+        assert len(bench.tokenize(bench.PROGRAM)) > 1000
+        assert len(bench.parse_program(bench.PROGRAM).classes) == 21
+        assert "Worker0" in bench.CHECKED.table
+        interp = bench.Interpreter(
+            bench.CHECKED, options=bench.InterpOptions(fuel=10_000_000))
+        interp.run()
+        assert interp.output and interp.output[0].isdigit()
+        assert run_source(bench.PROGRAM).stats.snapshots in (20, 21)
+        small = bench.check_program(bench.SMALLSTEP_SOURCE)
+        assert run_kernel(small)[0] == 6
+
+    @pytest.mark.parametrize("engine", bench.ENGINES)
+    def test_hot_loop_elision_removes_every_loop_dfall(self, engine):
+        plain = bench._run_hot_loop(engine)
+        elided = bench._run_hot_loop(engine, bench.HOT_ELIDED)
+        assert plain.stats.dfall_checks == 8001
+        assert elided.stats.dfall_elided == 8000
+        # The one check left is the boot message to Main.main.
+        assert elided.stats.dfall_checks == 1
+
+    @pytest.mark.parametrize("engine", bench.ENGINES)
+    @pytest.mark.parametrize("checks, shallow, copies", [
+        ("full", 0, None), ("transient", 16_000, 0)])
+    def test_residual_loop_check_counts(self, engine, checks, shallow,
+                                        copies):
+        interp = bench._run_residual_loop(engine, checks)
+        assert interp.stats.bound_checks == 8000
+        assert interp.stats.shallow_checks == shallow
+        if copies is not None:
+            assert interp.stats.copies == copies

@@ -306,6 +306,60 @@ class TestAdvise:
         assert capsys.readouterr().out == expected.to_json() + "\n"
 
 
+class TestHostileInput:
+    """Malformed input ends in ``error: …`` and exit 1, never a Python
+    traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["check"], ["analyze"], ["disasm"], ["pretty"],
+        ["tokens"], ["profile"], ["advise"], ["analyze", "--embedded"],
+    ], ids=" ".join)
+    def test_source_that_is_not_utf8(self, tmp_path, capsys, argv):
+        path = tmp_path / "h.ent"
+        path.write_bytes(b"\x00\xff\xfe")
+        assert main([*argv, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text")
+
+    RECURSIVE = {
+        "method": "class Main { void main() { main(); } }",
+        "constructor": ("class Main { Main() { Main m = new Main(); } "
+                        "void main() { } }"),
+        "attributor": """
+modes { lo <= hi; }
+class D@mode<?X> {
+    attributor { D d = snapshot (new D@mode<?>()); return hi; }
+    D() { }
+}
+class Main { void main() { D d = snapshot (new D@mode<?>()); } }
+""",
+    }
+
+    @pytest.mark.parametrize("shape", RECURSIVE)
+    @pytest.mark.parametrize("argv", [
+        ["run", "--engine", "walk"], ["run", "--engine", "vm"],
+        ["run", "--engine", "jit"], ["profile"],
+    ], ids=" ".join)
+    def test_unbounded_recursion(self, program, capsys, argv, shape):
+        assert main([*argv, program(self.RECURSIVE[shape])]) == 1
+        assert capsys.readouterr().err == "error: call depth exceeded\n"
+
+    def test_recursion_is_not_a_catchable_energy_exception(self, program,
+                                                            capsys):
+        source = """
+modes { lo <= hi; }
+class Main {
+    void main() {
+        try { main(); } catch (EnergyException e) { Sys.print("caught"); }
+    }
+}
+"""
+        assert main(["run", program(source)]) == 1
+        captured = capsys.readouterr()
+        assert "caught" not in captured.out
+        assert captured.err == "error: call depth exceeded\n"
+
+
 class TestBadFlagValues:
     """A bad flag value is a usage error (exit 2) naming the flag, not
     a traceback from deep inside the run."""

@@ -1,6 +1,10 @@
 """Unit tests for the ``python -m repro.eval`` command line."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -25,6 +29,16 @@ class TestFigureCommands:
         data = json.loads((tmp_path / "figure7.json").read_text())
         assert len(data) == 15
 
+    @pytest.mark.parametrize("name", ["figure7", "figure10"])
+    def test_prints_what_export_writes(self, tmp_path, capsys, name):
+        assert main(["export", "--dir", str(tmp_path),
+                     "--figures", name]) == 0
+        assert capsys.readouterr().out == \
+            f"{name}: {tmp_path / name}.json {tmp_path / name}.txt\n"
+        assert main([name]) == 0
+        assert capsys.readouterr().out == \
+            (tmp_path / f"{name}.txt").read_text()
+
     def test_drain(self, capsys):
         assert main(["drain", "--benchmark", "crypto",
                      "--iterations", "5",
@@ -36,8 +50,6 @@ class TestFigureCommands:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["figure99"])
-
-
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -61,6 +73,12 @@ class TestFigureCommands:
     (["figure11", "--benchmarks", "jspider"], "--benchmarks"),
     (["episode", "--experiment", "e3", "--benchmark", "jspider",
       "--trace", "{trace}"], "--benchmark"),
+    (["drain", "--iterations", "-3"], "--iterations"),
+    (["drain", "--iterations", "0"], "--iterations"),
+    (["episode", "--experiment", "e3", "--units", "-5",
+      "--trace", "{trace}"], "--units"),
+    (["episode", "--experiment", "e3", "--units", "0",
+      "--trace", "{trace}"], "--units"),
 ])
 def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, argv,
                                                 flag):
@@ -69,3 +87,20 @@ def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, argv,
         main([arg.format(**fill) for arg in argv])
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "--dir", "/no/such/parent/x"],
+    ["figure7", "--trace", "/no/such/dir/t.jsonl"],
+    ["episode", "--experiment", "e1", "--trace", "/no/such/dir/t.jsonl"],
+], ids=["export", "figure7", "episode"])
+def test_missing_path_is_an_error_not_a_traceback(argv):
+    """``python -m repro.eval`` reports errors as ``repro eval`` does."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "repro.eval", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "No such file or directory" in proc.stderr
+    assert "Traceback" not in proc.stderr

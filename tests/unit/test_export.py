@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from repro.eval.export import FIGURES, export_all, figure_data
+from repro.eval import format_figure7
+from repro.eval.export import ARTIFACTS, export_all
+
+
+def figure_data(name, seed=0):
+    """The JSON data ``export`` writes for one artifact."""
+    artifact = ARTIFACTS[name]
+    return artifact.to_json(artifact.compute(seed, None, None, None))
 
 
 class TestFigureData:
@@ -47,10 +54,19 @@ class TestExportAll:
         paths = export_all(directory=str(tmp_path),
                            figures=["figure7", "figure10"], seed=2)
         assert set(paths) == {"figure7", "figure10"}
-        for path in paths.values():
-            data = json.loads(open(path).read())
+        for json_path, _ in paths.values():
+            data = json.loads(open(json_path).read())
             assert isinstance(data, list) and data
 
+    def test_writes_the_text_beside_the_json(self, tmp_path):
+        paths = export_all(directory=str(tmp_path), figures=["figure7"])
+        assert paths["figure7"] == (str(tmp_path / "figure7.json"),
+                                    str(tmp_path / "figure7.txt"))
+        assert (tmp_path / "figure7.txt").read_text() == \
+            format_figure7() + "\n"
+
     def test_figures_constant_complete(self):
-        assert set(FIGURES) == {"figure6", "figure7", "figure8",
-                                "figure9", "figure10", "figure11"}
+        assert set(ARTIFACTS) == {"figure6", "figure7", "figure8",
+                                "figure9", "figure10", "figure11",
+                                "stddev_bands", "ablation_governor",
+                                "ablation_e3_sleep"}

@@ -104,6 +104,28 @@ class TestSnapshotSemantics:
         assert interp.stats.copies == 1
         assert interp.stats.lazy_tags == 0
 
+    @pytest.mark.parametrize("lazy, tags, copies",
+                             [(True, 1, 299), (False, 0, 300)],
+                             ids=["lazy", "eager"])
+    def test_copy_counts_on_a_300_snapshot_loop(self, lazy, tags, copies):
+        """Lazy copying tags the first snapshot in place and copies
+        from the second on: one physical copy fewer per object, and
+        the same output."""
+        interp = run("""
+            Site ds = new Site(300);
+            int total = 0;
+            int i = 0;
+            while (i < 300) {
+                Site s = snapshot ds;
+                total = total + s.depth;
+                i = i + 1;
+            }
+            Sys.print(total);
+        """, options=InterpOptions(lazy_copy=lazy))
+        assert interp.output == ["900"]
+        assert interp.stats.lazy_tags == tags
+        assert interp.stats.copies == copies
+
     def test_copy_is_shallow(self):
         # The snapshot shares field *values* with the original: adding
         # through the copy's list is visible through the original.

@@ -128,6 +128,15 @@ class TestCpu:
         governor.observe(False, 5.0)
         assert governor.select_level() < 3
 
+    def test_idle_drops_ondemand_below_performance(self):
+        levels = []
+        for governor in (OndemandGovernor(levels=4),
+                         PerformanceGovernor(levels=4)):
+            governor.observe(True, 1.0)
+            governor.observe(False, 3.0)
+            levels.append(governor.select_level())
+        assert levels[0] < levels[1]
+
     def test_performance_always_max(self):
         governor = PerformanceGovernor(levels=4)
         governor.observe(False, 100.0)

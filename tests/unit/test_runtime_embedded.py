@@ -97,6 +97,16 @@ class TestSnapshot:
         assert rt.stats.lazy_tags == 1
         assert rt.stats.copies == 1
 
+    def test_lazy_copy_saves_one_copy_over_300_snapshots(self):
+        totals, copies = [], []
+        for lazy in (True, False):
+            rt = EntRuntime.standard(lazy_copy=lazy)
+            site = make_site(rt)(300)
+            totals.append(sum(rt.snapshot(site).depth for _ in range(300)))
+            copies.append(rt.stats.copies)
+        assert totals == [900, 900]
+        assert copies[0] == copies[1] - 1
+
     def test_eager_copy(self):
         rt = EntRuntime.standard(lazy_copy=False)
         Site = make_site(rt)
@@ -233,6 +243,24 @@ class TestModeCases:
         Site = make_site(rt)
         with pytest.raises(EnergyException):
             _ = Site(10).depth
+
+    def test_elimination_inside_a_higher_boot(self, rt):
+        """Figure 6's mechanism loop: snapshot, boot, message and
+        eliminate."""
+        @rt.dynamic
+        class Tiny:
+            level = rt.mcase({"energy_saver": 1, "managed": 2,
+                              "full_throttle": 3})
+
+            def attributor(self):
+                return "managed"
+
+            def touch(self):
+                return self.level
+
+        tiny = rt.snapshot(Tiny())
+        with rt.booted("full_throttle"):
+            assert tiny.touch() == 2
 
     def test_coverage_required(self, rt):
         with pytest.raises(EntError):
