@@ -349,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet_run.add_argument("--devices", type=bounded_int(0),
                            default=10_000,
                            help="population size (default 10000)")
-    fleet_run.add_argument("--shards", type=int, default=1,
+    fleet_run.add_argument("--shards", type=bounded_int(1), default=1,
                            help="worker processes; 1 runs in-process")
     fleet_run.add_argument("--engine", choices=["batched", "embedded"],
                            default="batched",

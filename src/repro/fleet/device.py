@@ -26,6 +26,7 @@ outcomes — the property suite asserts it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -42,6 +43,11 @@ __all__ = ["DeviceApp", "DeviceOutcome", "run_device"]
 STAT_FIELDS: Tuple[str, ...] = (
     "messages", "dfall_checks", "snapshots", "copies", "lazy_tags",
     "bound_checks", "energy_exceptions", "mcase_elims")
+
+#: Reads every :data:`STAT_FIELDS` counter off a ``RuntimeStats`` in
+#: one call, as a tuple.
+_read_stats = operator.attrgetter(*STAT_FIELDS)
+_EXCEPTIONS = STAT_FIELDS.index("energy_exceptions")
 
 
 class DeviceApp:
@@ -110,7 +116,7 @@ def run_device(platform, rt: EntRuntime, app: DeviceApp,
     caller owns that choice — it is exactly the engine difference.
     """
     stats = rt.stats
-    before = tuple(getattr(stats, name) for name in STAT_FIELDS)
+    before = _read_stats(stats)
     plan_case = app.plans[params.archetype.name]
     agent_cls = app.agent_cls
     uplink = app.uplink
@@ -121,6 +127,11 @@ def run_device(platform, rt: EntRuntime, app: DeviceApp,
     vampire_j = profile.vampire_frac * capacity
     burst_j = profile.burst_frac * capacity
     battery = platform.battery
+    # Bound once per device: the loop below is the fleet's hot path.
+    snapshot = rt.snapshot
+    booted = rt.booted
+    plan_for = plan_case.for_object
+    now = platform.now
     dwell_s: Dict[str, float] = {}
     steps_run = 0
     pushes = 0
@@ -129,10 +140,10 @@ def run_device(platform, rt: EntRuntime, app: DeviceApp,
             break
         # Listing 1's loop: re-snapshot each iteration so the boot
         # mode tracks the battery, eliminate the plan on it, work.
-        agent = rt.snapshot(agent_cls())
-        units, net_bytes, sleep_ms = plan_case.for_object(agent)
-        start = platform.now()
-        with rt.booted(agent) as mode:
+        agent = snapshot(agent_cls())
+        units, net_bytes, sleep_ms = plan_for(agent)
+        start = now()
+        with booted(agent) as mode:
             agent.run_step(platform, units * load)
             if net_bytes:
                 pushes += 1
@@ -146,7 +157,7 @@ def run_device(platform, rt: EntRuntime, app: DeviceApp,
                 platform.sleep(sleep_ms / 1000.0)
         mode_name = mode.name
         dwell_s[mode_name] = (dwell_s.get(mode_name, 0.0)
-                              + (platform.now() - start))
+                              + (now() - start))
         # External drain: the profile's background draw plus bursts
         # from the device's one splitmix stream (never a fresh RNG).
         drain_j = vampire_j
@@ -155,7 +166,7 @@ def run_device(platform, rt: EntRuntime, app: DeviceApp,
         if drain_j:
             battery.drain(min(drain_j, battery.charge_joules))
         steps_run += 1
-    after = tuple(getattr(stats, name) for name in STAT_FIELDS)
+    after = _read_stats(stats)
     ledger = platform.ledger
     energy_uj = tuple(
         int(round(getattr(ledger, component) * 1e6))
@@ -163,8 +174,7 @@ def run_device(platform, rt: EntRuntime, app: DeviceApp,
     return DeviceOutcome(
         steps=steps_run,
         died=1 if battery.empty else 0,
-        violations=after[STAT_FIELDS.index("energy_exceptions")]
-        - before[STAT_FIELDS.index("energy_exceptions")],
+        violations=after[_EXCEPTIONS] - before[_EXCEPTIONS],
         pushes=pushes,
         energy_uj=energy_uj,
         total_uj=sum(energy_uj),

@@ -15,6 +15,7 @@ energy attribution on top of it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.events import ModeTransitionEvent, Span, TraceEvent
@@ -71,8 +72,9 @@ class Histogram:
         self.name = name
         self.bounds: Tuple[float, ...] = tuple(bounds) if bounds \
             else DEFAULT_BOUNDS
-        if list(self.bounds) != sorted(self.bounds):
-            raise ValueError("histogram bounds must be sorted")
+        if (list(self.bounds) != sorted(self.bounds)
+                or any(math.isnan(bound) for bound in self.bounds)):
+            raise ValueError("histogram bounds must be sorted and not NaN")
         # One bucket per bound plus an overflow bucket.
         self.bucket_counts = [0] * (len(self.bounds) + 1)
         self.count = 0
@@ -87,11 +89,13 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
+        # The first bound with ``value <= bound``, else the overflow
+        # bucket.  NaN admits no bound, but bisect would place it
+        # first.
+        if value == value:
+            self.bucket_counts[bisect_left(self.bounds, value)] += 1
+        else:
+            self.bucket_counts[-1] += 1
 
     def merge(self, other: "Histogram") -> None:
         """Bucket-wise merge: quantiles of the union stay exact to the

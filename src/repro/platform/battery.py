@@ -60,7 +60,8 @@ class Battery:
     def drain(self, joules: float) -> None:
         if joules < 0:
             raise ValueError("cannot drain negative energy")
-        self._charge = max(0.0, self._charge - joules)
+        charge = self._charge - joules
+        self._charge = charge if charge > 0.0 else 0.0
 
     @property
     def empty(self) -> bool:

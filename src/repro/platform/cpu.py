@@ -15,8 +15,9 @@ cycles let the *hardware* drop to a lower-power mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+import math
+from dataclasses import dataclass, field
+from typing import Tuple
 
 #: One work unit = this many operations.
 OPS_PER_UNIT = 1.0e6
@@ -24,7 +25,14 @@ OPS_PER_UNIT = 1.0e6
 
 @dataclass(frozen=True)
 class CpuSpec:
-    """Static description of a CPU's DVFS operating points."""
+    """Static description of a CPU's DVFS operating points.
+
+    The per-level figures are computed once, in ``__post_init__``, and
+    kept as tuples indexed by level (``ops_table``, ``idle_table``,
+    ``busy_table``): the platform's per-interval math reads them
+    directly, and the accessor methods read them too, so each formula
+    is written only here.
+    """
 
     name: str
     freqs_ghz: Tuple[float, ...]
@@ -33,6 +41,15 @@ class CpuSpec:
     idle_w: float
     #: Dynamic power coefficient: P_dyn = k * f_ghz * V^2 (watts).
     dyn_coeff: float
+    #: Ops retired per second at each level.
+    ops_table: Tuple[float, ...] = field(init=False, repr=False,
+                                         compare=False)
+    #: Static/leakage power at each level (watts).
+    idle_table: Tuple[float, ...] = field(init=False, repr=False,
+                                          compare=False)
+    #: Fully busy power at each level (watts).
+    busy_table: Tuple[float, ...] = field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self) -> None:
         if len(self.freqs_ghz) != len(self.voltages):
@@ -41,33 +58,40 @@ class CpuSpec:
             raise ValueError("CPU needs at least one operating point")
         if list(self.freqs_ghz) != sorted(self.freqs_ghz):
             raise ValueError("frequency levels must be ascending")
+        # Leakage tracks the supply voltage (roughly quadratically), so
+        # a lower operating point also cuts the idle floor — this is
+        # what makes DVFS a net win rather than race-to-idle always
+        # dominating.  ``idle_w`` is the figure at the top level.
+        v_max = self.voltages[-1]
+        idle = []
+        for volt in self.voltages:
+            ratio = volt / v_max
+            idle.append(self.idle_w * ratio * ratio)
+        busy = tuple(
+            leak + self.dyn_coeff * freq * volt * volt
+            for leak, freq, volt in zip(idle, self.freqs_ghz,
+                                        self.voltages))
+        object.__setattr__(self, "ops_table", tuple(
+            freq * 1.0e9 * self.ipc for freq in self.freqs_ghz))
+        object.__setattr__(self, "idle_table", tuple(idle))
+        object.__setattr__(self, "busy_table", busy)
 
     @property
     def levels(self) -> int:
         return len(self.freqs_ghz)
 
     def ops_per_second(self, level: int) -> float:
-        return self.freqs_ghz[level] * 1.0e9 * self.ipc
+        return self.ops_table[level]
 
     def idle_power(self, level: int) -> float:
-        """Static/leakage power at a DVFS level.
-
-        Leakage tracks the supply voltage (roughly quadratically), so a
-        lower operating point also cuts the idle floor — this is what
-        makes DVFS a net win rather than race-to-idle always dominating.
-        ``idle_w`` is the figure at the top level.
-        """
-        v_max = self.voltages[-1]
-        ratio = self.voltages[level] / v_max
-        return self.idle_w * ratio * ratio
+        """Static/leakage power at a DVFS level (see ``idle_table``)."""
+        return self.idle_table[level]
 
     def busy_power(self, level: int) -> float:
-        freq = self.freqs_ghz[level]
-        volt = self.voltages[level]
-        return self.idle_power(level) + self.dyn_coeff * freq * volt * volt
+        return self.busy_table[level]
 
     def max_power(self) -> float:
-        return self.busy_power(self.levels - 1)
+        return self.busy_table[-1]
 
 
 class OndemandGovernor:
@@ -76,7 +100,9 @@ class OndemandGovernor:
     Tracks an exponentially weighted utilization and maps it to a
     frequency level: jump to the top level when utilization crosses the
     up-threshold (as Linux ondemand does), otherwise scale the level
-    proportionally as utilization decays.
+    proportionally as utilization decays.  The level is recomputed
+    only when the utilization moves (in ``observe``);
+    :meth:`select_level` reads the stored value.
     """
 
     def __init__(self, levels: int, up_threshold: float = 0.8,
@@ -87,28 +113,32 @@ class OndemandGovernor:
         self.up_threshold = up_threshold
         self.window_s = window_s
         self._util = 0.0
+        self._level = self._level_for(self._util)
 
     @property
     def utilization(self) -> float:
         return self._util
+
+    def _level_for(self, util: float) -> int:
+        top = self.levels - 1
+        if top == 0 or util >= self.up_threshold:
+            return top
+        scaled = int(util / self.up_threshold * top)
+        # max(0, min(top, scaled)), without the two builtin calls.
+        return top if scaled > top else scaled if scaled > 0 else 0
 
     def observe(self, busy: bool, duration_s: float) -> None:
         """Fold a busy/idle interval into the utilization estimate."""
         if duration_s <= 0:
             return
         # Exponential forgetting with the window as time constant.
-        import math
         alpha = 1.0 - math.exp(-duration_s / self.window_s)
         target = 1.0 if busy else 0.0
         self._util += alpha * (target - self._util)
+        self._level = self._level_for(self._util)
 
     def select_level(self) -> int:
-        if self.levels == 1:
-            return 0
-        if self._util >= self.up_threshold:
-            return self.levels - 1
-        scaled = int(self._util / self.up_threshold * (self.levels - 1))
-        return max(0, min(self.levels - 1, scaled))
+        return self._level
 
 
 class PerformanceGovernor:
@@ -153,20 +183,21 @@ class Cpu:
             raise ValueError("work units must be non-negative")
         if units == 0:
             return 0.0, self.spec.idle_w
-        level = self.governor.select_level()
-        self.current_level = level
-        duration = units * OPS_PER_UNIT / self.spec.ops_per_second(level)
-        power = self.spec.busy_power(level)
-        self.governor.observe(True, duration)
+        governor = self.governor
+        level = self.current_level = governor.select_level()
+        spec = self.spec
+        duration = units * OPS_PER_UNIT / spec.ops_table[level]
+        governor.observe(True, duration)
         self.total_work_units += units
-        return duration, power
+        return duration, spec.busy_table[level]
 
     def idle(self, duration_s: float) -> float:
         """Account an idle interval; returns the idle power draw at the
         level the governor settles on."""
-        self.governor.observe(False, duration_s)
-        self.current_level = self.governor.select_level()
-        return self.spec.idle_power(self.current_level)
+        governor = self.governor
+        governor.observe(False, duration_s)
+        level = self.current_level = governor.select_level()
+        return self.spec.idle_table[level]
 
 
 # ---------------------------------------------------------------------------

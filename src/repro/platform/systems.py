@@ -169,14 +169,14 @@ class Platform:
         return self.thermal.temperature_c
 
     def cpu_work(self, units: float) -> None:
+        cpu = self.cpu
+        ops_table = cpu.spec.ops_table
         remaining = units
         while remaining > 0:
-            level = self.cpu.governor.select_level()
-            per_second = (self.cpu.spec.ops_per_second(level) / 1.0e6)
+            per_second = ops_table[cpu.governor.select_level()] / 1.0e6
             slice_units = min(remaining, per_second * GOVERNOR_PERIOD_S)
-            duration, cpu_power = self.cpu.execute(slice_units)
-            duration *= self._speed_factor
-            self._account(duration, cpu_power=cpu_power)
+            duration, cpu_power = cpu.execute(slice_units)
+            self._account(duration * self._speed_factor, cpu_power)
             remaining -= slice_units
 
     def io_bytes(self, count: float) -> None:
@@ -184,27 +184,25 @@ class Platform:
             return
         config = self.config
         duration = count / config.io_bytes_per_s * self._speed_factor
-        self._account(duration,
-                      cpu_power=self.cpu.spec.idle_power(
-                          self.cpu.current_level),
-                      extra=("io_j", config.io_active_w))
+        cpu = self.cpu
+        self._account(duration, cpu.spec.idle_table[cpu.current_level],
+                      "io_j", config.io_active_w)
 
     def net_bytes(self, count: float) -> None:
         if count <= 0:
             return
         config = self.config
         duration = count / config.net_bytes_per_s * self._speed_factor
-        self._account(duration,
-                      cpu_power=self.cpu.spec.idle_power(
-                          self.cpu.current_level),
-                      extra=("net_j", config.net_active_w))
+        cpu = self.cpu
+        self._account(duration, cpu.spec.idle_table[cpu.current_level],
+                      "net_j", config.net_active_w)
 
     def sleep(self, seconds: float) -> None:
         if seconds <= 0:
             return
         idle_power = self.cpu.idle(seconds)
         self.sleep_total_s += seconds
-        self._account(seconds, cpu_power=idle_power)
+        self._account(seconds, idle_power)
 
     def now(self) -> float:
         return self.clock.now
@@ -212,22 +210,27 @@ class Platform:
     # ------------------------------------------------------------------
 
     def _account(self, duration: float, cpu_power: float,
-                 extra: Optional[tuple] = None) -> None:
-        """Advance time and integrate energy/thermal for one interval."""
+                 component: Optional[str] = None,
+                 watts: float = 0.0) -> None:
+        """Advance time and integrate energy/thermal for one interval.
+
+        ``component``/``watts`` name a device (``io_j``, ``net_j``)
+        drawing ``watts`` besides the CPU for the interval.
+        """
         config = self.config
-        self.ledger.add("cpu_j", cpu_power * duration)
-        self.ledger.add("peripheral_j", config.peripheral_w * duration)
-        self.ledger.add("display_j", config.display_w * duration)
+        ledger = self.ledger
+        ledger.cpu_j += cpu_power * duration
+        ledger.peripheral_j += config.peripheral_w * duration
+        ledger.display_j += config.display_w * duration
         total_power = cpu_power + config.peripheral_w + config.display_w
-        if extra is not None:
-            component, watts = extra
-            self.ledger.add(component, watts * duration)
+        if component is not None:
+            setattr(ledger, component,
+                    getattr(ledger, component) + watts * duration)
             total_power += watts
-        self.thermal.step(cpu_power, duration)
+        temperature = self.thermal.step(cpu_power, duration)
         self.battery.drain(total_power * duration)
         self.clock.advance(duration)
-        self.temperature_trace.append(
-            (self.clock.now, self.thermal.temperature_c))
+        self.temperature_trace.append((self.clock.now, temperature))
 
     def meter(self) -> Meter:
         return self.config.meter(self.ledger, rng=self.rng,

@@ -47,7 +47,8 @@ class ThermalModel:
             raise ValueError("duration must be non-negative")
         if duration_s == 0:
             return self._temp
-        target = self.steady_state(power_w)
+        # steady_state(power_w), inline: this runs on every interval.
+        target = self.ambient_c + self.r_th * power_w
         decay = math.exp(-duration_s / self.tau)
         self._temp = target + (self._temp - target) * decay
         return self._temp

@@ -4,7 +4,7 @@ from repro.runtime.embedded import (STANDARD_MODES, THERMAL_MODES,
                                     EntRuntime, ModeCase, RuntimeStats)
 from repro.runtime.ext import Ext
 from repro.runtime.lint import LintFinding, lint_file, lint_source
-from repro.runtime.tagging import ObjectTag, ensure_tag, get_tag, mode_of
+from repro.runtime.tagging import ObjectTag, get_tag, mode_of
 
 __all__ = [
     "EntRuntime",
@@ -15,7 +15,6 @@ __all__ = [
     "RuntimeStats",
     "STANDARD_MODES",
     "THERMAL_MODES",
-    "ensure_tag",
     "get_tag",
     "lint_file",
     "lint_source",

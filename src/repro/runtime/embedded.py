@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import copy
 import functools
-from contextlib import contextmanager
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 from typing import Dict, Optional, Union
@@ -50,7 +49,7 @@ from repro.obs.events import (AttributorEvent, DfallCheckEvent,
 from repro.obs.prof import NULL_PROFILER
 from repro.obs.tracer import NULL_TRACER, attach_platform
 from repro.runtime.ext import Ext
-from repro.runtime.tagging import TAG_ATTR, ObjectTag, ensure_tag, get_tag
+from repro.runtime.tagging import TAG_ATTR, ObjectTag, get_tag
 
 __all__ = ["EntRuntime", "ModeCase", "RuntimeStats", "STANDARD_MODES",
            "THERMAL_MODES"]
@@ -86,8 +85,8 @@ class RuntimeStats:
                 for f in dataclass_fields(self)}
 
     def reset(self) -> None:
-        for f in dataclass_fields(self):
-            setattr(self, f.name, f.default)
+        # The generated __init__ sets every field to its default.
+        self.__init__()
 
 
 class EntRuntime:
@@ -117,6 +116,10 @@ class EntRuntime:
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         if platform is not None:
             attach_platform(self.tracer, platform)
+        #: Name -> mode for every lattice member, so an attributor's
+        #: mode name resolves with one lookup.
+        self._modes_by_name: Dict[str, Mode] = {
+            mode.name: mode for mode in lattice.modes}
         self._mode_stack = [TOP]
         self._self_stack = [None]
 
@@ -157,35 +160,23 @@ class EntRuntime:
     def current_mode(self) -> Mode:
         return self._mode_stack[-1]
 
-    @contextmanager
-    def booted(self, obj_or_mode):
+    def booted(self, obj_or_mode) -> "_Booted":
         """Run a block in the mode of ``obj_or_mode`` (the boot mode).
 
         Typically used with a freshly snapshotted "entry" object (the
         paper's Agent): all messaging inside the block is waterfall-
-        checked against this mode.
+        checked against this mode.  The argument is checked here, when
+        ``booted`` is called; entering the block pushes the mode.
         """
         if isinstance(obj_or_mode, (Mode, str)):
             mode = self.mode(obj_or_mode)
         else:
-            tag = get_tag(obj_or_mode)
-            if tag is None or tag.mode is None:
+            tag = getattr(obj_or_mode, TAG_ATTR, None)
+            mode = tag.mode if tag is not None else None
+            if mode is None:
                 raise EnergyException(
                     "cannot boot from an un-snapshotted dynamic object")
-            mode = tag.mode
-        traced = self.tracer.enabled
-        if traced:
-            self.tracer.mode_transition("closure", self.current_mode, mode)
-        self._mode_stack.append(mode)
-        self._self_stack.append(None)
-        try:
-            yield mode
-        finally:
-            self._mode_stack.pop()
-            self._self_stack.pop()
-            if traced:
-                self.tracer.mode_transition("closure", mode,
-                                            self.current_mode)
+        return _Booted(self, mode)
 
     # ------------------------------------------------------------------
     # Class decorators
@@ -241,9 +232,7 @@ class EntRuntime:
 
         @functools.wraps(original_init)
         def init(obj, *args, **kwargs):
-            tag = ensure_tag(obj)
-            tag.dynamic = dynamic
-            tag.mode = fixed if not dynamic else None
+            setattr(obj, TAG_ATTR, ObjectTag(mode=fixed, dynamic=dynamic))
             original_init(obj, *args, **kwargs)
 
         cls.__init__ = init
@@ -259,28 +248,38 @@ class EntRuntime:
     def _wrap_method(self, func):
         runtime = self
         override: Optional[Mode] = getattr(func, "_ent_mode_override", None)
+        method = func.__name__
+        up = self.lattice.up
 
         @functools.wraps(func)
         def wrapper(obj, *args, **kwargs):
-            runtime.stats.messages += 1
+            stats = runtime.stats
+            stats.messages += 1
             if runtime.baseline:
                 return func(obj, *args, **kwargs)
-            tag = get_tag(obj)
             guard = override
-            if guard is None and tag is not None:
-                guard = tag.mode
-            self_call = obj is runtime._self_stack[-1]
-            if not self_call:
-                runtime._check_dfall(guard, obj, func.__name__)
-            closure = guard if guard is not None else runtime.current_mode
-            traced = (runtime.tracer.enabled
-                      and closure is not runtime._mode_stack[-1])
+            if guard is None:
+                tag = getattr(obj, TAG_ATTR, None)
+                if tag is not None:
+                    guard = tag.mode
+            current = runtime._mode_stack[-1]
+            if obj is not runtime._self_stack[-1]:
+                # Inline dfall probe for the common case: a known
+                # receiver mode, nothing observing, and the check
+                # holds.  Every other case takes _check_dfall.
+                if (guard is not None and not runtime.tracer.enabled
+                        and not runtime.profiler.enabled
+                        and current in up[guard]):
+                    stats.dfall_checks += 1
+                else:
+                    runtime._check_dfall(guard, obj, method)
+            closure = guard if guard is not None else current
+            traced = runtime.tracer.enabled and closure is not current
             if traced:
-                runtime.tracer.mode_transition(
-                    "closure", runtime._mode_stack[-1], closure)
+                runtime.tracer.mode_transition("closure", current, closure)
             profiled = runtime.profiler.enabled
             if profiled:
-                name = f"{type(obj).__name__}.{func.__name__}"
+                name = f"{type(obj).__name__}.{method}"
                 runtime.profiler.call(f"call@{name}", name)
                 runtime.profiler.push(name, closure)
             runtime._mode_stack.append(closure)
@@ -343,7 +342,7 @@ class EntRuntime:
         Raises :class:`EnergyException` on a *bad check* unless the
         runtime is silent.  With ``lazy_copy`` the first snapshot tags
         the object in place (section 5)."""
-        tag = get_tag(obj)
+        tag = getattr(obj, TAG_ATTR, None)
         if tag is None or not tag.dynamic:
             raise EntError(
                 f"snapshot requires an instance of a dynamic ENT class, "
@@ -401,6 +400,9 @@ class EntRuntime:
     def _run_attributor(self, obj) -> Mode:
         result = obj.attributor()
         if isinstance(result, str):
+            mode = self._modes_by_name.get(result)
+            if mode is not None:
+                return mode
             result = Mode(result)
         if not isinstance(result, Mode) or result not in self.lattice:
             raise EntError(
@@ -435,6 +437,37 @@ class EntRuntime:
         """Build a :class:`ModeCase` bound to this runtime."""
         return ModeCase(self, branches, default=default,
                         has_default=has_default)
+
+
+class _Booted:
+    """What :meth:`EntRuntime.booted` returns: entering pushes the boot
+    mode (and a ``None`` receiver) on the runtime's stacks, exiting
+    pops both, with the same closure transitions as a message send."""
+
+    __slots__ = ("runtime", "mode", "traced")
+
+    def __init__(self, runtime: EntRuntime, mode: Mode) -> None:
+        self.runtime = runtime
+        self.mode = mode
+
+    def __enter__(self) -> Mode:
+        runtime = self.runtime
+        mode = self.mode
+        self.traced = runtime.tracer.enabled
+        if self.traced:
+            runtime.tracer.mode_transition(
+                "closure", runtime._mode_stack[-1], mode)
+        runtime._mode_stack.append(mode)
+        runtime._self_stack.append(None)
+        return mode
+
+    def __exit__(self, *exc) -> None:
+        runtime = self.runtime
+        runtime._mode_stack.pop()
+        runtime._self_stack.pop()
+        if self.traced:
+            runtime.tracer.mode_transition(
+                "closure", self.mode, runtime._mode_stack[-1])
 
 
 class ModeCase:
@@ -489,7 +522,8 @@ class ModeCase:
             f"mode case has no branch for mode {mode.name}")
 
     def for_object(self, obj):
-        return self.select(self.runtime.mode_of(obj))
+        tag = getattr(obj, TAG_ATTR, None)
+        return self.select(tag.mode if tag is not None else None)
 
     def __get__(self, instance, owner=None):
         if instance is None:

@@ -17,7 +17,7 @@ from repro.core.modes import Mode
 TAG_ATTR = "_ent_tag"
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectTag:
     """Per-object runtime metadata."""
 
@@ -34,14 +34,6 @@ class ObjectTag:
 def get_tag(obj: object) -> Optional[ObjectTag]:
     """The object's tag, or None for unmanaged objects."""
     return getattr(obj, TAG_ATTR, None)
-
-
-def ensure_tag(obj: object) -> ObjectTag:
-    tag = getattr(obj, TAG_ATTR, None)
-    if tag is None:
-        tag = ObjectTag()
-        setattr(obj, TAG_ATTR, tag)
-    return tag
 
 
 def mode_of(obj: object) -> Optional[Mode]:

@@ -377,6 +377,8 @@ class TestBadFlagValues:
         (["fleet", "run", "--devices", "-5"], "--devices"),
         (["fleet", "run", "--steps", "0"], "--steps"),
         (["advise", "{prog}", "--jobs", "-3"], "--jobs"),
+        (["fleet", "run", "--shards", "0"], "--shards"),
+        (["fleet", "run", "--shards", "-2"], "--shards"),
     ])
     def test_exits_2_naming_the_flag(self, program, tmp_path, capsys,
                                      argv, flag):

@@ -100,6 +100,20 @@ class TestAggregateInvariance:
         assert counters["fleet.pushes"].value >= \
             counters["fleet.violations"].value
 
+    def test_nonpositive_shards_run_in_process(self, monkeypatch):
+        # The CLI rejects --shards < 1; the API keeps treating any
+        # shards <= 1 as one in-process shard.
+        def no_pool(*args):
+            raise AssertionError("started a process pool")
+
+        monkeypatch.setattr("repro.fleet.service._run_sharded", no_pool)
+        spec = FleetSpec(devices=20, seed=4)
+        expected = run_fleet(spec, shards=1).aggregate_digest()
+        for shards in (0, -2):
+            report = run_fleet(spec, shards=shards)
+            assert report.shards == 1
+            assert report.aggregate_digest() == expected
+
     def test_empty_fleet(self):
         report = run_fleet(FleetSpec(devices=0), shards=4)
         assert report.devices == 0
