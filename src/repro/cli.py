@@ -24,7 +24,8 @@ Usage (installed as ``python -m repro``)::
     --system A|B|C  attach a platform simulator (battery/thermal/energy)
     --battery F     initial battery fraction for the platform
     --seed N        RNG / platform seed
-    --stats         print run statistics as one JSON object (stderr)
+    --stats         print run statistics as one JSON object (stderr);
+                    under --engine jit it carries the tier counters
     --no-elide      keep every dynamic check (disable repro.analysis)
     --engine E      execution engine: walk, vm or jit
                     (docs/VM.md, docs/PERFORMANCE.md)
@@ -35,7 +36,8 @@ elision planner on (the default), proven-safe checks appear as their
 elided opcodes.  ``disasm --jit`` runs the program under the JIT tier
 first, then prints the specialized Python source the JIT emitted for
 each body (bodies that never got hot are emitted speculatively from
-their cold inline caches).
+their cold inline caches), followed by each loop region the JIT
+compiled on its own (``;; Body loop@head``).
 
 ``analyze`` runs the static-analysis subsystem (``repro.analysis``)
 and prints one line per dynamic-check obligation — elided checks are
@@ -453,6 +455,8 @@ def _cmd_run(args) -> int:
                 "temp_c": round(platform.cpu_temperature(), 2),
                 "battery": round(platform.battery_fraction(), 4),
             })
+        if engine == "jit":
+            payload["jit"] = interp._vm.tier_counters()
         print(json.dumps(payload), file=sys.stderr)
     return status
 
@@ -669,7 +673,8 @@ def _cmd_disasm(args) -> int:
     inline caches warm up and hot bodies actually compile), then each
     body prints as the specialized Python the JIT emitted — installed
     source for bodies that got hot, a speculative cold emission for the
-    rest.
+    rest — each followed by the loop regions that compiled on their
+    own (on-stack replacement of a hot loop).
     """
     from repro.lang.bytecode import disassemble
 
@@ -702,15 +707,21 @@ def _cmd_disasm(args) -> int:
             return disassemble(code)
         title = code.name or "<body>"
         if code.jit_src is not None:
-            return (f";; {title} — compiled at runtime "
+            text = (f";; {title} — compiled at runtime "
                     f"(version {code.jit_versions})\n{code.jit_src}")
-        from repro.lang.jit import JITUnsupported, jit_source
-        try:
-            src = jit_source(vm, code)
-        except JITUnsupported as exc:
-            return f";; {title} — JIT bailout: {exc}"
-        return (f";; {title} — cold at runtime; speculative emission "
-                f"from the current inline caches\n{src}")
+        else:
+            from repro.lang.jit import JITUnsupported, jit_source
+            try:
+                text = (f";; {title} — cold at runtime; speculative "
+                        f"emission from the current inline caches\n"
+                        f"{jit_source(vm, code)}")
+            except JITUnsupported as exc:
+                text = f";; {title} — JIT bailout: {exc}"
+        for loop in vm.loop_regions(code):
+            text += (f"\n\n;; {title} loop@{loop.head} — compiled at "
+                     f"runtime (version {loop.jit_versions})\n"
+                     f"{loop.jit_src}")
+        return text
 
     chunks = []
     for cls in checked.program.classes:
@@ -718,20 +729,16 @@ def _cmd_disasm(args) -> int:
         if cls.constructor is not None:
             ctor = cls.constructor
             chunks.append(render(vm._lower(
-                ctor.body, [p.name for p in ctor.params], (),
-                f"{cls.name}.<init>")))
+                ctor.body, [p.name for p in ctor.params], ())))
         if cls.attributor is not None:
-            chunks.append(render(vm._lower(
-                cls.attributor.body, [], (),
-                f"{cls.name}.<attributor>")))
+            chunks.append(render(vm._lower(cls.attributor.body, [], ())))
         for method in cls.methods:
             minfo = interp._find_method(info, method.name)
             chunks.append(render(vm.code_for_method(minfo)))
             if method.attributor is not None:
                 chunks.append(render(vm._lower(
                     method.attributor.body, minfo.param_names,
-                    interp._wants_for(minfo),
-                    f"{cls.name}.{method.name}.<attributor>")))
+                    interp._wants_for(minfo))))
     print("\n\n".join(chunks))
     return 0
 

@@ -42,14 +42,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.errors import StuckError
+from repro.core.errors import SourceSpan, StuckError
 from repro.core.modes import BOTTOM, TOP, Mode
 from repro.lang import ast_nodes as ast
 from repro.lang import types as ty
 
-__all__ = ["VMCode", "CallSite", "lower_body", "lower_expr",
-           "instrument", "disassemble", "OP_NAMES", "OP_COST_KEYS",
-           "op_cost_key"]
+__all__ = ["VMCode", "LoopRegion", "LOOP_EXIT", "CallSite", "lower_body",
+           "lower_expr", "instrument", "loop_back_edges", "named_slots",
+           "disassemble", "OP_NAMES", "OP_COST_KEYS", "op_cost_key"]
 
 # ---------------------------------------------------------------------------
 # Opcodes.  Roughly hotness-ordered: the dispatch loop in vm.py probes
@@ -222,9 +222,10 @@ class VMCode:
     (``[None] * n_slots + reversed(consts)``; see module docstring).
 
     The trailing slots are the JIT tier's per-body state (see
-    :mod:`repro.lang.jit`): ``heat`` counts loop-head charges toward the
-    OSR threshold, ``jit``/``jit_src`` hold the installed entry point
-    and its emitted Python source, ``jit_deopts`` counts guard failures
+    :mod:`repro.lang.jit`): ``heat`` counts calls toward the method-entry
+    threshold (loops count their own heat, on a :class:`LoopRegion`),
+    ``jit``/``jit_src`` hold the installed whole-body entry point and
+    its emitted Python source, ``jit_deopts`` counts guard failures
     since the last (re)compile, and ``jit_versions`` counts compiles so
     repeatedly-deoptimizing bodies can be blacklisted back to the VM.
     All stay at their zero values unless the interpreter runs with
@@ -248,6 +249,50 @@ class VMCode:
         self.jit_src = None
         self.jit_deopts = 0
         self.jit_versions = 0
+
+
+#: What a compiled loop region returns when control leaves the loop
+#: through its exit (``end + 1``); any other value is the body's own
+#: ``return``.
+LOOP_EXIT = object()
+
+
+class LoopRegion:
+    """One loop of a lowered body as its own JIT compilation unit: the
+    instructions ``[head, end]`` from the loop head (``FUEL`` or
+    ``FOREACH_ITER``) to its back edge (``JUMP head``).  Lowering gives
+    every loop a single exit, ``end + 1``.
+
+    The record carries :class:`VMCode`'s tiering slots — ``heat`` counts
+    this loop's back edges toward the OSR threshold — so the JIT's
+    compile, deopt, invalidation and blacklist bookkeeping treats a
+    loop exactly like a body."""
+
+    __slots__ = ("code", "head", "end", "name", "heat", "jit", "jit_src",
+                 "jit_deopts", "jit_versions")
+
+    def __init__(self, code: VMCode, head: int, end: int) -> None:
+        self.code = code
+        self.head = head
+        self.end = end
+        self.name = f"{code.name or '<body>'}@{head}"
+        self.heat = 0
+        self.jit = None
+        self.jit_src = None
+        self.jit_deopts = 0
+        self.jit_versions = 0
+
+
+def loop_back_edges(instrs) -> Dict[int, int]:
+    """Map every loop head to its back edge.  Only loops jump
+    backwards (``continue`` and the back edge itself, both to the
+    head), so a loop's back edge is the last backward ``JUMP`` to its
+    head."""
+    ends = {}
+    for index, inst in enumerate(instrs):
+        if inst[0] == OP_JUMP and inst[1] <= index:
+            ends[inst[1]] = index
+    return ends
 
 
 class CallSite:
@@ -948,6 +993,48 @@ _CHECK_NOTES = {
 }
 
 
+def _split_operands(inst):
+    """An instruction's operands as ``(jump target or None, operands
+    that may name registers, literal operands)``."""
+    operands = inst[1:]
+    target = None
+    if inst[0] in _JUMP_OPS and operands:
+        target, operands = operands[0], operands[1:]
+    if inst[0] == OP_INC:
+        # (slot, delta, op, lit): only the slot is a register.
+        return target, operands[:1], operands[1:]
+    return target, operands, ()
+
+
+def _operand_slots(value, out) -> None:
+    """Add the frame slots ``value`` names to ``out``; the same walk
+    as :func:`_render_operand`, plus each call site's elimination
+    descriptors (owner-mode registers the send reads)."""
+    if value.__class__ is int:
+        if value >= 0:
+            out.add(value)
+    elif isinstance(value, CallSite):
+        for reg in value.arg_regs:
+            _operand_slots(reg, out)
+        for reg in value.arg_elims:
+            if reg is not None:
+                _operand_slots(reg, out)
+    elif isinstance(value, tuple):
+        for item in value:
+            _operand_slots(item, out)
+
+
+def named_slots(instrs) -> List[int]:
+    """The frame slots an instruction sequence reads or writes, in
+    order: what a compiled loop region loads on entry and stores back
+    at its exit."""
+    out = set()
+    for inst in instrs:
+        for value in _split_operands(inst)[1]:
+            _operand_slots(value, out)
+    return sorted(out)
+
+
 def _render_operand(code: VMCode, value) -> str:
     if isinstance(value, int) and not isinstance(value, bool):
         if value < 0:
@@ -957,6 +1044,8 @@ def _render_operand(code: VMCode, value) -> str:
         regs = ", ".join(_render_operand(code, r)
                          for r in value.arg_regs)
         return f".{value.name}({regs})"
+    if isinstance(value, SourceSpan):
+        return f"@{value.line}:{value.column}"
     if isinstance(value, tuple):
         return "(" + ", ".join(_render_operand(code, v)
                                for v in value) + ")"
@@ -965,27 +1054,34 @@ def _render_operand(code: VMCode, value) -> str:
     return repr(value)
 
 
+def _render_new(code: VMCode, meta) -> str:
+    """``NEW``'s ``(class info, mode arguments, span)`` as the class
+    name with its mode arguments, then the span."""
+    info, atoms, span = meta
+    text = info.name
+    if atoms:
+        text += "@mode<" + ", ".join(ty.atom_str(a) for a in atoms) + ">"
+    return text if span is None else f"{text} {_render_operand(code, span)}"
+
+
 def disassemble(code: VMCode) -> str:
     """Pretty-print a lowered body with check-instruction annotations."""
     header = (f"; {code.name or '<anonymous>'} "
               f"params={list(code.param_names)} "
               f"slots={code.n_slots} consts={len(code.consts)}")
     lines = [header]
-    jump_ops = _JUMP_OPS
     for index, inst in enumerate(code.instrs):
         op = inst[0]
         parts = [OP_NAMES.get(op, f"OP<{op}>")]
-        operands = list(inst[1:])
-        if op in jump_ops and operands:
-            parts.append(f"->{operands[0]}")
-            operands = operands[1:]
-        if op == OP_INC:
-            # (slot, delta, op, lit): only the slot is a register.
+        target, operands, literals = _split_operands(inst)
+        if op in _JUMP_OPS:
+            parts.append(f"->{target}")
+        if op == OP_NEW:
             parts.append(_render_operand(code, operands[0]))
-            parts.extend(repr(value) for value in operands[1:])
-        else:
-            parts.extend(_render_operand(code, value)
-                         for value in operands)
+            parts.append(_render_new(code, operands[1]))
+            operands = operands[2:]
+        parts.extend(_render_operand(code, value) for value in operands)
+        parts.extend(repr(value) for value in literals)
         line = f"  {index:4d}  " + " ".join(parts)
         note = _CHECK_NOTES.get(op)
         if note:

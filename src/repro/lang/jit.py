@@ -2,11 +2,13 @@
 
 The register VM (:mod:`repro.lang.vm`) dispatches one opcode at a time.
 This module removes that last layer of interpretation on hot paths: when
-a body or loop crosses a hotness threshold (counted per call site in the
-VM's dispatch loop, and per loop head at the ``FUEL`` charge point), the
-register bytecode is translated to *specialized Python source*, compiled
-with :func:`compile`/``exec``, and installed on the :class:`VMCode` as a
-``jit`` entry point.  Three kinds of information are baked into the
+a body or loop crosses a hotness threshold (counted per call, and per
+loop head at the ``FUEL``/``FOREACH_ITER`` charge points), its register
+bytecode is translated to *specialized Python source*, compiled with
+:func:`compile`/``exec``, and installed as a ``jit`` entry point on the
+unit's tiering record: the body's :class:`VMCode`, or the loop's
+:class:`LoopRegion`.  One emitter serves both; it translates an
+instruction range.  Three kinds of information are baked into the
 emitted code:
 
 * **Receiver-class guards** from the call site's inline cache: a
@@ -24,19 +26,26 @@ emitted code:
   back to :meth:`VM._site_send` — the generic send with the dispatch
   loop's exact semantics — so results, stats, check counts and blame
   messages stay bit-identical to the VM.  Repeated deopts invalidate
-  the compiled body; one recompile is allowed (the inline cache has
-  grown by then, so the offending site re-emits as a generic send),
-  after which the body is blacklisted to the VM.
+  the compiled unit; recompiles are allowed (the inline cache has
+  grown by then, so the offending site re-emits as a generic send)
+  up to ``MAX_VERSIONS``, after which the unit is blacklisted to the
+  VM.
 
 Tiering is deliberately simple (two tiers, counter driven):
 
-* method entry — the VM's leaf-call fast path counts per-site heat
-  (``CallSite.heat``); crossing ``HOT_CALL_THRESHOLD`` compiles the
-  callee, and subsequent sends enter ``code.jit`` directly;
-* on-stack replacement — every ``FUEL`` charge (one per loop
-  iteration) counts ``VMCode.heat``; crossing ``HOT_LOOP_THRESHOLD``
-  transfers the live register file into the compiled body mid-loop
-  (the emitted function's ``_pc >= 0`` entry reloads every slot).
+* method entry — calls count ``VMCode.heat`` (and the VM's leaf-call
+  fast path counts per-site heat, ``CallSite.heat``); crossing
+  ``HOT_CALL_THRESHOLD`` compiles the whole callee, and subsequent
+  sends enter ``code.jit`` directly;
+* on-stack replacement — every loop-head charge (one per iteration)
+  counts that loop's ``LoopRegion.heat``; crossing
+  ``HOT_LOOP_THRESHOLD`` compiles just that loop, ``[head, back
+  edge]``, and moves the activation into it mid-loop.  The region
+  loads the registers its instructions name, and at the loop's one
+  exit (``back edge + 1``) stores them back and returns
+  :data:`LOOP_EXIT`, so the VM resumes after the loop.  A body that
+  already has a whole-body version OSRs into that instead (its
+  ``_pc >= 0`` entry reloads every slot).
 
 The JIT turns itself off whenever the VM's leaf fast path is off
 (tracing or profiling attached): those runs need every send to flow
@@ -68,7 +77,7 @@ from repro.lang.bytecode import (
     OP_POP_HANDLER, OP_PUSH_HANDLER, OP_RETURN, OP_RETURN_NONE,
     OP_RET_FIELD, OP_SETF, OP_SETF_THIS, OP_SNAPSHOT, OP_SNAPSHOT_ELIDE,
     OP_SNAPSHOT_SHALLOW, OP_SUB, OP_THROW, OP_VAR_DYN, OP_VAR_DYN_ARG,
-    OP_VAR_DYN_RAW, _JUMP_OPS)
+    OP_VAR_DYN_RAW, LOOP_EXIT, LoopRegion, _JUMP_OPS, named_slots)
 from repro.lang.natives import NATIVE_STATIC_CLASSES
 from repro.lang.values import MCaseV
 
@@ -78,12 +87,13 @@ __all__ = ["JITUnsupported", "compile_body", "jit_source",
 
 #: Leaf sends through one call site before the callee body is compiled.
 HOT_CALL_THRESHOLD = 16
-#: Loop-head ``FUEL`` charges before a body is compiled for OSR entry.
+#: Back edges of one loop before that loop compiles for OSR entry.
 HOT_LOOP_THRESHOLD = 36
-#: Guard failures on one compiled body before it is invalidated.
+#: Guard failures on one compiled body or region before it is
+#: invalidated.
 DEOPT_LIMIT = 8
-#: Compiled versions per body (initial + recompiles) before the body is
-#: blacklisted back to the VM for good.
+#: Compiled versions per body or region (initial + recompiles) before
+#: it is blacklisted back to the VM for good.
 MAX_VERSIONS = 3
 
 
@@ -110,13 +120,19 @@ _SCALARS = (int, float, str, bool, type(None))
 
 
 class _Emitter:
-    """One body's translation state: the line buffer, the exec-globals
-    namespace, and an identity memo for objects bound into it."""
+    """One compilation unit's translation state: the line buffer, the
+    exec-globals namespace, and an identity memo for objects bound into
+    it.  The unit is a whole body (a :class:`VMCode`) or one of its
+    loops (a :class:`LoopRegion`); either way the emitter translates
+    the instruction range ``[lo, hi]`` of the body's stream, and the
+    unit itself is the tiering record its deopts report to."""
 
-    def __init__(self, vm, code) -> None:
+    def __init__(self, vm, unit) -> None:
         self.vm = vm
         self.interp = vm.interp
-        self.code = code
+        self.unit = unit
+        self.region = unit if unit.__class__ is LoopRegion else None
+        self.code = unit.code if self.region is not None else unit
         self.lines = []
         self.globals = {}
         self._bound = {}
@@ -181,20 +197,25 @@ class _Emitter:
     def compile(self):
         src = self.source()
         namespace = dict(self.globals)
-        exec(compile(src, f"<jit:{self.code.name or 'body'}>", "exec"),
-             namespace)
+        name = self.unit.name or "body"
+        exec(compile(src, f"<jit:{name}>", "exec"), namespace)
         return namespace["_jit_body"], src
 
     def source(self) -> str:
-        interp = self.interp
         code = self.code
         instrs = code.instrs
-        n = len(instrs)
+        region = self.region
+        lo, hi = ((region.head, region.end) if region is not None
+                  else (0, len(instrs) - 1))
+        # Lowering gives a loop one exit, ``hi + 1``: every jump out of
+        # a region lands there (``return`` and raises leave directly).
+        exit_pc = hi + 1
         self._bind_runtime()
 
-        has_handlers = any(inst[0] == OP_PUSH_HANDLER for inst in instrs)
-        leaders = {0}
-        for i, inst in enumerate(instrs):
+        unit = instrs[lo:exit_pc]
+        has_handlers = any(inst[0] == OP_PUSH_HANDLER for inst in unit)
+        leaders = {lo}
+        for i, inst in enumerate(unit, lo):
             op = inst[0]
             if op in _JUMP_OPS:
                 leaders.add(inst[1])
@@ -207,28 +228,36 @@ class _Emitter:
                 leaders.add(i + 1)
             elif op in _TERMINATORS:
                 leaders.add(i + 1)
-        order = sorted(leader for leader in leaders if leader < n)
+        order = sorted(leader for leader in leaders if leader <= hi)
 
         w = self.w
         w(0, "def _jit_body(vm, regs, frame, _pc):")
         w(1, "this_obj = frame.this_obj")
         w(1, "current_mode = frame.current_mode")
-        w(1, "if _pc < 0:")
-        self.charge(2)
-        for j in range(code.nparams):
-            w(2, f"r{j} = regs[{j}]")
-        if code.nparams < code.n_slots:
-            tail = " = ".join(f"r{j}" for j in range(code.nparams,
-                                                     code.n_slots))
-            w(2, f"{tail} = None")
-        w(2, "_pc = 0")
-        w(1, "else:")
-        if code.n_slots:
-            # OSR entry: adopt the VM activation's live register file.
-            for j in range(code.n_slots):
-                w(2, f"r{j} = regs[{j}]")
+        if region is not None:
+            # Loop regions are only ever entered by OSR: adopt just the
+            # registers this loop names from the VM activation.
+            slots = named_slots(unit)
+            for j in slots:
+                w(1, f"r{j} = regs[{j}]")
         else:
-            w(2, "pass")
+            w(1, "if _pc < 0:")
+            self.charge(2)
+            for j in range(code.nparams):
+                w(2, f"r{j} = regs[{j}]")
+            if code.nparams < code.n_slots:
+                tail = " = ".join(f"r{j}" for j in range(code.nparams,
+                                                         code.n_slots))
+                w(2, f"{tail} = None")
+            w(2, "_pc = 0")
+            w(1, "else:")
+            if code.n_slots:
+                # OSR entry: adopt the VM activation's live register
+                # file.
+                for j in range(code.n_slots):
+                    w(2, f"r{j} = regs[{j}]")
+            else:
+                w(2, "pass")
         if has_handlers:
             w(1, "_handlers = []")
             w(1, "while True:")
@@ -240,28 +269,35 @@ class _Emitter:
             depth = 2
 
         for index, leader in enumerate(order):
-            end = order[index + 1] if index + 1 < len(order) else n
+            end = order[index + 1] if index + 1 < len(order) else exit_pc
             w(depth, f"if _pc == {leader}:")
             terminated = False
             for i in range(leader, end):
                 terminated = self.emit(depth + 1, i, instrs[i], end)
             if not terminated:
                 w(depth + 1, f"_pc = {end}")
+        if region is not None:
+            # The loop exit: hand the registers back to the VM, which
+            # resumes the activation at ``exit_pc``.
+            w(depth, f"if _pc == {exit_pc}:")
+            for j in slots:
+                w(depth + 1, f"regs[{j}] = r{j}")
+            w(depth + 1, "return _LOOP_EXIT")
         w(depth, "raise StuckError('jit: dispatch fell off the "
                  "instruction stream')  # pragma: no cover")
 
         if has_handlers:
             # Mirrors the VM's handler unwind: pop the innermost
             # handler, bind the message to its catch slot, resume.
-            slots = sorted({inst[2] for inst in instrs
-                            if inst[0] == OP_PUSH_HANDLER})
+            catch_slots = sorted({inst[2] for inst in unit
+                                  if inst[0] == OP_PUSH_HANDLER})
             w(2, "except EnergyException as _exc:")
             w(3, "if not _handlers:")
             w(4, "raise")
             w(3, "_pc, _hs = _handlers.pop()")
             w(3, "_msg = str(_exc)")
             kw = "if"
-            for slot in slots:
+            for slot in catch_slots:
                 w(3, f"{kw} _hs == {slot}:")
                 w(4, f"r{slot} = _msg")
                 kw = "elif"
@@ -294,6 +330,7 @@ class _Emitter:
                 ("_java_div", interp_mod._java_div),
                 ("_java_mod", interp_mod._java_mod),
                 ("_SKIP_ELIM", _SKIP_ELIM),
+                ("_LOOP_EXIT", LOOP_EXIT),
                 ("_elim", interp._elim_with_mode),
                 ("_binop", interp._binary_op),
                 ("_veq", interp.values_equal),
@@ -831,7 +868,7 @@ class _Emitter:
             w(d + 2, "_r = _elim(_r, current_mode)")
         w(d + 1, f"r{dst} = _r")
         w(d, "else:")
-        w(d + 1, f"vm._note_deopt({self.bind(self.code)})")
+        w(d + 1, f"vm._note_deopt({self.bind(self.unit)})")
         w(d + 1, f"r{dst} = {generic('_recv', self_call)}")
 
     def _emit_dfall(self, d, op, minfo_name, span_expr) -> None:
@@ -859,13 +896,14 @@ class _Emitter:
                  f"{minfo_name}, {span_expr})")
 
 
-def compile_body(vm, code):
-    """Translate ``code`` to a specialized Python function.
+def compile_body(vm, unit):
+    """Translate ``unit`` — a whole body (:class:`VMCode`) or one loop
+    (:class:`LoopRegion`) — to a specialized Python function.
 
     Returns ``(fn, source)``; raises :class:`JITUnsupported` when the
-    body contains an instruction the emitter cannot translate (the
-    caller then blacklists the body)."""
-    return _Emitter(vm, code).compile()
+    unit contains an instruction the emitter cannot translate (the
+    caller then blacklists it)."""
+    return _Emitter(vm, unit).compile()
 
 
 def jit_source(vm, code) -> str:

@@ -55,7 +55,8 @@ from repro.lang.bytecode import (  # noqa: F401 (re-exported for tests)
     OP_RETURN_NONE, OP_RET_FIELD, OP_SETF, OP_SETF_THIS, OP_SNAPSHOT,
     OP_SNAPSHOT_ELIDE, OP_SNAPSHOT_SHALLOW, OP_SUB, OP_THROW,
     OP_VAR_DYN, OP_VAR_DYN_ARG,
-    OP_VAR_DYN_RAW, VMCode, instrument, lower_body, lower_expr)
+    OP_VAR_DYN_RAW, LOOP_EXIT, LoopRegion, VMCode, instrument,
+    loop_back_edges, lower_body, lower_expr)
 from repro.lang.natives import (NATIVE_STATIC_CLASSES, call_list_method,
                                 call_native_static, call_string_method)
 from repro.lang.values import MCaseV, ObjectV
@@ -97,6 +98,9 @@ class VM:
         self._codes = {}
         #: (id(expr), want_mcase) -> VMCode for field initializers.
         self._expr_codes = {}
+        #: id(body block) -> its declaration's name, so a body is named
+        #: at its first lowering however that lowering is reached.
+        self._names = _body_names(interp.table)
         #: Strong references backing the two id()-keyed caches above:
         #: if a cached AST node were garbage collected, its id could be
         #: reused by a *different* node and the cache would serve the
@@ -121,11 +125,11 @@ class VM:
     # Entry points (wired as ``Interpreter._call_body`` /
     # ``_execute_expr``)
 
-    def _lower(self, block, param_names, wants, name) -> VMCode:
+    def _lower(self, block, param_names, wants) -> VMCode:
         code = self._codes.get(id(block))
         if code is None:
             code = lower_body(self.interp, block, param_names,
-                              wants=wants, name=name)
+                              wants=wants, name=self._names.get(id(block)))
             # Profiling gate: instrumentation is decided here, once per
             # body, never per instruction — disabled runs execute the
             # unmodified stream.
@@ -139,7 +143,7 @@ class VM:
         """Run a method/constructor/attributor body; returns the return
         value, or ``interp._NO_RETURN`` when the body falls off the
         end."""
-        code = self._lower(block, param_names, wants, None)
+        code = self._lower(block, param_names, wants)
         if len(args) != code.nparams:
             # Callers (``_invoke``, ``_construct``) check arity with the
             # proper blame; this backstop keeps a direct-API misuse from
@@ -175,8 +179,7 @@ class VM:
     def code_for_method(self, minfo) -> VMCode:
         interp = self.interp
         return self._lower(minfo.decl.body, minfo.param_names,
-                           interp._wants_for(minfo),
-                           f"{minfo.owner}.{minfo.name}")
+                           interp._wants_for(minfo))
 
     # ------------------------------------------------------------------
     # Inline caches
@@ -297,18 +300,21 @@ class VM:
                                 f"evaluation exceeded {fuel} steps "
                                 f"(divergence bound)")
                         if self._jit_on and not handlers:
-                            # On-stack replacement: a hot loop head
-                            # transfers this activation's live register
-                            # file into the compiled body (``pc`` is
-                            # already past the charge, which is exactly
-                            # where the JIT's OSR entry resumes).
+                            # On-stack replacement (``pc`` is already
+                            # past the charge, which is exactly where
+                            # the JIT's OSR entry resumes): into the
+                            # body's compiled version if it has one,
+                            # else into this loop's once it is hot,
+                            # which hands back at the loop exit.
                             jfn = code.jit
-                            if jfn is None:
-                                code.heat = h = code.heat + 1
-                                if h >= self._hot_loop:
-                                    jfn = self._jit_compile(code)
                             if jfn is not None:
                                 return jfn(self, regs, frame, pc)
+                            loop = self._hot_loop_region(code, pc - 1)
+                            if loop is not None:
+                                value = loop.jit(self, regs, frame, pc)
+                                if value is not LOOP_EXIT:
+                                    return value
+                                pc = loop.end + 1
                     elif op == OP_JF_LT:
                         a = regs[inst[2]]
                         b = regs[inst[3]]
@@ -882,12 +888,15 @@ class VM:
                                 # iteration charged, matching the JIT's
                                 # post-ITER entry.
                                 jfn = code.jit
-                                if jfn is None:
-                                    code.heat = h = code.heat + 1
-                                    if h >= self._hot_loop:
-                                        jfn = self._jit_compile(code)
                                 if jfn is not None:
                                     return jfn(self, regs, frame, pc)
+                                loop = self._hot_loop_region(code, pc - 1)
+                                if loop is not None:
+                                    value = loop.jit(self, regs, frame,
+                                                     pc)
+                                    if value is not LOOP_EXIT:
+                                        return value
+                                    pc = loop.end + 1
                     elif op == OP_PUSH_HANDLER:
                         if handlers is None:
                             handlers = []
@@ -928,13 +937,14 @@ class JITVM(VM):
 
     All tiering state lives here: thresholds (instance attributes so
     tests can force-compile with ``_hot_call = 1``), the compile /
-    deopt / invalidation counters, and the compile entry point the
-    dispatch loop's hooks call.  The JIT arms itself exactly when the
-    leaf-call fast path is on (``_fast_ok``): traced and profiled runs
-    need every send on the ``_invoke`` path for events and call-site
-    profiles, so under them ``jit`` degrades to the plain VM — which is
-    also why ``repro profile --engine jit`` satisfies the
-    static-vs-observed oracle by construction.
+    deopt / invalidation counters, the per-loop tiering records, and
+    the compile entry point the dispatch loop's hooks call.  The JIT
+    arms itself exactly when the leaf-call fast path is on
+    (``_fast_ok``): traced and profiled runs need every send on the
+    ``_invoke`` path for events and call-site profiles, so under them
+    ``jit`` degrades to the plain VM — which is also why ``repro
+    profile --engine jit`` satisfies the static-vs-observed oracle by
+    construction.
 
     See :mod:`repro.lang.jit` for the emitter and the tiering policy.
     """
@@ -955,12 +965,16 @@ class JITVM(VM):
         self.jit_deopts = 0
         self.jit_invalidations = 0
         self.jit_bailouts = 0
-        #: Compile log: (body name, version) in compile order.
+        #: The subset of ``jit_compiles`` that compiled a loop region.
+        self.jit_loop_compiles = 0
+        #: Compile log: (body or region name, version) in compile order.
         self.jit_compiled = []
+        #: Per-loop tiering records: VMCode -> {loop head: LoopRegion}.
+        self._loops = {}
 
     def _jit_compile(self, code):
-        """Compile ``code`` (or blacklist it); returns the installed
-        entry point or ``None``."""
+        """Compile ``code`` — a body or a :class:`LoopRegion` — or
+        blacklist it; returns the installed entry point or ``None``."""
         if code.jit is not None:
             return code.jit
         if code.jit_versions >= self._max_versions:
@@ -982,12 +996,44 @@ class JITVM(VM):
                                   code.jit_versions))
         return fn
 
+    def _hot_loop_region(self, code, head):
+        """Count one back edge of the loop at ``head`` in ``code``;
+        returns the loop's record once it has a compiled region (which
+        may compile now), else ``None``."""
+        loops = self._loops.get(code)
+        if loops is None:
+            loops = self._loops[code] = {
+                start: LoopRegion(code, start, end)
+                for start, end in loop_back_edges(code.instrs).items()}
+        loop = loops[head]
+        if loop.jit is None:
+            loop.heat = h = loop.heat + 1
+            if h < self._hot_loop or self._jit_compile(loop) is None:
+                return None
+            self.jit_loop_compiles += 1
+        return loop
+
+    def loop_regions(self, code):
+        """``code``'s loops that hold a compiled region, by head."""
+        loops = self._loops.get(code, {})
+        return [loops[head] for head in sorted(loops)
+                if loops[head].jit_src is not None]
+
+    def tier_counters(self) -> dict:
+        """The tiering counters, as ``repro run --stats`` reports them."""
+        return {"compiles": self.jit_compiles,
+                "loop_compiles": self.jit_loop_compiles,
+                "deopts": self.jit_deopts,
+                "invalidations": self.jit_invalidations,
+                "bailouts": self.jit_bailouts}
+
     def _note_deopt(self, code) -> None:
-        """A specialization guard failed in ``code``'s compiled body.
-        Execution already fell back to ``_site_send`` (results stay
-        engine-identical); here we only count, and past the deopt limit
-        invalidate the body so the next hot crossing recompiles against
-        the by-then-grown inline caches (bounded by ``MAX_VERSIONS``).
+        """A specialization guard failed in ``code``'s compiled body
+        (or loop region).  Execution already fell back to
+        ``_site_send`` (results stay engine-identical); here we only
+        count, and past the deopt limit invalidate the unit so the next
+        hot crossing recompiles against the by-then-grown inline caches
+        (bounded by ``MAX_VERSIONS``).
         """
         self.jit_deopts += 1
         code.jit_deopts += 1
@@ -997,6 +1043,26 @@ class JITVM(VM):
             code.jit_src = None
             code.heat = 0
             self.jit_invalidations += 1
+
+
+def _body_names(table):
+    """Map id(body block) -> ``Class.<init>``, ``Class.<attributor>``,
+    ``Class.method`` or ``Class.method.<attributor>``, for every body
+    the program declares."""
+    names = {}
+    for info in table.classes():
+        decl = info.decl
+        if decl is None:
+            continue
+        parts = [(decl.constructor, "<init>"),
+                 (decl.attributor, "<attributor>")]
+        for method in decl.methods:
+            parts += [(method, method.name),
+                      (method.attributor, f"{method.name}.<attributor>")]
+        for part, suffix in parts:
+            if part is not None:
+                names[id(part.body)] = f"{decl.name}.{suffix}"
+    return names
 
 
 # Late imports resolved once at module load: the interp module imports

@@ -1,10 +1,14 @@
 """Unit tests for the ``python -m repro`` command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+EXAMPLES = sorted(str(path) for path in (
+    Path(__file__).resolve().parents[2] / "examples" / "ent").glob("*.ent"))
 
 GOOD = """
 modes { energy_saver <= managed; managed <= full_throttle; }
@@ -33,6 +37,22 @@ class Main { void main() { } }
 """
 
 BAD_SYNTAX = "class { oops"
+
+#: One method whose loop crosses the OSR threshold in a single call.
+HOT_LOOP = """
+modes { lo <= hi; }
+class Counter {
+    int count(int n) {
+        int acc = 0;
+        int i = 0;
+        while (i < n) { acc = acc + i; i = i + 1; }
+        return acc;
+    }
+}
+class Main {
+    void main() { Sys.print(new Counter().count(100)); }
+}
+"""
 
 THROWING = """
 modes { lo <= hi; }
@@ -141,6 +161,24 @@ class TestRun:
             main(["run", program(GOOD)] + argv)
         assert info.value.code == 2
 
+    def test_jit_stats_report_the_tier_counters(self, program, capsys):
+        assert main(["run", program(HOT_LOOP), "--engine", "jit",
+                     "--stats"]) == 0
+        stats = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        jit = stats["jit"]
+        assert sorted(jit) == ["bailouts", "compiles", "deopts",
+                               "invalidations", "loop_compiles"]
+        assert jit["loop_compiles"] >= 1
+        assert jit["compiles"] >= jit["loop_compiles"]
+
+    @pytest.mark.parametrize("engine", ["walk", "vm"])
+    def test_other_engines_report_no_tier_counters(self, program, capsys,
+                                                   engine):
+        assert main(["run", program(HOT_LOOP), "--engine", engine,
+                     "--stats"]) == 0
+        stats = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "jit" not in stats
+
     def test_engine_vm_with_toggles(self, program, capsys):
         assert main(["run", program(GOOD), "--engine", "vm",
                      "--no-elide", "--no-inline-caches",
@@ -164,6 +202,38 @@ class TestDisasm:
         out = capsys.readouterr().out
         assert ("elided by repro.analysis" in out
                 or ";; DFALL_CHECK" in out)
+
+    def test_disasm_jit_shows_compiled_loop_regions(self, program,
+                                                    capsys):
+        assert main(["disasm", program(HOT_LOOP), "--jit"]) == 0
+        headers = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith(";; ")]
+        body = headers.index(";; Counter.count — cold at runtime; "
+                             "speculative emission from the current "
+                             "inline caches")
+        assert headers[body + 1].startswith(";; Counter.count loop@")
+        assert headers[body + 1].endswith(
+            " — compiled at runtime (version 1)")
+
+    @pytest.mark.parametrize("path", EXAMPLES,
+                             ids=[Path(p).stem for p in EXAMPLES])
+    def test_disasm_jit_names_every_body(self, path, capsys):
+        assert main(["disasm", path, "--jit"]) == 0
+        headers = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith(";; ")]
+        assert headers
+        assert not [h for h in headers if h.startswith(";; <body>")]
+
+    @pytest.mark.parametrize("checks", ["full", "transient"])
+    @pytest.mark.parametrize("path", EXAMPLES,
+                             ids=[Path(p).stem for p in EXAMPLES])
+    def test_disasm_operands_are_readable(self, path, checks, capsys):
+        assert main(["disasm", path, "--checks", checks]) == 0
+        out = capsys.readouterr().out
+        assert " NEW " in out and "SNAPSHOT" in out
+        for line in out.splitlines():
+            assert "ClassInfo(" not in line and "SourceSpan(" not in line
+            assert len(line) <= 200, line
 
     def test_disasm_bad_program(self, program, capsys):
         assert main(["disasm", program("class { oops",
