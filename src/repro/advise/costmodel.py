@@ -41,7 +41,7 @@ from repro.lang.engines import label_kind
 from repro.advise.propagate import Uncertain
 
 __all__ = ["CostEntry", "CostModel", "ARCHS", "DEFAULT_ARCH",
-           "builtin_model", "PJ_TO_J"]
+           "builtin_model", "read_json_object", "PJ_TO_J"]
 
 #: Picojoules to joules.
 PJ_TO_J = 1e-12
@@ -222,8 +222,21 @@ class CostModel:
 
     @staticmethod
     def load(path: str) -> "CostModel":
+        return CostModel.from_dict(read_json_object(path, "a cost model"))
+
+
+def read_json_object(path: str, what: str) -> Dict[str, object]:
+    """The JSON object stored in ``path``; an :class:`EntError` naming
+    the file and ``what`` it should hold when it holds anything else."""
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            return CostModel.from_dict(json.load(fh))
+            data = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise EntError(f"{path}: not {what} ({exc})") from None
+    if not isinstance(data, dict):
+        raise EntError(f"{path}: not {what} (a JSON "
+                       f"{type(data).__name__}, not an object)")
+    return data
 
 
 def builtin_model(arch: str = DEFAULT_ARCH) -> CostModel:

@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import EnergyException, EntError
+from repro.core.pool import run_keyed
 from repro.core.rng import SplitMix64, derive_seed
 from repro.lang.engines import DEFAULT_ENGINE, resolve_engine
 from repro.lang.lexer import tokenize
@@ -442,18 +442,8 @@ def advise_source(source: str, file: str = "<advise>",
                 }
 
     keys = sorted(tasks)
-    results: Dict[Tuple[int, int, int], Dict[str, object]] = {}
-    from repro.eval.parallel import resolve_jobs
-    jobs = resolve_jobs(cfg.jobs)
-    if jobs > 1 and len(keys) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, result in zip(
-                    keys, pool.map(_calibration_worker,
-                                   [tasks[k] for k in keys])):
-                results[key] = result
-    else:
-        for key in keys:
-            results[key] = _calibration_worker(tasks[key])
+    results = {keys[index]: result for index, result in run_keyed(
+        _calibration_worker, [tasks[k] for k in keys], cfg.jobs)}
 
     # -- baseline attributor distribution ------------------------------
     baseline_idx = next(

@@ -602,6 +602,7 @@ def _cmd_advise(args) -> int:
     """
     from repro.advise import (AdviseConfig, CostModel, advise_source,
                               builtin_model)
+    from repro.advise.costmodel import read_json_object
 
     source = _read(args.file)
     if args.cost_model is not None:
@@ -609,9 +610,8 @@ def _cmd_advise(args) -> int:
     else:
         model = builtin_model(args.arch)
     for path in (args.calibrate_from or []):
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        absorbed = model.calibrate(payload)
+        absorbed = model.calibrate(
+            read_json_object(path, "a profile payload"))
         print(f"[advise: calibrated {absorbed} label(s) from {path}]",
               file=sys.stderr)
     batteries = tuple(args.battery) if args.battery else (1.0,)
@@ -816,9 +816,6 @@ def guarded(command: Callable[..., int], *args) -> int:
     ``error: …`` on stderr and an exit status, never a traceback."""
     try:
         return command(*args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EntError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -829,6 +826,11 @@ def guarded(command: Callable[..., int], *args) -> int:
         except BrokenPipeError:
             pass
         return 0
+    except OSError as exc:
+        # After BrokenPipeError, which is an OSError too: a missing,
+        # unreadable or unwritable path, or a directory given as a file.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -20,18 +20,18 @@ without giving up the serial harness's two guarantees:
   run that rebinds the tracer per episode), so ``repro obs report``
   works unchanged under fan-out.
 
-``jobs`` semantics everywhere in this package: ``None`` or ``1`` means
-serial in-process execution (the default — no pool, no pickling),
-``0`` means one worker per core, ``N > 1`` means a pool of ``N``.
+``jobs`` means what it means everywhere (see :mod:`repro.core.pool`,
+whose :func:`~repro.core.pool.run_keyed` runs the pool); the default,
+``None``, is serial in-process execution.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import Dict, Iterable, Optional, Tuple
 
+from repro.core.pool import resolve_jobs, run_keyed
 from repro.obs.prof import NULL_PROFILER, Profiler
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.workloads.registry import get_workload
@@ -71,17 +71,6 @@ class EpisodeTask:
                            benchmark=self.benchmark, params=params)
 
 
-def resolve_jobs(jobs: Optional[int]) -> int:
-    """Worker count for a ``--jobs`` value (None/1 serial, 0 = cores)."""
-    if jobs is None:
-        return 1
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
-    if jobs == 0:
-        return os.cpu_count() or 1
-    return jobs
-
-
 def _run_one(task: EpisodeTask, tracer, profiler=NULL_PROFILER) -> object:
     """Run one task in-process (the serial path and the worker body)."""
     # Imported lazily: repro.eval.runner/sweeps import nothing from this
@@ -106,7 +95,7 @@ def _run_one(task: EpisodeTask, tracer, profiler=NULL_PROFILER) -> object:
 def _pool_worker(task: EpisodeTask, trace_capacity: Optional[int],
                  profile: bool = False) -> Tuple:
     """Worker entry point: run the task, return
-    ``(key, result, events, dropped, profile)``.
+    ``(result, events, dropped, profile)``.
 
     Must stay module-level so the pool can pickle it.  The worker's
     tracer ring travels back as a plain event list (events carry only
@@ -124,8 +113,8 @@ def _pool_worker(task: EpisodeTask, trace_capacity: Optional[int],
         events, dropped = [], 0
     if profile:
         profiler.finish()
-        return task.key, result, events, dropped, profiler.profile
-    return task.key, result, events, dropped, None
+        return result, events, dropped, profiler.profile
+    return result, events, dropped, None
 
 
 def run_episodes(tasks: Iterable[EpisodeTask],
@@ -149,31 +138,20 @@ def run_episodes(tasks: Iterable[EpisodeTask],
     tracer = tracer if tracer is not None else NULL_TRACER
     profiler = profiler if profiler is not None else NULL_PROFILER
     tasks = list(tasks)
-    if not tasks:
-        # Empty batch: return the empty aggregate up front.  This must
-        # never fall through to the pool path — ``min(workers, 0)``
-        # would ask ProcessPoolExecutor for max_workers=0, a ValueError.
-        return {}
     keys = [task.key for task in tasks]
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate EpisodeTask keys in one batch")
-    workers = resolve_jobs(jobs)
-    if workers <= 1 or len(tasks) <= 1:
+    if resolve_jobs(jobs) <= 1 or len(tasks) <= 1:
         return {task.key: _run_one(task, tracer, profiler)
                 for task in tasks}
     capacity = trace_capacity if tracer.enabled else None
-    collected: Dict[Tuple, Tuple[object, List, int, object]] = {}
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        futures = [pool.submit(_pool_worker, task, capacity,
-                               profiler.enabled)
-                   for task in tasks]
-        for future in as_completed(futures):
-            key, result, events, dropped, profile = future.result()
-            collected[key] = (result, events, dropped, profile)
+    worker = partial(_pool_worker, trace_capacity=capacity,
+                     profile=profiler.enabled)
     results: Dict[Tuple, object] = {}
-    for task in tasks:
-        result, events, dropped, profile = collected[task.key]
-        results[task.key] = result
+    # Sorted by task index: the merged trace is the serial run's.
+    for index, (result, events, dropped, profile) in sorted(
+            run_keyed(worker, tasks, jobs)):
+        results[keys[index]] = result
         if tracer.enabled:
             for event in events:
                 tracer.emit(event)

@@ -15,10 +15,10 @@ Layers (see ``docs/FLEET.md``):
 * :mod:`repro.fleet.shard` — the per-process worker: builds the
   shared immutable config once, then streams devices through it in
   batches;
-* :mod:`repro.fleet.service` — the asyncio orchestrator: partitions
-  the population, fans shards out over a process pool, and folds the
-  keyed aggregates back in arrival order (order-independence is
-  guaranteed by construction — every aggregate is integer-exact).
+* :mod:`repro.fleet.service` — the orchestrator: partitions the
+  population, fans shards out through :mod:`repro.core.pool`, and
+  folds the keyed aggregates back in arrival order (order-independence
+  is guaranteed by construction — every aggregate is integer-exact).
 
 Everything is deterministic from ``FleetSpec.seed``: the aggregates of
 ``repro fleet run`` are bit-identical for any ``--shards`` value and

@@ -1,8 +1,8 @@
 """The fleet orchestrator: shard fan-out and order-independent fold.
 
 :func:`run_fleet` partitions the population into contiguous index
-ranges, fans the shards out over a process pool from an asyncio event
-loop, and folds each :class:`~repro.fleet.shard.ShardResult` into the
+ranges, fans the shards out through :func:`repro.core.pool.run_keyed`,
+and folds each :class:`~repro.fleet.shard.ShardResult` into the
 fleet-wide :class:`~repro.obs.metrics.MetricsRegistry` and
 :class:`~repro.obs.prof.Profile` *as it arrives* — no sorting, no
 buffering.  Folding on arrival is safe because every aggregate the
@@ -17,12 +17,11 @@ reference for the multiprocess paths.
 
 from __future__ import annotations
 
-import asyncio
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.pool import run_keyed
 from repro.fleet.shard import (ENGINES, ShardResult, ShardTask,
                                run_shard)
 from repro.fleet.spec import FleetSpec
@@ -150,20 +149,6 @@ def _fold(report: FleetReport, result: ShardResult) -> None:
         (result.shard_index, result.devices, result.seconds))
 
 
-async def _run_sharded(tasks: List[ShardTask], report: FleetReport,
-                       progress: Optional[Callable[[ShardResult], None]]
-                       ) -> None:
-    loop = asyncio.get_running_loop()
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-        pending = [loop.run_in_executor(pool, run_shard, task)
-                   for task in tasks]
-        for future in asyncio.as_completed(pending):
-            result = await future
-            _fold(report, result)
-            if progress is not None:
-                progress(result)
-
-
 def run_fleet(spec: FleetSpec, shards: int = 1, engine: str = "batched",
               progress: Optional[Callable[[ShardResult], None]] = None
               ) -> FleetReport:
@@ -185,15 +170,9 @@ def run_fleet(spec: FleetSpec, shards: int = 1, engine: str = "batched",
     report = FleetReport(spec=spec, engine=engine,
                          shards=max(1, len(tasks)))
     started = time.perf_counter()
-    if not tasks:
-        report.elapsed_s = time.perf_counter() - started
-        return report
-    if len(tasks) == 1:
-        result = run_shard(tasks[0])
+    for _, result in run_keyed(run_shard, tasks, len(tasks)):
         _fold(report, result)
         if progress is not None:
             progress(result)
-    else:
-        asyncio.run(_run_sharded(tasks, report, progress))
     report.elapsed_s = time.perf_counter() - started
     return report

@@ -424,9 +424,3 @@ class ModesDecl:
 class Program:
     modes: List[ModesDecl] = field(default_factory=list)
     classes: List[ClassDecl] = field(default_factory=list)
-
-    def find_class(self, name: str) -> Optional[ClassDecl]:
-        for cls in self.classes:
-            if cls.name == name:
-                return cls
-        return None

@@ -341,11 +341,6 @@ class Parser:
         return ast.ClassTypeNode(name=name, mode_args=mode_args,
                                  span=token.span)
 
-    def _looks_like_type_start(self, offset: int = 0) -> bool:
-        kind = self._peek(offset).kind
-        return (kind in _PRIM_TYPE_TOKENS or kind is TokenKind.KW_MCASE
-                or kind is TokenKind.IDENT)
-
     # ------------------------------------------------------------------
     # Statements
 

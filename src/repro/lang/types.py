@@ -46,10 +46,6 @@ def is_dynamic(atom: ModeAtom) -> bool:
     return atom is DYN
 
 
-def is_var(atom: ModeAtom) -> bool:
-    return isinstance(atom, str)
-
-
 def atom_str(atom: ModeAtom) -> str:
     if atom is DYN:
         return "?"
@@ -229,11 +225,6 @@ class MethodInfo:
     has_attributor: bool = False
     decl: Optional[ast.MethodDecl] = None
 
-    @property
-    def is_mode_generic(self) -> bool:
-        return (self.mode_param is not None
-                and self.mode_param.var is not None)
-
 
 @dataclass
 class FieldInfo:
@@ -275,10 +266,6 @@ class ClassInfo:
         if not self.params:
             raise EntTypeError(f"class {self.name} has no mode parameters")
         return self.params[0].internal_atom
-
-    @property
-    def param_vars(self) -> List[str]:
-        return [p.var for p in self.params if p.var is not None]
 
 
 class ClassTable:

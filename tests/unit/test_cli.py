@@ -377,8 +377,8 @@ class TestAdvise:
 
 
 class TestHostileInput:
-    """Malformed input ends in ``error: …`` and exit 1, never a Python
-    traceback."""
+    """Malformed input ends in ``error: …`` and exit 1 (2 for a path the
+    operating system refuses), never a Python traceback."""
 
     @pytest.mark.parametrize("argv", [
         ["run"], ["check"], ["analyze"], ["disasm"], ["pretty"],
@@ -390,6 +390,39 @@ class TestHostileInput:
         assert main([*argv, str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: not UTF-8 text")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "{dir}"],
+        ["obs", "report", "{dir}"],
+        ["analyze", "--embedded", "{dir}"],
+        ["advise", "{prog}", "--cost-model", "{dir}"],
+        ["run", "{prog}", "--trace", "{dir}"],
+        ["fleet", "run", "--devices", "2", "--metrics-out", "{dir}"],
+        ["eval", "export", "--dir", "{prog}"],
+    ], ids=" ".join)
+    def test_directory_or_existing_file_as_path(self, program, tmp_path,
+                                                capsys, argv):
+        fill = {"prog": program(GOOD), "dir": str(tmp_path)}
+        assert main([arg.format(**fill) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [
+        b"not json", b"\xff\xfe", b"[1, 2]",
+    ], ids=["not JSON", "not UTF-8", "JSON array"])
+    @pytest.mark.parametrize("flag, what", [
+        ("--cost-model", "a cost model"),
+        ("--calibrate-from", "a profile payload"),
+    ], ids=["cost-model", "calibrate-from"])
+    def test_malformed_cost_model_file(self, program, tmp_path, capsys,
+                                       flag, what, content):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        assert main(["advise", program(GOOD), flag, str(path),
+                     "--runs", "1", "--samples", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not {what} (")
 
     RECURSIVE = {
         "method": "class Main { void main() { main(); } }",

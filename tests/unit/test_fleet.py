@@ -100,13 +100,20 @@ class TestAggregateInvariance:
         assert counters["fleet.pushes"].value >= \
             counters["fleet.violations"].value
 
+    def test_progress_reports_each_shard_once(self):
+        seen = []
+        report = run_fleet(SPEC, shards=3, progress=seen.append)
+        assert sorted(result.shard_index for result in seen) == [0, 1, 2]
+        assert report.aggregate_digest() == \
+            run_fleet(SPEC, shards=1).aggregate_digest()
+
     def test_nonpositive_shards_run_in_process(self, monkeypatch):
         # The CLI rejects --shards < 1; the API keeps treating any
         # shards <= 1 as one in-process shard.
-        def no_pool(*args):
+        def no_pool(*args, **kwargs):
             raise AssertionError("started a process pool")
 
-        monkeypatch.setattr("repro.fleet.service._run_sharded", no_pool)
+        monkeypatch.setattr("repro.core.pool.ProcessPoolExecutor", no_pool)
         spec = FleetSpec(devices=20, seed=4)
         expected = run_fleet(spec, shards=1).aggregate_digest()
         for shards in (0, -2):
