@@ -82,10 +82,12 @@ class CostEntry:
 
     @staticmethod
     def from_dict(data: Dict[str, object]) -> "CostEntry":
-        return CostEntry(mean_pj=float(data["mean_pj"]),
-                         rel_std=float(data.get("rel_std", 0.15)),
-                         samples=[float(v)
-                                  for v in data.get("samples", [])])
+        if not isinstance(data, dict) or "mean_pj" not in data:
+            raise ValueError(f"entry {data!r} has no 'mean_pj'")
+        samples = _field(data.get("samples"), list, "'samples'")
+        return CostEntry(mean_pj=_number(float, data["mean_pj"]),
+                         rel_std=_number(float, data.get("rel_std", 0.15)),
+                         samples=[_number(float, v) for v in samples])
 
 
 #: Cost keys every table must price.  ``check.*`` keys are the paper's
@@ -179,25 +181,28 @@ class CostModel:
         """Fold a ``repro profile --json --energy`` payload into the
         table: each label with measured joules and an execution count
         contributes one pJ/exec sample to its resolved key.  Returns
-        the number of samples absorbed."""
-        energy = profile_payload.get("energy_by_label") or {}
-        profile = profile_payload.get("profile") or {}
-        labels = profile.get("labels") or profile_payload.get("labels") \
-            or {}
-        absorbed = 0
+        the number of samples absorbed.  A wrong-shape payload raises
+        :class:`ValueError` before the table changes."""
+        energy = _field(profile_payload.get("energy_by_label"), dict,
+                        "'energy_by_label'")
+        profile = _field(profile_payload.get("profile"), dict, "'profile'")
+        labels = (_field(profile.get("labels"), dict, "'profile.labels'")
+                  or _field(profile_payload.get("labels"), dict,
+                            "'labels'"))
+        samples = []
         for label, joules in sorted(energy.items()):
-            stats = labels.get(label) or {}
-            count = int(stats.get("count", 0))
+            stats = _field(labels.get(label), dict, f"label {label!r}")
+            count = _number(int, stats.get("count", 0))
             if count <= 0 or not isinstance(joules, (int, float)):
                 continue
-            key = self.resolve_key(label)
-            entry = self.entries[key]
-            entry.samples.append(float(joules) / count / PJ_TO_J)
-            absorbed += 1
+            samples.append((self.resolve_key(label),
+                            float(joules) / count / PJ_TO_J))
+        for key, sample in samples:
+            self.entries[key].samples.append(sample)
         for entry in self.entries.values():
             if entry.samples:
                 entry.mean_pj = sum(entry.samples) / len(entry.samples)
-        return absorbed
+        return len(samples)
 
     # -- serialization -------------------------------------------------
 
@@ -210,7 +215,8 @@ class CostModel:
     @staticmethod
     def from_dict(data: Dict[str, object]) -> "CostModel":
         entries = {key: CostEntry.from_dict(value)
-                   for key, value in data.get("entries", {}).items()}
+                   for key, value in _field(data.get("entries"), dict,
+                                            "'entries'").items()}
         if "default" not in entries:
             raise EntError("cost model is missing the 'default' entry")
         return CostModel(str(data.get("arch", "custom")), entries)
@@ -222,21 +228,41 @@ class CostModel:
 
     @staticmethod
     def load(path: str) -> "CostModel":
-        return CostModel.from_dict(read_json_object(path, "a cost model"))
+        return read_json_object(path, "a cost model", CostModel.from_dict)
 
 
-def read_json_object(path: str, what: str) -> Dict[str, object]:
-    """The JSON object stored in ``path``; an :class:`EntError` naming
-    the file and ``what`` it should hold when it holds anything else."""
+def read_json_object(path: str, what: str, parse):
+    """``parse`` of the JSON object stored in ``path``; an
+    :class:`EntError` naming the file and ``what`` it should hold when
+    it holds anything else: not UTF-8 JSON, not an object, or an object
+    ``parse`` rejects with a :class:`ValueError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        if not isinstance(data, dict):
+            raise ValueError(f"a JSON {type(data).__name__}, "
+                             f"not an object")
+        return parse(data)
+    except ValueError as exc:
         raise EntError(f"{path}: not {what} ({exc})") from None
-    if not isinstance(data, dict):
-        raise EntError(f"{path}: not {what} (a JSON "
-                       f"{type(data).__name__}, not an object)")
-    return data
+
+
+def _field(value: object, kind: type, what: str):
+    """A JSON object (``dict``) or array (``list``) field; empty when
+    absent."""
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} is {value!r}, not a {kind.__name__}")
+    return value
+
+
+def _number(convert, value: object):
+    """``convert(value)`` (``int`` or ``float``) or a ValueError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{value!r} is not a number") from None
 
 
 def builtin_model(arch: str = DEFAULT_ARCH) -> CostModel:

@@ -52,6 +52,9 @@ sharded across worker processes (docs/FLEET.md).  Aggregates are
 bit-identical for any ``--shards`` value; ``--metrics-out`` exports
 them in Prometheus text format.
 
+Output paths (``--trace``, ``--out``, ``--metrics-out``) are opened
+before the work, so a path that cannot be written fails at once.
+
 ``run`` observability options (see ``docs/OBSERVABILITY.md``):
 
     --trace PATH            record a trace of the run to PATH
@@ -89,6 +92,7 @@ from repro.lang.lexer import tokenize
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
 from repro.lang.typechecker import check_program
+from repro.obs.export import opened
 
 
 def bounded_float(lo: float, hi: float = math.inf, *,
@@ -130,8 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="typecheck a program")
     check.add_argument("file")
-    check.add_argument("--lenient-mcase", action="store_true",
-                       help="do not require full mode-case coverage")
 
     run = sub.add_parser("run", help="typecheck and run a program")
     run.add_argument("file")
@@ -166,7 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--stats", action="store_true",
                      help="print run statistics as JSON on stderr")
-    run.add_argument("--lenient-mcase", action="store_true")
     run.add_argument("--no-elide", action="store_true",
                      help="run every dynamic check (skip the "
                           "repro.analysis elision planner)")
@@ -193,8 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--embedded", action="store_true",
                          help="treat FILE as Python using the embedded "
                               "API and run the runtime linter instead")
-    analyze.add_argument("--lenient-mcase", action="store_true",
-                         help="do not require full mode-case coverage")
 
     obs = sub.add_parser(
         "obs", help="observability: analyse and convert traces")
@@ -256,7 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          default=1.0,
                          help="initial battery fraction (with --system)")
     profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--lenient-mcase", action="store_true")
     profile.add_argument("--no-elide", action="store_true",
                          help="run every dynamic check (also skips the "
                               "static-vs-observed diff)")
@@ -323,8 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     disasm.add_argument("--no-elide", action="store_true",
                         help="show the bytecode with every dynamic "
                              "check (skip the elision planner)")
-    disasm.add_argument("--lenient-mcase", action="store_true",
-                        help="do not require full mode-case coverage")
     disasm.add_argument("--jit", action="store_true",
                         help="run the program under --engine jit, then "
                              "print the specialized Python source the "
@@ -398,23 +394,35 @@ def _read(path: str) -> str:
                        f"{exc.start})") from None
 
 
+def _platform(system: Optional[str], args):
+    """The simulator for ``--system`` (``None`` without one)."""
+    if system is None:
+        return None
+    from repro.platform.systems import make_platform
+    return make_platform(system, seed=args.seed,
+                         battery_fraction=args.battery)
+
+
+def _run_program(interp, args) -> int:
+    """Run ``main``; status 3 on an uncaught ``EnergyException``."""
+    try:
+        interp.run(args.args)
+    except EnergyException as exc:
+        print(f"EnergyException: {exc}", file=sys.stderr)
+        return 3
+    return 0
+
+
 def _cmd_check(args) -> int:
-    source = _read(args.file)
-    check_program(source,
-                  strict_mcase_coverage=not args.lenient_mcase)
+    check_program(_read(args.file))
     print(f"{args.file}: OK")
     return 0
 
 
 def _cmd_run(args) -> int:
     source = _read(args.file)
-    checked = check_program(source,
-                            strict_mcase_coverage=not args.lenient_mcase)
-    platform = None
-    if args.system is not None:
-        from repro.platform.systems import make_platform
-        platform = make_platform(args.system, seed=args.seed,
-                                 battery_fraction=args.battery)
+    checked = check_program(source)
+    platform = _platform(args.system, args)
     tracer = None
     if args.trace is not None:
         from repro.obs.tracer import Tracer
@@ -431,21 +439,17 @@ def _cmd_run(args) -> int:
                             checks=args.checks)
     interp = Interpreter(checked, platform=platform, options=options,
                          seed=args.seed, tracer=tracer)
-    status = 0
-    try:
-        interp.run(args.args)
-    except EnergyException as exc:
-        print(f"EnergyException: {exc}", file=sys.stderr)
-        status = 3
-    for line in interp.output:
-        print(line)
-    if tracer is not None:
-        from repro.obs.export import write_trace
-        count = write_trace(tracer.events(), args.trace,
-                            fmt=args.trace_format)
-        print(f"[trace: {count} events -> {args.trace} "
-              f"({args.trace_format}, {tracer.dropped} dropped)]",
-              file=sys.stderr)
+    with opened(args.trace) as trace_out:
+        status = _run_program(interp, args)
+        for line in interp.output:
+            print(line)
+        if tracer is not None:
+            from repro.obs.export import write_trace
+            count = write_trace(tracer.events(), trace_out,
+                                fmt=args.trace_format)
+            print(f"[trace: {count} events -> {args.trace} "
+                  f"({args.trace_format}, {tracer.dropped} dropped)]",
+                  file=sys.stderr)
     if args.stats:
         payload = interp.stats.as_dict()
         if platform is not None:
@@ -466,9 +470,7 @@ def _cmd_analyze(args) -> int:
         return _analyze_embedded(args)
     from repro.analysis import analyze_program
 
-    checked = check_program(
-        _read(args.file),
-        strict_mcase_coverage=not args.lenient_mcase)
+    checked = check_program(_read(args.file))
     report = analyze_program(checked, file=args.file,
                              fuel=args.fuel)
     if args.json:
@@ -512,18 +514,13 @@ def _cmd_profile(args) -> int:
         render_profile, write_profile
 
     source = _read(args.file)
-    checked = check_program(source,
-                            strict_mcase_coverage=not args.lenient_mcase)
+    checked = check_program(source)
     system = args.system
     if args.energy and system is None:
         system = "A"
         print("[profile: --energy needs a platform; using --system A]",
               file=sys.stderr)
-    platform = None
-    if system is not None:
-        from repro.platform.systems import make_platform
-        platform = make_platform(system, seed=args.seed,
-                                 battery_fraction=args.battery)
+    platform = _platform(system, args)
     tracer = None
     if args.energy:
         from repro.obs.tracer import Tracer
@@ -540,13 +537,13 @@ def _cmd_profile(args) -> int:
                             checks=args.check_mode)
     interp = Interpreter(checked, platform=platform, options=options,
                          seed=args.seed, tracer=tracer, profiler=profiler)
-    status = 0
-    try:
-        interp.run(args.args)
-    except EnergyException as exc:
-        print(f"EnergyException: {exc}", file=sys.stderr)
-        status = 3
-    profile = profiler.profile
+    with opened(args.out) as profile_out:
+        status = _run_program(interp, args)
+        profile = profiler.profile
+        if profile_out is not None:
+            write_profile(profile, profile_out, fmt=args.format)
+            print(f"[profile -> {args.out} ({args.format})]",
+                  file=sys.stderr)
     energy = None
     intervals = None
     if args.energy and tracer is not None:
@@ -560,10 +557,6 @@ def _cmd_profile(args) -> int:
     if report is not None:
         from repro.analysis import static_vs_observed
         diff = static_vs_observed(report, profile)
-    if args.out is not None:
-        write_profile(profile, args.out, fmt=args.format)
-        print(f"[profile -> {args.out} ({args.format})]",
-              file=sys.stderr)
     if args.json:
         payload = {"file": args.file, "profile": profile.as_dict()}
         if energy is not None:
@@ -610,8 +603,8 @@ def _cmd_advise(args) -> int:
     else:
         model = builtin_model(args.arch)
     for path in (args.calibrate_from or []):
-        absorbed = model.calibrate(
-            read_json_object(path, "a profile payload"))
+        absorbed = read_json_object(path, "a profile payload",
+                                    model.calibrate)
         print(f"[advise: calibrated {absorbed} label(s) from {path}]",
               file=sys.stderr)
     batteries = tuple(args.battery) if args.battery else (1.0,)
@@ -627,13 +620,13 @@ def _cmd_advise(args) -> int:
         program_args=tuple(args.args))
     if args.fuel is not None:
         config.fuel = args.fuel
-    result = advise_source(source, file=args.file, config=config,
-                           model=model)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(result.to_json())
-            handle.write("\n")
-        print(f"[advise -> {args.out} (json)]", file=sys.stderr)
+    with opened(args.out) as advise_out:
+        result = advise_source(source, file=args.file, config=config,
+                               model=model)
+        if advise_out is not None:
+            advise_out.write(result.to_json())
+            advise_out.write("\n")
+            print(f"[advise -> {args.out} (json)]", file=sys.stderr)
     if args.json:
         print(result.to_json())
     else:
@@ -679,8 +672,7 @@ def _cmd_disasm(args) -> int:
     from repro.lang.bytecode import disassemble
 
     source = _read(args.file)
-    checked = check_program(source,
-                            strict_mcase_coverage=not args.lenient_mcase)
+    checked = check_program(source)
     if not args.no_elide:
         from repro.analysis import plan_elisions
         plan_elisions(checked)
@@ -768,14 +760,14 @@ def _cmd_fleet(args) -> int:
             print(f"[fleet: shard {result.shard_index} done — "
                   f"{result.devices} devices in {result.seconds:.3f}s "
                   f"({rate:,.0f}/s)]", file=sys.stderr)
-    report = run_fleet(spec, shards=args.shards, engine=args.engine,
-                       progress=progress)
-    if args.metrics_out is not None:
-        from repro.obs.export import render_prometheus
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(render_prometheus(report.registry))
-        print(f"[fleet: metrics -> {args.metrics_out} (prometheus)]",
-              file=sys.stderr)
+    with opened(args.metrics_out) as metrics_out:
+        report = run_fleet(spec, shards=args.shards, engine=args.engine,
+                           progress=progress)
+        if metrics_out is not None:
+            from repro.obs.export import render_prometheus
+            metrics_out.write(render_prometheus(report.registry))
+            print(f"[fleet: metrics -> {args.metrics_out} (prometheus)]",
+                  file=sys.stderr)
     if args.digest:
         print(json.dumps(report.aggregate_digest(), sort_keys=True))
     elif args.json:

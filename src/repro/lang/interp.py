@@ -15,6 +15,8 @@ behaviour:
 * **dfall** — the dynamic waterfall invariant is asserted on every
   message; for well-typed programs this never fails (Corollary 1), and
   the interpreter exposes an ``on_message`` hook so tests can verify it.
+  Both checks run in :mod:`repro.core.checks`, shared with the
+  embedded runtime.
 * **Mode cases** — eliminated implicitly against the enclosing object's
   mode, or explicitly via ``mselect``.
 
@@ -39,8 +41,8 @@ Hot-path engineering (all behaviour-transparent; see
   purpose is letting the transparency test suite assert that outputs,
   stats and exceptions are identical either way;
 * every dfall verdict and bound check is one probe of the mode
-  lattice's precomputed upward closure (``ModeLattice.up``), the same
-  table the VM, the JIT and the embedded runtime read;
+  lattice's precomputed upward closure (``ModeLattice.up``), in the
+  kernel and in the inline passing-check probes alike;
 * mode-case elimination threads the owning object's mode through the
   interpreter (``_elim_owner``) instead of stashing it on the shared
   AST node, so concurrent interpreters over one ``CheckedProgram``
@@ -54,18 +56,18 @@ from dataclasses import dataclass, field
 from dataclasses import fields as field_list
 from typing import Callable, Dict, List, Optional
 
+from repro.core.checks import check_bound, check_dfall
 from repro.core.errors import (BadCastError, EnergyException,
                                EntRuntimeError, FuelExhausted, StuckError)
 from repro.core.modes import BOTTOM, TOP, Mode, ModeLattice
-from repro.obs.events import (AttributorEvent, DfallCheckEvent,
-                              MCaseElimEvent, SnapshotEvent, mode_name)
+from repro.obs.events import AttributorEvent, MCaseElimEvent, mode_name
 from repro.obs.prof import NULL_PROFILER, site_id
 from repro.obs.tracer import NULL_TRACER, attach_platform
 from repro.lang import ast_nodes as ast
 from repro.lang import types as ty
 from repro.lang.engines import resolve_engine
-from repro.lang.natives import (NATIVE_STATIC_CLASSES, call_list_method,
-                                call_native_static, call_string_method)
+from repro.lang.natives import (NATIVE_STATIC_CLASSES, NativeRef,
+                                call_non_object)
 from repro.lang.typechecker import CheckedProgram
 from repro.lang.types import DYN, ClassInfo, MethodInfo, ModeAtom, ObjectType
 from repro.lang.values import MCaseV, ObjectV
@@ -194,18 +196,6 @@ class InterpStats:
 #: ``return`` of any value (including ``None``) — attributor error
 #: messages depend on the difference.
 _NO_RETURN = object()
-
-
-class _NativeRef:
-    """A reference to a native static class (``Ext``, ``Sys``, ``Math``)."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __repr__(self) -> str:
-        return f"<native {self.name}>"
 
 
 class _BreakSignal(Exception):
@@ -694,24 +684,10 @@ class Interpreter:
         else:
             guard = receiver.effective_mode
             closure = guard if guard is not None else frame.current_mode
-        if elide_dfall and not self_call and self._elide_on:
-            # The planner proved this check always holds (see
-            # docs/ANALYSIS.md); skip it but keep the count so the
-            # transparency suite can fold executed + elided together.
-            self.stats.dfall_elided += 1
-            if self.profiler.enabled:
-                self.profiler.check_elided("dfall", span)
-            if self.tracer.enabled and guard is not None:
-                sender_mode = (frame.current_mode
-                               if frame.current_mode is not None else TOP)
-                self.tracer.emit(DfallCheckEvent(
-                    ts=self.tracer.now(), cls=receiver.class_info.name,
-                    method=minfo.name, receiver_mode=guard.name,
-                    sender_mode=sender_mode.name, holds=True,
-                    source="interp", elided=True))
-        else:
-            self._check_dfall(guard, frame.current_mode, self_call,
-                              receiver, minfo, span)
+        # A check the planner proved (docs/ANALYSIS.md) is skipped but
+        # counted, so executed + elided is invariant under elision.
+        self._check_dfall(guard, frame.current_mode, self_call, receiver,
+                          minfo, span, elide_dfall and self._elide_on)
         traced = (self.tracer.enabled
                   and closure is not frame.current_mode)
         if traced:
@@ -782,59 +758,23 @@ class Interpreter:
 
     def _check_dfall(self, guard: Optional[Mode],
                      sender: Optional[Mode], self_call: bool,
-                     receiver: ObjectV, minfo: MethodInfo, span) -> None:
-        """The dynamic waterfall invariant ``dfall(o, m)``: one probe of
-        the lattice's upward closure, in either check mode."""
-        if self.options.baseline:
+                     receiver: ObjectV, minfo: MethodInfo, span,
+                     elided: bool = False) -> None:
+        """The dynamic waterfall invariant ``dfall(o, m)``, in either
+        check mode (an object may always message itself)."""
+        if self.options.baseline or self_call:
             return
-        if self_call:
-            # Internal view: an object may always message itself.
-            return
-        self.stats.dfall_checks += 1
-        if self.profiler.enabled:
-            self.profiler.check("dfall", span, sender)
-        if guard is None:
-            if self.options.silent:
-                return
+        silent = self.options.silent
+        check_dfall(self, guard, sender, receiver.class_info.name,
+                    minfo.name, minfo.owner, span, source="interp",
+                    silent=silent, transient=self._transient,
+                    provenance=receiver.provenance, hook=self.on_message,
+                    elided=elided)
+        if guard is None and not silent and not elided:
             raise StuckError(
                 f"messaging un-snapshotted dynamic object "
                 f"{receiver!r} (method {minfo.name}); a well-typed "
                 f"program cannot reach this state")
-        sender_mode = sender if sender is not None else TOP
-        if self._transient:
-            self.stats.shallow_checks += 1
-        holds = sender_mode in self.lattice.up[guard]
-        if self.tracer.enabled:
-            self.tracer.emit(DfallCheckEvent(
-                ts=self.tracer.now(), cls=receiver.class_info.name,
-                method=minfo.name, receiver_mode=guard.name,
-                sender_mode=sender_mode.name, holds=holds,
-                source="interp"))
-        if self.on_message is not None:
-            self.on_message(guard, sender_mode, holds)
-        if not holds and not self.options.silent:
-            self.stats.energy_exceptions += 1
-            message = (f"waterfall invariant violated: receiver mode "
-                       f"{guard.name} > sender mode {sender_mode.name} "
-                       f"(method {minfo.owner}.{minfo.name})")
-            if self._transient:
-                message += self._blame("dfall", span,
-                                       receiver.provenance)
-            if self.tracer.enabled:
-                self.tracer.energy_exception(message, mode=guard,
-                                             upper=sender_mode,
-                                             source="interp")
-            raise EnergyException(message, mode=guard, upper=sender_mode)
-
-    def _blame(self, kind: str, span,
-               provenance: Optional[str]) -> str:
-        """Transient-mode failure suffix: the failing check site plus
-        the provenance of the snapshot/cast that produced the value.
-        Appended to the full-mode message, so full and transient agree
-        up to this bracketed suffix."""
-        where = site_id(kind, span)
-        blame = provenance if provenance is not None else "construction"
-        return f" [transient: site {where}; blame {blame}]"
 
     def _eval_method_attributor(self, receiver: ObjectV,
                                 minfo: MethodInfo,
@@ -1223,7 +1163,7 @@ class Interpreter:
             if mode is not None:
                 return mode
         elif kind == "native":
-            return _NativeRef(name)
+            return NativeRef(name)
         return self._eval_var_generic(name, frame)
 
     def _eval_var_generic(self, name: str, frame: _Frame) -> object:
@@ -1242,7 +1182,7 @@ class Interpreter:
         if mode is not None:
             return mode
         if name in NATIVE_STATIC_CLASSES:
-            return _NativeRef(name)
+            return NativeRef(name)
         raise StuckError(f"unknown variable {name!r}")
 
     def _eval_field_access(self, expr: ast.FieldAccess,
@@ -1291,16 +1231,7 @@ class Interpreter:
                                 self_call=self_call, span=expr.span,
                                 elide_dfall=expr.elide_dfall)
         args = [self._eval(a, frame) for a in expr.args]
-        if isinstance(receiver, _NativeRef):
-            return call_native_static(self, receiver.name, expr.name, args)
-        if isinstance(receiver, str):
-            return call_string_method(self, receiver, expr.name, args)
-        if isinstance(receiver, list):
-            return call_list_method(self, receiver, expr.name, args)
-        if receiver is None:
-            raise StuckError(
-                f"null receiver for method {expr.name!r}")
-        raise StuckError(f"cannot invoke {expr.name!r} on {receiver!r}")
+        return call_non_object(self, receiver, expr.name, args)
 
     def _eval_new(self, expr: ast.New, frame: _Frame,
                   want_mcase) -> object:
@@ -1425,65 +1356,20 @@ class Interpreter:
                 if first.var is not None:
                     value.mode_env[first.var] = mode
                 return value
-        elided = elide_bound and self._elide_on
-        if elided:
-            # The planner proved the bound check vacuous or entailed by
-            # the attributor's possible modes (see docs/ANALYSIS.md);
-            # the bounds are then always concrete, so resolution is only
-            # needed when something observes them.
-            self.stats.bound_checks_elided += 1
-            if self.profiler.enabled:
-                self.profiler.check_elided("snapshot_bound", span)
-            if shallow:
-                # Nothing to observe: no attributor ran, the tag stays.
-                return value
-            ok = True
-            if traced or self.on_snapshot is not None:
-                lower = self._resolve_atom(bounds[0], frame)
-                upper = self._resolve_atom(bounds[1], frame)
-                lower = lower if lower is not None else BOTTOM
-                upper = upper if upper is not None else TOP
-            else:
-                lower, upper = BOTTOM, TOP
-        else:
-            lower = self._resolve_atom(bounds[0], frame)
-            upper = self._resolve_atom(bounds[1], frame)
-            # An unresolvable bound variable degrades to the loosest
-            # bound.
-            lower = lower if lower is not None else BOTTOM
-            upper = upper if upper is not None else TOP
-            self.stats.bound_checks += 1
-            if shallow:
-                self.stats.shallow_checks += 1
-            if self.profiler.enabled:
-                self.profiler.check("snapshot_bound", span,
-                                    frame.current_mode)
-            up = self.lattice.up
-            ok = mode in up[lower] and upper in up[mode]
-        if traced:
-            self.tracer.emit(SnapshotEvent(
-                ts=self.tracer.now(), cls=value.class_info.name,
-                mode=mode.name, lower=lower.name, upper=upper.name, ok=ok,
-                lazy=ok and self.options.lazy_copy and not value.is_snapshot,
-                source="interp", bound_elided=elided))
-        if self.on_snapshot is not None:
-            self.on_snapshot(value, mode, lower, upper, ok)
-        if not ok and not self.options.silent:
-            self.stats.energy_exceptions += 1
-            message = (f"bad check: attributor of "
-                       f"{value.class_info.name} returned {mode.name}, "
-                       f"outside [{lower.name}, {upper.name}]")
-            if self._transient:
-                # Deep and shallow checks both name their site in
-                # transient mode, plus the tag's provenance.
-                message += self._blame("snapshot_bound", span,
-                                       value.provenance)
-            if traced:
-                self.tracer.energy_exception(message, mode=mode,
-                                             lower=lower, upper=upper,
-                                             source="interp")
-            raise EnergyException(message, mode=mode, lower=lower,
-                                  upper=upper)
+        lower = self._resolve_atom(bounds[0], frame)
+        upper = self._resolve_atom(bounds[1], frame)
+        # An unresolvable bound variable degrades to the loosest bound.
+        lower = lower if lower is not None else BOTTOM
+        upper = upper if upper is not None else TOP
+        # A bound the planner proved (docs/ANALYSIS.md) is counted as
+        # elided, not checked.
+        check_bound(self, value, value.class_info.name, mode, lower, upper,
+                    span, frame.current_mode,
+                    fresh=self.options.lazy_copy and not value.is_snapshot,
+                    source="interp", silent=self.options.silent,
+                    shallow=shallow, transient=self._transient,
+                    provenance=value.provenance, hook=self.on_snapshot,
+                    elided=elide_bound and self._elide_on)
         if shallow:
             return value
         if traced and mode is not previous_mode:
@@ -1668,8 +1554,8 @@ _STMT_DISPATCH = {
 
 def run_source(source: str, args: Optional[List[str]] = None,
                platform=None, options: Optional[InterpOptions] = None,
-               seed: int = 0, strict_mcase_coverage: bool = True,
-               tracer=None, elide: bool = False, profiler=None):
+               seed: int = 0, tracer=None, elide: bool = False,
+               profiler=None):
     """Parse, typecheck and run an ENT program; returns the interpreter
     (inspect ``.output``, ``.stats``, and the returned value).
 
@@ -1678,8 +1564,7 @@ def run_source(source: str, args: Optional[List[str]] = None,
     skipped (subject to ``options.elide_checks``)."""
     from repro.lang.typechecker import check_program
 
-    checked = check_program(source,
-                            strict_mcase_coverage=strict_mcase_coverage)
+    checked = check_program(source)
     if elide:
         from repro.analysis import plan_elisions
         plan_elisions(checked)

@@ -19,8 +19,9 @@ emitted code:
   ``CALL_NODFALL`` site emits a bare ``dfall_elided`` counter bump (the
   engine-invariant accounting), a ``CALL_DFALL``/``CALL_SHALLOW`` site
   emits the inlined waterfall probe of the lattice's upward closure
-  (``ModeLattice.up``) with the full :meth:`Interpreter._check_dfall`
-  fallback, and ``SNAPSHOT``/``SNAPSHOT_ELIDE`` keep their helper calls.
+  (``ModeLattice.up``) with the check kernel's fallback through
+  :meth:`Interpreter._check_dfall`, and ``SNAPSHOT``/``SNAPSHOT_ELIDE``
+  keep their helper calls.
 * **Deopt guards**: when a specialization assumption breaks (the
   receiver's class changed under a hot site), the emitted code falls
   back to :meth:`VM._site_send` — the generic send with the dispatch
@@ -305,9 +306,7 @@ class _Emitter:
 
     def _bind_runtime(self) -> None:
         from repro.lang import interp as interp_mod
-        from repro.lang.natives import (call_list_method,
-                                        call_native_static,
-                                        call_string_method)
+        from repro.lang.natives import NativeRef, call_native_static
         from repro.lang.values import MCaseV as _MCaseV, ObjectV
         from repro.core.errors import (EnergyException, FuelExhausted,
                                        StuckError)
@@ -324,7 +323,7 @@ class _Emitter:
                 ("FuelExhausted", FuelExhausted),
                 ("_NO_RETURN", interp_mod._NO_RETURN),
                 ("_Frame", interp_mod._Frame),
-                ("_NativeRef", interp_mod._NativeRef),
+                ("_NativeRef", NativeRef),
                 ("_BreakSignal", interp_mod._BreakSignal),
                 ("_ContinueSignal", interp_mod._ContinueSignal),
                 ("_java_div", interp_mod._java_div),
@@ -345,8 +344,6 @@ class _Emitter:
                 ("_modes", interp._mode_by_name),
                 ("_is_sub", interp.table.is_subclass),
                 ("call_native_static", call_native_static),
-                ("call_string_method", call_string_method),
-                ("call_list_method", call_list_method),
         ):
             self.bind(obj, name)
 

@@ -23,20 +23,35 @@ from __future__ import annotations
 import math
 from typing import List as PyList, Optional, Sequence
 
-from repro.core.errors import EntRuntimeError
+from repro.core.errors import EntRuntimeError, StuckError
 from repro.lang import types as ty
 from repro.lang.types import Type
 
 __all__ = [
     "NATIVE_STATIC_CLASSES",
+    "NativeRef",
     "native_static_return",
     "native_value_method_return",
     "call_native_static",
     "call_list_method",
     "call_string_method",
+    "call_non_object",
 ]
 
 NATIVE_STATIC_CLASSES = frozenset({"Ext", "Sys", "Math"})
+
+
+class NativeRef:
+    """A reference to a native static class (``Ext``, ``Sys``, ``Math``)."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return f"<native {self.name}>"
+
 
 _NUMBER = (ty.INT, ty.DOUBLE)
 
@@ -348,3 +363,19 @@ def call_string_method(interp, string: str, method: str,
         return h
     raise EntRuntimeError(
         f"unknown String method {method}")  # pragma: no cover
+
+
+def call_non_object(interp, receiver: object, method: str,
+                    args: PyList[object]) -> object:
+    """A message to a receiver that is not an ENT object (a native
+    class, a string or a list; anything else is stuck), for every
+    engine."""
+    if isinstance(receiver, NativeRef):
+        return call_native_static(interp, receiver.name, method, args)
+    if isinstance(receiver, str):
+        return call_string_method(interp, receiver, method, args)
+    if isinstance(receiver, list):
+        return call_list_method(interp, receiver, method, args)
+    if receiver is None:
+        raise StuckError(f"null receiver for method {method!r}")
+    raise StuckError(f"cannot invoke {method!r} on {receiver!r}")

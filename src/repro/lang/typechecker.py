@@ -103,10 +103,8 @@ class _Scope:
 
 
 class TypeChecker:
-    def __init__(self, program: ast.Program,
-                 strict_mcase_coverage: bool = True) -> None:
+    def __init__(self, program: ast.Program) -> None:
         self.program = program
-        self.strict_mcase_coverage = strict_mcase_coverage
         self.lattice = self._build_lattice()
         self.table = ClassTable()
         # (class name, extra param) -> base constraint set; ClassInfo
@@ -1214,7 +1212,7 @@ class TypeChecker:
         for branch, btype in zip(expr.branches, branch_types):
             self._require_assignable(btype, element, scope, branch.span,
                                      "mcase branch")
-        if self.strict_mcase_coverage and not has_default:
+        if not has_default:
             missing = self.lattice.declared_modes - seen
             if missing:
                 names = ", ".join(sorted(m.name for m in missing))
@@ -1369,14 +1367,11 @@ class TypeChecker:
         return True
 
 
-def check_program(source_or_program,
-                  strict_mcase_coverage: bool = True) -> CheckedProgram:
+def check_program(source_or_program) -> CheckedProgram:
     """Parse (if given text) and typecheck an ENT program."""
     if isinstance(source_or_program, str):
         from repro.lang.parser import parse_program
         program = parse_program(source_or_program)
     else:
         program = source_or_program
-    checker = TypeChecker(program,
-                          strict_mcase_coverage=strict_mcase_coverage)
-    return checker.check()
+    return TypeChecker(program).check()

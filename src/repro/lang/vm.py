@@ -23,10 +23,11 @@ that buy the speedup over the tree walk:
 
 Everything non-hot delegates to the interpreter's shared helpers
 (``_snapshot_value``, ``_mselect_value``, ``_construct``, ``_invoke``,
-``_binary_op``, …), so semantics, stats and error messages stay
-identical across engines.  The fast path is disabled while a tracer is
-attached (``_fast_ok``): traced runs take the general ``_invoke`` path,
-which emits the mode-transition and check events.
+``_binary_op``, the check kernel, …) and ``call_non_object``, so
+semantics, stats and error messages stay identical across engines.
+The fast path is disabled while a tracer is attached (``_fast_ok``):
+traced runs take the general ``_invoke`` path, which emits the
+mode-transition and check events.
 
 Fuel model: one step at activation entry plus one per loop iteration
 (the ``FUEL`` instruction at every ``while`` head, and ``FOREACH_ITER``
@@ -57,8 +58,8 @@ from repro.lang.bytecode import (  # noqa: F401 (re-exported for tests)
     OP_VAR_DYN, OP_VAR_DYN_ARG,
     OP_VAR_DYN_RAW, LOOP_EXIT, LoopRegion, VMCode, instrument,
     loop_back_edges, lower_body, lower_expr)
-from repro.lang.natives import (NATIVE_STATIC_CLASSES, call_list_method,
-                                call_native_static, call_string_method)
+from repro.lang.natives import (NATIVE_STATIC_CLASSES, NativeRef,
+                                call_native_static, call_non_object)
 from repro.lang.values import MCaseV, ObjectV
 from repro.obs.prof import site_id
 
@@ -227,47 +228,32 @@ class VM:
         observables are identical and deopts are rare by construction.
         """
         interp = self.interp
-        current_mode = frame.current_mode
-        if receiver.__class__ is ObjectV:
+        # A non-object receiver eliminates every mode-case argument.
+        wants, nparams = (), 0
+        is_object = receiver.__class__ is ObjectV
+        if is_object:
             entry = (site.ic.get(receiver.class_info.name)
                      or self._ic_miss(site, receiver))
             minfo, wants, _callee, _transparent = entry
             nparams = len(minfo.param_names)
-            if site.any_elim:
-                for i, v in enumerate(argv):
-                    if (v.__class__ is MCaseV
-                            and (i >= nparams or not wants[i])):
-                        mode = elim_modes[i]
-                        if mode is _SKIP_ELIM:
-                            continue
-                        argv[i] = interp._elim_with_mode(v, mode)
-            if len(argv) != nparams:
-                raise StuckError(
-                    f"method {minfo.owner}.{minfo.name} expects "
-                    f"{nparams} argument(s), got {len(argv)}")
-            value = interp._invoke(receiver, minfo, argv, frame,
-                                   self_call=self_call, span=site.span,
-                                   elide_dfall=site.elide_dfall)
-            if value.__class__ is MCaseV and not site.raw_result:
-                value = interp._elim_with_mode(value, current_mode)
-            return value
         if site.any_elim:
             for i, v in enumerate(argv):
-                if v.__class__ is MCaseV:
-                    mode = elim_modes[i]
-                    if mode is _SKIP_ELIM:
-                        continue
-                    argv[i] = interp._elim_with_mode(v, mode)
-        name = site.name
-        if isinstance(receiver, _NativeRef):
-            return call_native_static(interp, receiver.name, name, argv)
-        if isinstance(receiver, str):
-            return call_string_method(interp, receiver, name, argv)
-        if isinstance(receiver, list):
-            return call_list_method(interp, receiver, name, argv)
-        if receiver is None:
-            raise StuckError(f"null receiver for method {name!r}")
-        raise StuckError(f"cannot invoke {name!r} on {receiver!r}")
+                if (v.__class__ is MCaseV
+                        and (i >= nparams or not wants[i])
+                        and elim_modes[i] is not _SKIP_ELIM):
+                    argv[i] = interp._elim_with_mode(v, elim_modes[i])
+        if not is_object:
+            return call_non_object(interp, receiver, site.name, argv)
+        if len(argv) != nparams:
+            raise StuckError(
+                f"method {minfo.owner}.{minfo.name} expects "
+                f"{nparams} argument(s), got {len(argv)}")
+        value = interp._invoke(receiver, minfo, argv, frame,
+                               self_call=self_call, span=site.span,
+                               elide_dfall=site.elide_dfall)
+        if value.__class__ is MCaseV and not site.raw_result:
+            value = interp._elim_with_mode(value, frame.current_mode)
+        return value
 
     # ------------------------------------------------------------------
     # The dispatch loop
@@ -492,24 +478,8 @@ class VM:
                                         argv[i] = interp._elim_with_mode(
                                             v, regs[e] if e >= 0
                                             else current_mode)
-                            name = site.name
-                            if isinstance(receiver, _NativeRef):
-                                value = call_native_static(
-                                    interp, receiver.name, name, argv)
-                            elif isinstance(receiver, str):
-                                value = call_string_method(
-                                    interp, receiver, name, argv)
-                            elif isinstance(receiver, list):
-                                value = call_list_method(
-                                    interp, receiver, name, argv)
-                            elif receiver is None:
-                                raise StuckError(
-                                    f"null receiver for method {name!r}")
-                            else:
-                                raise StuckError(
-                                    f"cannot invoke {name!r} on "
-                                    f"{receiver!r}")
-                            regs[inst[1]] = value
+                            regs[inst[1]] = call_non_object(
+                                interp, receiver, site.name, argv)
                     elif op == OP_INC:
                         v = regs[inst[1]]
                         t = type(v)
@@ -761,7 +731,7 @@ class VM:
                                 v = interp._mode_by_name.get(name)
                                 if v is None:
                                     if name in NATIVE_STATIC_CLASSES:
-                                        v = _NativeRef(name)
+                                        v = NativeRef(name)
                                     else:
                                         raise StuckError(
                                             f"unknown variable {name!r}")
@@ -857,7 +827,7 @@ class VM:
                     elif op == OP_LOAD_THIS:
                         regs[inst[1]] = this_obj
                     elif op == OP_LOAD_NATIVE:
-                        regs[inst[1]] = _NativeRef(inst[2])
+                        regs[inst[1]] = NativeRef(inst[2])
                     elif op == OP_CALL_NATIVE:
                         cls_name, method = inst[2]
                         argv = [regs[r] for r in inst[3]]
@@ -1073,7 +1043,6 @@ def _bind_interp_names():
 
     globals().update({
         "_Frame": _interp_mod._Frame,
-        "_NativeRef": _interp_mod._NativeRef,
         "_BreakSignal": _interp_mod._BreakSignal,
         "_ContinueSignal": _interp_mod._ContinueSignal,
         "_NO_RETURN": _interp_mod._NO_RETURN,

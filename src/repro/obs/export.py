@@ -12,6 +12,7 @@ Timestamps are converted from seconds to the format's microseconds.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from typing import Dict, IO, Iterable, List, Sequence, Union
@@ -39,43 +40,40 @@ _THREAD_NAMES = {
 _PLATFORM_KINDS = frozenset({"platform_read", "meter_sample"})
 
 
-def _open_target(target: Union[str, "os.PathLike[str]", IO[str]],
-                 mode: str = "w"):
+@contextlib.contextmanager
+def opened(target: Union[str, "os.PathLike[str]", IO[str], None],
+           mode: str = "w"):
+    """A path opened as UTF-8 text for the block (then closed); an open
+    handle, or ``None``, as it is."""
     if isinstance(target, (str, os.PathLike)):
-        return open(target, mode, encoding="utf-8"), True
-    return target, False
+        with open(target, mode, encoding="utf-8") as handle:
+            yield handle
+    else:
+        yield target
 
 
 def write_jsonl(events: Iterable[TraceEvent],
                 target: Union[str, IO[str]]) -> int:
     """Write events as JSON Lines; returns the number written."""
-    handle, owned = _open_target(target)
     count = 0
-    try:
+    with opened(target) as handle:
         for event in events:
             handle.write(json.dumps(event.as_dict(),
                                     separators=(",", ":")))
             handle.write("\n")
             count += 1
-    finally:
-        if owned:
-            handle.close()
     return count
 
 
 def read_jsonl(target: Union[str, IO[str]]) -> List[TraceEvent]:
     """Read a JSONL trace back into typed event objects."""
-    handle, owned = _open_target(target, "r")
-    try:
-        events = []
+    events = []
+    with opened(target, "r") as handle:
         for line in handle:
             line = line.strip()
             if line:
                 events.append(event_from_dict(json.loads(line)))
-        return events
-    finally:
-        if owned:
-            handle.close()
+    return events
 
 
 def _instant(event: TraceEvent, tid: int) -> Dict[str, object]:
@@ -116,13 +114,9 @@ def chrome_trace(events: Sequence[TraceEvent]) -> Dict[str, object]:
 def write_chrome_trace(events: Sequence[TraceEvent],
                        target: Union[str, IO[str]]) -> int:
     """Write a Chrome/Perfetto trace file; returns events written."""
-    handle, owned = _open_target(target)
-    try:
+    with opened(target) as handle:
         json.dump(chrome_trace(events), handle)
         handle.write("\n")
-    finally:
-        if owned:
-            handle.close()
     return len(events)
 
 

@@ -15,8 +15,8 @@ embedded runtime; what differs is only the label vocabulary:
   disabled exactly as it is under tracing), so call counts, call
   stacks (``a;b;c`` flamegraph keys) and per-call-site inline-cache
   counters are engine-invariant;
-* the shared check helpers bump ``check.<site-id>`` so individual
-  dfall / snapshot-bound sites get counts, time, *and* energy.
+* the check kernel bumps ``check.<site-id>`` so individual dfall /
+  snapshot-bound sites get counts, time, *and* energy.
 
 **Attribution mechanism.**  The profiler keeps one pending label; each
 ``bump`` stamps the monotonic clock, attributes the elapsed interval
@@ -31,10 +31,10 @@ partition wall time.
 a node's source span — the same coordinates
 :class:`repro.analysis.obligations.CheckSite` records, which is what
 lets :func:`repro.analysis.report.static_vs_observed` join predicted
-and observed checks exactly.  Spanless contexts (the boot invocation,
-embedded-runtime checks) get symbolic ids (``dfall@?``,
-``dfall@Class.method``) that the diff treats as unlocatable rather
-than as violations.
+and observed checks exactly.  Spanless contexts get symbolic ids that
+the diff treats as unlocatable rather than as violations: the boot
+invocation (``dfall@?``), and embedded-runtime checks, whose site is a
+string (``Class.method``, rendered ``dfall@Class.method``).
 
 **Merging.**  :class:`Profile` is picklable and
 :meth:`Profile.merge` is commutative keyed aggregation
@@ -51,11 +51,11 @@ See ``docs/PROFILING.md``.
 from __future__ import annotations
 
 import json
-import os
 from time import perf_counter
 from typing import Dict, IO, List, Optional, Tuple, Union
 
 from repro.obs.events import mode_name
+from repro.obs.export import opened
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["site_id", "ic_class", "Profile", "Profiler", "NullProfiler",
@@ -69,16 +69,20 @@ ROOT = "(root)"
 PROFILE_FORMATS = ("text", "json", "collapsed", "chrome")
 
 
-def site_id(kind: str, span) -> str:
+def site_id(kind: str, site) -> str:
     """``<kind>@<line>:<column>`` — the analysis planner's coordinates.
 
-    A missing span (or one with no line) yields ``<kind>@?``: the boot
-    invocation of ``Main.main`` has no call site in the source.
+    A string ``site`` is symbolic (``Class.method`` for an embedded
+    check, which has no span).  A missing span (or one with no line)
+    yields ``<kind>@?``: the boot invocation of ``Main.main`` has no
+    call site in the source.
     """
-    line = getattr(span, "line", None)
+    if isinstance(site, str):
+        return f"{kind}@{site}"
+    line = getattr(site, "line", None)
     if line is None:
         return f"{kind}@?"
-    return f"{kind}@{line}:{getattr(span, 'column', None)}"
+    return f"{kind}@{line}:{getattr(site, 'column', None)}"
 
 
 def ic_class(entries: int) -> str:
@@ -228,16 +232,10 @@ class NullProfiler:
     def ic_miss(self, sid: str, name: str, entries: int) -> None:
         pass
 
-    def check(self, kind: str, span, mode=None) -> None:
+    def check(self, kind: str, site, mode=None) -> None:
         pass
 
-    def check_id(self, sid: str, kind: str, mode=None) -> None:
-        pass
-
-    def check_elided(self, kind: str, span) -> None:
-        pass
-
-    def check_elided_id(self, sid: str, kind: str) -> None:
+    def check_elided(self, kind: str, site) -> None:
         pass
 
     def finish(self) -> None:
@@ -331,28 +329,22 @@ class Profiler:
         if entries > entry["ic_entries"]:
             entry["ic_entries"] = entries
 
-    def check_id(self, sid: str, kind: str, mode=None) -> None:
+    def _check_site(self, kind: str, site) -> Tuple[str, Dict]:
+        sid = site_id(kind, site)
         sites = self.profile.check_sites
         entry = sites.get(sid)
         if entry is None:
             entry = sites[sid] = {"kind": kind, "executed": 0,
                                   "elided": 0}
+        return sid, entry
+
+    def check(self, kind: str, site, mode=None) -> None:
+        sid, entry = self._check_site(kind, site)
         entry["executed"] += 1
         self.bump("check." + sid, mode)
 
-    def check(self, kind: str, span, mode=None) -> None:
-        self.check_id(site_id(kind, span), kind, mode)
-
-    def check_elided_id(self, sid: str, kind: str) -> None:
-        sites = self.profile.check_sites
-        entry = sites.get(sid)
-        if entry is None:
-            entry = sites[sid] = {"kind": kind, "executed": 0,
-                                  "elided": 0}
-        entry["elided"] += 1
-
-    def check_elided(self, kind: str, span) -> None:
-        self.check_elided_id(site_id(kind, span), kind)
+    def check_elided(self, kind: str, site) -> None:
+        self._check_site(kind, site)[1]["elided"] += 1
 
     def finish(self) -> None:
         """Flush the trailing interval (call when the run ends)."""
@@ -542,21 +534,13 @@ def render_profile(profile: Profile, top: Optional[int] = None,
     return "\n\n".join(sections)
 
 
-def _open_target(target: Union[str, "os.PathLike[str]", IO[str]],
-                 mode: str = "w"):
-    if isinstance(target, (str, os.PathLike)):
-        return open(target, mode, encoding="utf-8"), True
-    return target, False
-
-
 def write_profile(profile: Profile, target: Union[str, IO[str]],
                   fmt: str = "json") -> None:
     """Serialize a profile ("json", "collapsed", or "chrome")."""
     if fmt not in ("json", "collapsed", "chrome"):
         raise ValueError(f"unknown profile format {fmt!r}; expected "
                          f"one of json, collapsed, chrome")
-    handle, owned = _open_target(target)
-    try:
+    with opened(target) as handle:
         if fmt == "json":
             json.dump(profile.as_dict(), handle, indent=2,
                       sort_keys=True)
@@ -568,6 +552,3 @@ def write_profile(profile: Profile, target: Union[str, IO[str]],
         else:
             json.dump(profile_chrome_trace(profile), handle)
             handle.write("\n")
-    finally:
-        if owned:
-            handle.close()

@@ -7,9 +7,9 @@ checking host-language (Python) code would need a type-checker plugin —
 exactly the friction the reproduction notes anticipate.  This module
 therefore provides ENT's *dynamic* half as an embedded API: modes,
 attributors, snapshot (with bounds and the EnergyException), mode cases
-and the waterfall invariant, all checked at run time with the same
-semantics as the interpreter.  The paper's 15 benchmarks are written
-against this API.
+and the waterfall invariant, checked at run time by the interpreter's
+own check kernel (:mod:`repro.core.checks`).  The paper's 15
+benchmarks are written against this API.
 
 Example::
 
@@ -42,10 +42,10 @@ from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 from typing import Dict, Optional, Union
 
+from repro.core.checks import check_bound, check_dfall
 from repro.core.errors import EnergyException, EntError
 from repro.core.modes import BOTTOM, TOP, Mode, ModeLattice
-from repro.obs.events import (AttributorEvent, DfallCheckEvent,
-                              MCaseElimEvent, SnapshotEvent, mode_name)
+from repro.obs.events import AttributorEvent, MCaseElimEvent, mode_name
 from repro.obs.prof import NULL_PROFILER
 from repro.obs.tracer import NULL_TRACER, attach_platform
 from repro.runtime.ext import Ext
@@ -272,7 +272,7 @@ class EntRuntime:
                         and current in up[guard]):
                     stats.dfall_checks += 1
                 else:
-                    runtime._check_dfall(guard, obj, method)
+                    runtime._check_dfall(guard, current, obj, method)
             closure = guard if guard is not None else current
             traced = runtime.tracer.enabled and closure is not current
             if traced:
@@ -298,38 +298,19 @@ class EntRuntime:
         wrapper._ent_wrapped = True
         return wrapper
 
-    def _check_dfall(self, guard: Optional[Mode], obj: object,
-                     method: str) -> None:
-        self.stats.dfall_checks += 1
-        if self.profiler.enabled:
-            self.profiler.check_id(
-                f"dfall@{type(obj).__name__}.{method}", "dfall",
-                self.current_mode)
-        if guard is None:
-            if self.silent:
-                return
-            message = (f"messaging un-snapshotted dynamic object "
-                       f"{type(obj).__name__} (method {method}); "
-                       f"snapshot first")
+    def _check_dfall(self, guard: Optional[Mode], sender: Mode,
+                     obj: object, method: str) -> None:
+        """The dfall check the method wrapper's probe leaves over."""
+        cls = type(obj).__name__
+        check_dfall(self, guard, sender, cls, method, cls,
+                    f"{cls}.{method}", source="embedded",
+                    silent=self.silent)
+        if guard is None and not self.silent:
+            message = (f"messaging un-snapshotted dynamic object {cls} "
+                       f"(method {method}); snapshot first")
             if self.tracer.enabled:
                 self.tracer.energy_exception(message)
             raise EnergyException(message)
-        sender = self.current_mode
-        holds = sender in self.lattice.up[guard]
-        if self.tracer.enabled:
-            self.tracer.emit(DfallCheckEvent(
-                ts=self.tracer.now(), cls=type(obj).__name__,
-                method=method, receiver_mode=guard.name,
-                sender_mode=sender.name, holds=holds))
-        if not holds and not self.silent:
-            self.stats.energy_exceptions += 1
-            message = (f"waterfall invariant violated: receiver mode "
-                       f"{guard.name} > sender mode {sender.name} "
-                       f"({type(obj).__name__}.{method})")
-            if self.tracer.enabled:
-                self.tracer.energy_exception(message, mode=guard,
-                                             upper=sender)
-            raise EnergyException(message, mode=guard, upper=sender)
 
     # ------------------------------------------------------------------
     # Snapshot
@@ -360,28 +341,17 @@ class EntRuntime:
             return obj
         lo = self.mode(lower) if lower is not None else BOTTOM
         hi = self.mode(upper) if upper is not None else TOP
-        self.stats.bound_checks += 1
-        if self.profiler.enabled:
-            self.profiler.check_id(
-                f"snapshot_bound@{type(obj).__name__}", "snapshot_bound",
-                self.current_mode)
         up = self.lattice.up
-        ok = mode in up[lo] and hi in up[mode]
-        lazy = ok and self.lazy_copy and not tag.is_snapshot
-        if traced:
-            self.tracer.emit(SnapshotEvent(
-                ts=self.tracer.now(), cls=type(obj).__name__,
-                mode=mode.name, lower=lo.name, upper=hi.name, ok=ok,
-                lazy=lazy))
-        if not ok and not self.silent:
-            self.stats.energy_exceptions += 1
-            message = (f"bad check: attributor of {type(obj).__name__} "
-                       f"returned {mode.name}, outside "
-                       f"[{lo.name}, {hi.name}]")
-            if traced:
-                self.tracer.energy_exception(message, mode=mode, lower=lo,
-                                             upper=hi)
-            raise EnergyException(message, mode=mode, lower=lo, upper=hi)
+        if (mode in up[lo] and hi in up[mode] and not traced
+                and not self.profiler.enabled):
+            # A passing, unobserved check only counts.
+            self.stats.bound_checks += 1
+        else:
+            cls = type(obj).__name__
+            check_bound(self, obj, cls, mode, lo, hi, cls,
+                        self.current_mode,
+                        fresh=self.lazy_copy and not tag.is_snapshot,
+                        source="embedded", silent=self.silent)
         if traced and mode is not previous_mode:
             self.tracer.mode_transition(
                 f"object:{type(obj).__name__}", previous_mode, mode)

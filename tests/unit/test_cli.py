@@ -152,13 +152,19 @@ class TestRun:
         assert main(["run", program(GOOD), "--engine", engine]) == 0
         assert "n=5" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("argv", [["--compile"],
-                                      ["--engine", "compiled"]],
-                             ids=["compile-flag", "compiled-engine"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "--compile"], ["run", "--engine", "compiled"],
+        *[[command, "--lenient-mcase"]
+          for command in ("check", "run", "analyze", "profile", "disasm")],
+    ], ids=["compile-flag", "compiled-engine", "check-lenient-mcase",
+            "run-lenient-mcase", "analyze-lenient-mcase",
+            "profile-lenient-mcase", "disasm-lenient-mcase"])
     def test_retired_compiled_engine_is_a_usage_error(self, program,
                                                       argv):
+        """Retired options — the compiled engine and
+        ``--lenient-mcase`` — are usage errors."""
         with pytest.raises(SystemExit) as info:
-            main(["run", program(GOOD)] + argv)
+            main([argv[0], program(GOOD)] + argv[1:])
         assert info.value.code == 2
 
     def test_jit_stats_report_the_tier_counters(self, program, capsys):
@@ -408,9 +414,17 @@ class TestHostileInput:
         assert err.startswith("error: [Errno ")
         assert err.count("\n") == 1
 
+    #: JSON objects, but of the wrong shape below the top level: a
+    #: wrong-typed field, then a falsy one.
+    WRONG_SHAPE = {"--cost-model": (b'{"entries": {"default": 5}}',
+                                    b'{"entries": false}'),
+                   "--calibrate-from": (b'{"energy_by_label": [1]}',
+                                        b'{"energy_by_label": false}')}
+
     @pytest.mark.parametrize("content", [
-        b"not json", b"\xff\xfe", b"[1, 2]",
-    ], ids=["not JSON", "not UTF-8", "JSON array"])
+        b"not json", b"\xff\xfe", b"[1, 2]", 0, 1,
+    ], ids=["not JSON", "not UTF-8", "JSON array", "wrong shape",
+            "falsy field"])
     @pytest.mark.parametrize("flag, what", [
         ("--cost-model", "a cost model"),
         ("--calibrate-from", "a profile payload"),
@@ -418,11 +432,36 @@ class TestHostileInput:
     def test_malformed_cost_model_file(self, program, tmp_path, capsys,
                                        flag, what, content):
         path = tmp_path / "model.json"
-        path.write_bytes(content)
+        path.write_bytes(self.WRONG_SHAPE[flag][content]
+                         if isinstance(content, int) else content)
         assert main(["advise", program(GOOD), flag, str(path),
                      "--runs", "1", "--samples", "4"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: not {what} (")
+
+    @pytest.mark.parametrize("argv, work", [
+        (["run", "{prog}", "--trace", "{dir}"],
+         "repro.lang.interp.Interpreter.run"),
+        (["profile", "{prog}", "--out", "{dir}"],
+         "repro.lang.interp.Interpreter.run"),
+        (["advise", "{prog}", "--out", "{dir}"],
+         "repro.advise.advise_source"),
+        (["fleet", "run", "--devices", "2", "--metrics-out", "{dir}"],
+         "repro.fleet.run_fleet"),
+    ], ids=["run --trace", "profile --out", "advise --out",
+            "fleet run --metrics-out"])
+    def test_output_path_fails_before_the_work(self, program, tmp_path,
+                                               capsys, monkeypatch, argv,
+                                               work):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran before its output opened")
+
+        monkeypatch.setattr(work, never)
+        fill = {"prog": program(GOOD), "dir": str(tmp_path)}
+        assert main([arg.format(**fill) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno ")
+        assert captured.out == ""
 
     RECURSIVE = {
         "method": "class Main { void main() { main(); } }",

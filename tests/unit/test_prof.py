@@ -37,6 +37,11 @@ class TestSiteId:
         assert site_id("dfall", None) == "dfall@?"
         assert site_id("snapshot_bound", object()) == "snapshot_bound@?"
 
+    def test_symbolic(self):
+        # Embedded-runtime checks have no span; their site is a name.
+        assert site_id("dfall", "Agent.work") == "dfall@Agent.work"
+        assert site_id("snapshot_bound", "Agent") == "snapshot_bound@Agent"
+
 
 class TestIcClass:
     @pytest.mark.parametrize("entries,expected", [
@@ -272,9 +277,9 @@ class TestNullProfiler:
         NULL_PROFILER.call("call@1:1", "m")
         NULL_PROFILER.ic_miss("call@1:1", "m", 1)
         NULL_PROFILER.check("dfall", None)
-        NULL_PROFILER.check_id("dfall@?", "dfall")
+        NULL_PROFILER.check("dfall", "Agent.work")
         NULL_PROFILER.check_elided("dfall", None)
-        NULL_PROFILER.check_elided_id("dfall@?", "dfall")
+        NULL_PROFILER.check_elided("dfall", "Agent.work")
         NULL_PROFILER.finish()
         assert NULL_PROFILER.profile is None
 
