@@ -15,10 +15,10 @@ Two properties are checked on every run:
 * **Scaling gate** — with ``--gate R``, devices/sec at the highest
   shard count must be at least ``R``x the single-shard rate.  The
   gate binds only when the machine actually has that many cores
-  (``os.cpu_count() >= max shards``); on smaller hosts the ratio is
-  recorded with ``"gate": "skipped (N cores)"`` instead — a 1-core
-  container cannot exhibit process-level parallelism, and failing
-  there would only measure the pool's overhead.
+  (``os.cpu_count() >= max shards``).  On smaller hosts the ratio
+  would measure the pool's overhead, not scaling: it is recorded as
+  ``"scaling_ratio": null`` with the reason under ``"unmeasured"``,
+  and the gate as ``"skipped (N cores < M shards)"``.
 
 The batched engine's single-shard rate is also compared against the
 ``embedded`` reference engine (fresh platform + runtime + class
@@ -73,6 +73,14 @@ def measure(devices, shard_counts, seed=0, steps=16,
     base = rate("batched", min(shard_counts))
     peak = rate("batched", max(shard_counts))
     embedded = rate("embedded", shard_counts[0])
+    scaling = round(peak / base, 3) if base else None
+    unmeasured = {}
+    cores = os.cpu_count() or 1
+    if cores < max(shard_counts):
+        scaling = None
+        unmeasured["scaling_ratio"] = (
+            f"{cores} cores < {max(shard_counts)} shards: the ratio "
+            f"would measure pool overhead, not scaling")
     return {
         "bench": "fleet",
         "devices": devices,
@@ -80,11 +88,12 @@ def measure(devices, shard_counts, seed=0, steps=16,
         "seed": seed,
         "shard_counts": list(shard_counts),
         "runs": runs,
-        "scaling_ratio": round(peak / base, 3) if base else None,
+        "scaling_ratio": scaling,
         "batched_over_embedded":
             round(base / embedded, 3) if embedded else None,
         "digests_identical": len(fingerprints) == 1,
         "cpu_count": os.cpu_count(),
+        "unmeasured": unmeasured,
         "python": host_platform.python_version(),
         "machine": host_platform.machine(),
     }

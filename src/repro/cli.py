@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "checks, default) or transient (O(1) shallow "
                           "tag probes with blame tracking; see "
                           "docs/ANALYSIS.md)")
-    run.add_argument("--fuel", type=int, default=None,
+    run.add_argument("--fuel", type=bounded_int(1), default=None,
                      help="maximum evaluation steps")
     run.add_argument("--system", choices=["A", "B", "C"], default=None,
                      help="attach a platform simulator")
@@ -187,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("file")
     analyze.add_argument("--json", action="store_true",
                          help="emit the report as one JSON object")
-    analyze.add_argument("--fuel", type=int, default=None,
+    analyze.add_argument("--fuel", type=bounded_int(1), default=None,
                          help="cap unbounded (ω) loop/recursion "
                               "factors in the residual-cost bounds at "
                               "N, marking capped sites with *")
@@ -220,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(default), vm or jit (jit profiles as the "
                               "vm: the JIT tier stays off under a "
                               "profiler)")
-    profile.add_argument("--top", type=int, default=15,
+    profile.add_argument("--top", type=bounded_int(1), default=15,
                          help="rows in the hot-label table (default 15)")
     profile.add_argument("--checks", action="store_true",
                          help="include the per-check-site table")
@@ -246,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(Perfetto trace_event)")
     profile.add_argument("--silent", action="store_true",
                          help="ignore EnergyExceptions (E1 silent build)")
-    profile.add_argument("--fuel", type=int, default=None,
+    profile.add_argument("--fuel", type=bounded_int(1), default=None,
                          help="maximum evaluation steps")
     profile.add_argument("--system", choices=["A", "B", "C"],
                          default=None,
@@ -276,10 +276,10 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default sim45nm)")
     advise.add_argument("--engine", choices=list(ENGINES), default=None,
                         help="engine for the calibration runs")
-    advise.add_argument("--samples", type=int, default=256,
+    advise.add_argument("--samples", type=bounded_int(1), default=256,
                         help="Monte-Carlo draws per pinned class "
                              "(default 256)")
-    advise.add_argument("--runs", type=int, default=4,
+    advise.add_argument("--runs", type=bounded_int(1), default=4,
                         help="calibration runs per battery level "
                              "(default 4)")
     advise.add_argument("--seed", type=int, default=0)
@@ -296,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="parallel calibration workers; 0 = one "
                              "per CPU (results are identical for any "
                              "value)")
-    advise.add_argument("--top", type=int, default=None,
+    advise.add_argument("--top", type=bounded_int(1), default=None,
                         help="candidate rows to print (frontier rows "
                              "always shown)")
     advise.add_argument("--json", action="store_true",
@@ -310,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     advise.add_argument("--cost-model", metavar="PATH", default=None,
                         help="load the cost model from a JSON file "
                              "instead of the built-in --arch table")
-    advise.add_argument("--fuel", type=int, default=None,
+    advise.add_argument("--fuel", type=bounded_int(1), default=None,
                         help="maximum evaluation steps per "
                              "calibration run")
 

@@ -34,6 +34,7 @@ from typing import List, Optional
 from repro.cli import bounded_float, bounded_int, guarded
 from repro.eval.config import e3_benchmarks
 from repro.eval.export import ARTIFACTS
+from repro.obs.export import opened, write_trace
 from repro.workloads.base import BATTERY_MODES
 from repro.workloads.registry import ALL_WORKLOADS
 
@@ -123,10 +124,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_episode(args) -> int:
+def _run_episode(args, trace_out) -> int:
     from repro.eval.runner import (run_e1_episode, run_e2_episode,
                                    run_e3_episode)
-    from repro.obs.export import write_trace
     from repro.obs.tracer import Tracer
     from repro.workloads import get_workload
 
@@ -160,7 +160,7 @@ def _run_episode(args) -> int:
                    f"sleeps={result.sleeps} "
                    f"E={result.energy_j:.2f}J "
                    f"t={result.duration_s:.3f}s")
-    count = write_trace(tracer.events(), args.trace,
+    count = write_trace(tracer.events(), trace_out,
                         fmt=args.trace_format)
     print(summary)
     print(f"trace: {count} events -> {args.trace} "
@@ -176,11 +176,10 @@ def _figure_tracer(args):
     return Tracer(capacity=args.trace_capacity)
 
 
-def _write_figure_trace(args, tracer) -> None:
+def _write_figure_trace(args, tracer, trace_out) -> None:
     if tracer is None:
         return
-    from repro.obs.export import write_trace
-    count = write_trace(tracer.events(), args.trace,
+    count = write_trace(tracer.events(), trace_out,
                         fmt=args.trace_format)
     print(f"[trace: {count} events -> {args.trace} "
           f"({args.trace_format}, {tracer.dropped} dropped)]",
@@ -220,17 +219,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"argument --benchmark: {args.benchmark} has no "
                          f"unit-of-work decomposition for e3 (choose "
                          f"from {', '.join(e3_benchmarks())})")
-        return _run_episode(args)
+        # The trace path opens before the episode runs, so a bad path
+        # fails at once rather than after the work.
+        with opened(args.trace) as trace_out:
+            return _run_episode(args, trace_out)
     tracer = _figure_tracer(args)
     everything = args.command == "all"
-    for name in ARTIFACTS if everything else [args.command]:
-        artifact = ARTIFACTS[name]
-        print(artifact.to_text(artifact.compute(
-            args.seed, args.jobs, tracer,
-            getattr(args, "benchmarks", None))))
-        if everything:
-            print()
-    _write_figure_trace(args, tracer)
+    with opened(args.trace) as trace_out:
+        for name in ARTIFACTS if everything else [args.command]:
+            artifact = ARTIFACTS[name]
+            print(artifact.to_text(artifact.compute(
+                args.seed, args.jobs, tracer,
+                getattr(args, "benchmarks", None))))
+            if everything:
+                print()
+        _write_figure_trace(args, tracer, trace_out)
     return 0
 
 

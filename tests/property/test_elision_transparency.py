@@ -142,6 +142,13 @@ def test_kernels_actually_elide():
     for kernel in KERNELS.values():
         on = run_config(kernel, engine="walk", elide=True)
         assert on[2]["dfall_elided"] + on[2]["bound_checks_elided"] > 0
+    # On every engine the planner elides every send of the hot loop
+    # (500 trips); the one check executed is the boot message to
+    # Main.main.
+    for engine in ENGINES:
+        stats = run_config(HOT_LOOP_KERNEL, engine=engine, elide=True)[2]
+        assert stats["dfall_elided"] == 500
+        assert stats["dfall_checks"] == 1
 
 
 @settings(max_examples=30, deadline=None)

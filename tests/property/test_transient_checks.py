@@ -231,3 +231,4 @@ def test_transient_resnapshot_loop_is_shallow(engine):
     assert transient.stats.copies == 0
     assert full.stats.copies >= 199
     assert transient.stats.shallow_checks == 400
+    assert full.stats.shallow_checks == 0

@@ -521,6 +521,16 @@ class TestBadFlagValues:
         (["advise", "{prog}", "--jobs", "-3"], "--jobs"),
         (["fleet", "run", "--shards", "0"], "--shards"),
         (["fleet", "run", "--shards", "-2"], "--shards"),
+        (["run", "{prog}", "--fuel", "-1"], "--fuel"),
+        (["run", "{prog}", "--fuel", "0"], "--fuel"),
+        (["analyze", "{prog}", "--fuel", "-5"], "--fuel"),
+        (["profile", "{prog}", "--fuel", "0"], "--fuel"),
+        (["advise", "{prog}", "--fuel", "-1"], "--fuel"),
+        (["advise", "{prog}", "--runs", "0"], "--runs"),
+        (["advise", "{prog}", "--samples", "0"], "--samples"),
+        (["advise", "{prog}", "--samples", "-3"], "--samples"),
+        (["profile", "{prog}", "--top", "-1"], "--top"),
+        (["advise", "{prog}", "--top", "-2"], "--top"),
     ])
     def test_exits_2_naming_the_flag(self, program, tmp_path, capsys,
                                      argv, flag):

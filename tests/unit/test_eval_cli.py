@@ -104,3 +104,30 @@ def test_missing_path_is_an_error_not_a_traceback(argv):
     assert proc.stderr.startswith("error: ")
     assert "No such file or directory" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure10", "--trace", "{dir}"],
+    ["all", "--trace", "{dir}"],
+    ["episode", "--experiment", "e1", "--trace", "{dir}"],
+], ids=["figure10", "all", "episode"])
+def test_trace_directory_fails_before_the_work(tmp_path, monkeypatch,
+                                               capsys, argv):
+    """``--trace`` opens its path before any episode runs, as ``repro
+    run --trace`` does, so a directory fails at once."""
+    import dataclasses
+
+    import repro.eval.runner as runner
+    from repro.cli import guarded
+    from repro.eval.export import ARTIFACTS
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("the work ran before --trace was opened")
+
+    for name, artifact in ARTIFACTS.items():
+        monkeypatch.setitem(ARTIFACTS, name, dataclasses.replace(
+            artifact, compute=not_called))
+    for name in ("run_e1_episode", "run_e2_episode", "run_e3_episode"):
+        monkeypatch.setattr(runner, name, not_called)
+    assert guarded(main, [arg.format(dir=tmp_path) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
