@@ -64,6 +64,16 @@ CAL_STREAM = 0x4144_5643       # calibration platform seeds
 RISK_STREAM = 0x4144_564D      # per-candidate Monte-Carlo risk streams
 VALIDATE_STREAM = 0x4144_5656  # held-out validation platform seeds
 
+#: Calibration runs at full check depth (``InterpOptions.checks``).
+CALIBRATION_CHECKS = "full"
+#: The assignment space is truncated to this many candidates.
+MAX_CANDIDATES = 128
+#: Relative floor on each candidate's measured-energy interval, so a
+#: handful of calibration runs cannot claim implausible precision.
+CI_REL_FLOOR = 0.015
+#: Event capacity of the baseline candidate's calibration tracer.
+TRACE_CAPACITY = 65536
+
 
 # ---------------------------------------------------------------------------
 # Pinning: token-level attributor rewrite
@@ -190,11 +200,6 @@ class AdviseConfig:
     jobs: int = 1                    # 0 = one worker per CPU
     fuel: int = 5_000_000
     program_args: Tuple[str, ...] = ()
-    #: Dynamic-check depth for calibration runs (``full`` or
-    #: ``transient``); forwarded to :class:`InterpOptions.checks`.
-    checks: str = "full"
-    max_candidates: int = 128
-    ci_rel_floor: float = 0.015
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +229,11 @@ def _calibration_worker(task: Dict[str, object]) -> Dict[str, object]:
     tracer = None
     if task["collect_events"]:
         from repro.obs.tracer import Tracer
-        tracer = Tracer(capacity=task.get("trace_capacity", 65536))
+        tracer = Tracer(capacity=TRACE_CAPACITY)
     profiler = Profiler(task["engine"])
     options = InterpOptions(engine=task["engine"], elide_checks=True,
                             fuel=task["fuel"],
-                            checks=task.get("checks", "full"))
+                            checks=CALIBRATION_CHECKS)
     interp = Interpreter(checked, platform=platform, options=options,
                          seed=task["platform_seed"], tracer=tracer,
                          profiler=profiler)
@@ -416,8 +421,7 @@ def advise_source(source: str, file: str = "<advise>",
     if not classes:
         notes.append("no dynamic classes; nothing to advise")
 
-    assignments = _enumerate_candidates(classes, cfg.max_candidates,
-                                        notes)
+    assignments = _enumerate_candidates(classes, MAX_CANDIDATES, notes)
 
     # -- calibration ---------------------------------------------------
     tasks: Dict[Tuple[int, int, int], Dict[str, object]] = {}
@@ -437,7 +441,6 @@ def advise_source(source: str, file: str = "<advise>",
                         cfg.seed, CAL_STREAM, run_idx, bat_idx),
                     "fuel": cfg.fuel,
                     "args": tuple(cfg.program_args),
-                    "checks": cfg.checks,
                     "collect_events": dynamic_baseline,
                 }
 
@@ -471,7 +474,7 @@ def advise_source(source: str, file: str = "<advise>",
             continue
         energies = [c["energy_j"] for c in cells]
         measured = widen(Uncertain.from_samples(energies),
-                         rel_floor=cfg.ci_rel_floor)
+                         rel_floor=CI_REL_FLOOR)
 
         # Residual-check energy from the cost model: mean executed
         # count per site across cells, priced per check kind.  The
@@ -556,7 +559,6 @@ def measure_assignment(source: str,
         "platform_seed": platform_seed,
         "fuel": config.fuel,
         "args": tuple(config.program_args),
-        "checks": config.checks,
         "collect_events": False,
     })
 

@@ -39,6 +39,7 @@ from repro.core.modes import BOTTOM, TOP, Mode
 from repro.lang import ast_nodes as ast
 from repro.lang.types import ClassInfo, MethodInfo, ObjectType
 from repro.lang.typechecker import CheckedProgram
+from repro.obs.prof import site_id
 
 __all__ = ["CheckSite", "ProgramAnalyzer", "DFALL", "SNAPSHOT_BOUND",
            "MCASE_ELIM", "STATIC", "ELIDED", "RESIDUAL"]
@@ -106,9 +107,7 @@ class CheckSite:
         """``<kind>@<line>:<column>`` — the key the runtime profiler
         (:mod:`repro.obs.prof`) uses for the same obligation, which is
         what lets ``static_vs_observed`` join the two exactly."""
-        if self.line is None:
-            return f"{self.kind}@?"
-        return f"{self.kind}@{self.line}:{self.column}"
+        return site_id(self.kind, self)
 
     def as_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {

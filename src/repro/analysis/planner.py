@@ -8,11 +8,11 @@ on the AST nodes, following the ``resolved_kind`` idiom):
 * ``Snapshot.elide_bound`` — skip the bound check in
   ``Interpreter._snapshot_value``.
 
-The register-bytecode VM consumes the same flags at lowering time by
-**opcode selection**: an annotated call lowers to ``CALL_NODFALL``
-instead of ``CALL_DFALL``, an annotated snapshot to
-``SNAPSHOT_ELIDE`` — the elided check never enters the instruction
-stream (``repro disasm`` shows the handoff; see ``docs/VM.md``).
+The register-bytecode VM carries the same flags into the bytecode as
+**operands**: an annotated call's ``CALL`` instruction holds a
+``CallSite`` whose ``elide_dfall`` is set, an annotated ``SNAPSHOT``
+its ``elide`` operand, and the VM and JIT skip the check they name
+(``repro disasm`` shows the handoff; see ``docs/VM.md``).
 
 Both flags are inert unless ``InterpOptions.elide_checks`` is on and
 the run is neither ``silent`` nor ``baseline`` (those options change

@@ -32,8 +32,8 @@ Usage (installed as ``python -m repro``)::
 
 ``disasm`` lowers a program to the VM's register bytecode and
 pretty-prints every body with check-instruction annotations; with the
-elision planner on (the default), proven-safe checks appear as their
-elided opcodes.  ``disasm --jit`` runs the program under the JIT tier
+elision planner on (the default), proven-safe checks are annotated
+as elided.  ``disasm --jit`` runs the program under the JIT tier
 first, then prints the specialized Python source the JIT emitted for
 each body (bodies that never got hot are emitted speculatively from
 their cold inline caches), followed by each loop region the JIT
@@ -328,9 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "emitted speculatively)")
     disasm.add_argument("--checks", choices=["full", "transient"],
                         default="full",
-                        help="lower residual checks for this check "
-                             "depth: transient selects the shallow "
-                             "opcodes (CALL_SHALLOW, SNAPSHOT_SHALLOW)")
+                        help="annotate residual checks for this "
+                             "check depth: transient runs them as "
+                             "shallow tag probes")
 
     pretty = sub.add_parser("pretty", help="parse and pretty-print")
     pretty.add_argument("file")
@@ -658,9 +658,9 @@ def _cmd_disasm(args) -> int:
     """Lower every body to register bytecode and pretty-print it.
 
     Bodies appear in program order; check instructions carry ``;;``
-    annotations, and checks the planner proved away are lowered to
-    their ``*_NODFALL`` / ``*_ELIDE`` forms (compare with and without
-    ``--no-elide`` to see the handoff).
+    annotations, and checks the planner proved away read ``elided by
+    repro.analysis`` (compare with and without ``--no-elide`` to see
+    the handoff).
 
     With ``--jit`` the program first *runs* under ``--engine jit`` (so
     inline caches warm up and hot bodies actually compile), then each
@@ -696,7 +696,7 @@ def _cmd_disasm(args) -> int:
 
     def render(code):
         if not args.jit:
-            return disassemble(code)
+            return disassemble(code, transient=interp._transient)
         title = code.name or "<body>"
         if code.jit_src is not None:
             text = (f";; {title} — compiled at runtime "

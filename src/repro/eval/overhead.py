@@ -23,17 +23,15 @@ stable:
 
 ``overhead = sum(count_i * cost_i) / kernel_time`` — the same quantity
 the paper's ENT-vs-baseline quotient estimates, without the
-differencing noise.  End-to-end paired timings remain available via
-:func:`paired_end_to_end` for comparison.
+differencing noise.
 """
 
 from __future__ import annotations
 
 import gc
-import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.platform.systems import make_platform
 from repro.runtime.embedded import EntRuntime, RuntimeStats
@@ -41,8 +39,7 @@ from repro.workloads.base import ES, MG, Workload
 from repro.workloads.registry import ALL_WORKLOADS, get_workload
 
 __all__ = ["MechanismCosts", "OverheadRow", "figure6",
-           "measure_mechanism_costs", "measure_overhead",
-           "paired_end_to_end"]
+           "measure_mechanism_costs", "measure_overhead"]
 
 
 @dataclass
@@ -217,32 +214,6 @@ def measure_overhead(name: str, system: Optional[str] = None,
         ent_changes=workload.ent_changes,
         baseline_seconds=kernel_seconds, counts=counts,
         mechanism_seconds=mechanism)
-
-
-def paired_end_to_end(name: str, system: Optional[str] = None,
-                      pairs: int = 10,
-                      seed: int = 0) -> Tuple[float, float]:
-    """Raw paired ENT/baseline episode timings (median seconds each).
-
-    Kept for comparison with :func:`measure_overhead`; on a noisy
-    machine the quotient of these two numbers can swing by tens of
-    percent, which is exactly why Figure 6's estimator decomposes the
-    measurement instead.
-    """
-    ent_times: List[float] = []
-    base_times: List[float] = []
-    for run_index in range(pairs):
-        for baseline in (False, True) if run_index % 2 == 0 \
-                else (True, False):
-            run, _ = _build_episode(get_workload(name),
-                                    system or
-                                    get_workload(name).systems[0],
-                                    baseline, seed + run_index)
-            start = time.perf_counter()
-            run()
-            elapsed = time.perf_counter() - start
-            (base_times if baseline else ent_times).append(elapsed)
-    return statistics.median(ent_times), statistics.median(base_times)
 
 
 def figure6(repeats: int = 5, seed: int = 0,

@@ -12,17 +12,19 @@ register file:
   file is materialized as ``[slots...] + reversed(consts)`` and writes
   only ever target non-negative indices.
 * **Explicit check instructions** — the dynamic mode checks the paper
-  counts are first-class opcodes: ``CALL_DFALL`` carries the waterfall
+  counts are first-class opcodes: ``CALL`` carries the waterfall
   check, ``SNAPSHOT`` the bound check, ``MCASE_DISPATCH`` the implicit
-  mode-case elimination.  The :mod:`repro.analysis` planner's verdicts
-  are consumed at lowering time by *opcode selection*: a call site the
-  planner proved safe lowers to ``CALL_NODFALL`` and a proven snapshot
-  to ``SNAPSHOT_ELIDE`` — the check simply is not emitted (the elided
-  counters keep the executed+elided sum invariant).  Under
-  ``--checks transient`` the residual checks lower to the dedicated
-  shallow opcodes instead (``CALL_SHALLOW``, ``SNAPSHOT_SHALLOW``):
-  the VM and JIT collapse them to O(1) probes of the mode lattice's
-  precomputed upward closure (``ModeLattice.up``).
+  mode-case elimination.  Each opcode names one ENT operation and
+  carries its policy as an operand.  The :mod:`repro.analysis`
+  planner's verdicts reach a send through ``CallSite.elide_dfall`` and
+  a snapshot through its ``elide`` operand: an elided check is not run
+  (the elided counters keep the executed+elided sum invariant).  The
+  check depth is not in the bytecode at all: under ``--checks
+  transient`` the VM and JIT read ``Interpreter._transient`` and
+  collapse residual checks to O(1) probes of the mode lattice's
+  precomputed upward closure (``ModeLattice.up``).  Field and
+  variable reads carry a mode-case operand (``MC_ELIM``, ``MC_RAW`` or
+  an owner-mode register) saying what they do with a mode-case value.
 * **Superinstructions** — fused compare-and-branch (``JF_LT`` & co),
   ``INC`` for the canonical ``i = i + 1``, ``FIELD_ADD`` for
   ``this.f = this.f + x``, ``RET_FIELD`` for ``return this.f``, and
@@ -62,96 +64,86 @@ OP_JF_GT = 3           # (target, a, b)
 OP_JF_GE = 4           # (target, a, b)
 OP_JF_EQ = 5           # (target, a, b)   values_equal
 OP_JF_NE = 6           # (target, a, b)
-OP_CALL_DFALL = 7      # (dst, site, recv|None)  message + DFALL_CHECK
-OP_CALL_NODFALL = 8    # (dst, site, recv|None)  check elided by planner
-OP_INC = 9             # (slot, delta, op, lit)  slot = slot +/- lit
-OP_MOD = 10            # (dst, a, b)
-OP_JUMP = 11           # (target,)
-OP_FIELD_ADD = 12      # (name, src)      this.name = this.name + r[src]
-OP_RET_FIELD = 13      # (name,)          return this.name
-OP_RETURN = 14         # (src,)
-OP_ADD = 15            # (dst, a, b)
-OP_MOVE = 16           # (dst, src)
-OP_GETF_THIS = 17      # (dst, name)      mcase values eliminate
-OP_SUB = 18
-OP_MUL = 19
-OP_DIV = 20
-OP_LT = 21
-OP_LE = 22
-OP_GT = 23
-OP_GE = 24
-OP_EQ = 25
-OP_NE = 26
-OP_JF = 27             # (target, src)    jump if False (StuckError else)
-OP_JT = 28             # (target, src)
-OP_SETF_THIS = 29      # (name, src)
-OP_SETF = 30           # (name, obj, src)
-OP_GETF = 31           # (dst, name, obj)
-OP_GETF_RAW = 32       # (dst, name, obj) no elimination
-OP_GETF_THIS_RAW = 33  # (dst, name)
-OP_GETF_THIS_ARG = 34  # (dst, name, owner)  raw + owner-mode capture
-OP_GETF_ARG = 35       # (dst, name, obj, owner)
-OP_VAR_DYN = 36        # (dst, name)      dynamic resolution fallback
-OP_VAR_DYN_RAW = 37    # (dst, name)
-OP_VAR_DYN_ARG = 38    # (dst, name, owner)
-OP_MCASE_DISPATCH = 39 # (dst, src)       implicit mode-case elimination
-OP_MCASE_BUILD = 40    # (dst, spec)      spec = ((mode|None, reg), ...)
-OP_MSELECT = 41        # (dst, src, atom)
-OP_SNAPSHOT = 42       # (dst, src, bounds)  attributor + BOUND_CHECK
-OP_SNAPSHOT_ELIDE = 43 # (dst, src, bounds)  check elided by planner
-OP_CAST = 44           # (dst, src, target)
-OP_CAST_ERR = 45       # (src,)           un-typechecked cast
-OP_NEW = 46            # (dst, meta, arg_regs)  meta=(info, atoms, span)
-OP_NEW_LIST = 47       # (dst,)
-OP_LIST_BUILD = 48     # (dst, regs)
-OP_INSTANCEOF = 49     # (dst, src, class_name)
-OP_NEG = 50            # (dst, src)
-OP_NOT = 51            # (dst, src)
-OP_LOAD_THIS = 52      # (dst,)
-OP_LOAD_NATIVE = 53    # (dst, name)
-OP_CALL_NATIVE = 54    # (dst, (cls, method), arg_regs)
-OP_FOREACH_INIT = 55   # (dst, src)
-OP_FOREACH_ITER = 56   # (target, state, var_slot)
-OP_PUSH_HANDLER = 57   # (target, exc_slot)
-OP_POP_HANDLER = 58    # ()
-OP_THROW = 59          # (src,)
-OP_RETURN_NONE = 60    # ()
-OP_FALLOFF = 61        # ()               body end without return
-OP_BREAK_NOLOOP = 62   # ()
-OP_CONT_NOLOOP = 63    # ()
-OP_PROFILE = 64        # (label,)  profiler bump (instrument() only)
-OP_CALL_SHALLOW = 65   # (dst, site, recv|None)  transient shallow dfall
-OP_SNAPSHOT_SHALLOW = 66  # (dst, src, bounds, span)  transient re-snapshot
+OP_CALL = 7            # (dst, site, recv|None)  message + DFALL_CHECK
+OP_INC = 8             # (slot, delta, op, lit)  slot = slot +/- lit
+OP_MOD = 9             # (dst, a, b)
+OP_JUMP = 10           # (target,)
+OP_FIELD_ADD = 11      # (name, src)      this.name = this.name + r[src]
+OP_RET_FIELD = 12      # (name,)          return this.name
+OP_RETURN = 13         # (src,)
+OP_ADD = 14            # (dst, a, b)
+OP_MOVE = 15           # (dst, src)
+OP_GETF_THIS = 16      # (dst, name, mcase)
+OP_SUB = 17
+OP_MUL = 18
+OP_DIV = 19
+OP_LT = 20
+OP_LE = 21
+OP_GT = 22
+OP_GE = 23
+OP_EQ = 24
+OP_NE = 25
+OP_JF = 26             # (target, src)    jump if False (StuckError else)
+OP_JT = 27             # (target, src)
+OP_SETF_THIS = 28      # (name, src)
+OP_SETF = 29           # (name, obj, src)
+OP_GETF = 30           # (dst, name, obj, mcase)
+OP_VAR_DYN = 31        # (dst, name, mcase)  dynamic resolution fallback
+OP_MCASE_DISPATCH = 32 # (dst, src)       implicit mode-case elimination
+OP_MCASE_BUILD = 33    # (dst, spec)      spec = ((mode|None, reg), ...)
+OP_MSELECT = 34        # (dst, src, atom)
+OP_SNAPSHOT = 35       # (dst, src, bounds, span, elide)  + BOUND_CHECK
+OP_CAST = 36           # (dst, src, target)
+OP_CAST_ERR = 37       # (src,)           un-typechecked cast
+OP_NEW = 38            # (dst, meta, arg_regs)  meta=(info, atoms, span)
+OP_NEW_LIST = 39       # (dst,)
+OP_LIST_BUILD = 40     # (dst, regs)
+OP_INSTANCEOF = 41     # (dst, src, class_name)
+OP_NEG = 42            # (dst, src)
+OP_NOT = 43            # (dst, src)
+OP_LOAD_THIS = 44      # (dst,)
+OP_LOAD_NATIVE = 45    # (dst, name)
+OP_CALL_NATIVE = 46    # (dst, (cls, method), arg_regs)
+OP_FOREACH_INIT = 47   # (dst, src)
+OP_FOREACH_ITER = 48   # (target, state, var_slot)
+OP_PUSH_HANDLER = 49   # (target, exc_slot)
+OP_POP_HANDLER = 50    # ()
+OP_THROW = 51          # (src,)
+OP_RETURN_NONE = 52    # ()
+OP_FALLOFF = 53        # ()               body end without return
+OP_PROFILE = 54        # (label,)  profiler bump (instrument() only)
+
+#: The mode-case operand of ``GETF_THIS``, ``GETF`` and ``VAR_DYN``:
+#: what the read does with an un-eliminated ``MCaseV``.  ``MC_ELIM``
+#: eliminates it at its owner's mode; ``MC_RAW`` keeps it raw (a
+#: mode-case-typed context); a register ``r >= 0`` keeps it raw and
+#: captures the owner's mode into ``r`` for the send that eliminates
+#: it (see :attr:`CallSite.arg_elims`).
+MC_ELIM = -1
+MC_RAW = None
 
 OP_NAMES = {
     OP_FUEL: "FUEL", OP_JF_LT: "JF_LT", OP_JF_LE: "JF_LE",
     OP_JF_GT: "JF_GT", OP_JF_GE: "JF_GE", OP_JF_EQ: "JF_EQ",
-    OP_JF_NE: "JF_NE", OP_CALL_DFALL: "CALL_DFALL",
-    OP_CALL_NODFALL: "CALL_NODFALL", OP_INC: "INC", OP_MOD: "MOD",
+    OP_JF_NE: "JF_NE", OP_CALL: "CALL", OP_INC: "INC", OP_MOD: "MOD",
     OP_JUMP: "JUMP", OP_FIELD_ADD: "FIELD_ADD",
     OP_RET_FIELD: "RET_FIELD", OP_RETURN: "RETURN", OP_ADD: "ADD",
     OP_MOVE: "MOVE", OP_GETF_THIS: "GETF_THIS", OP_SUB: "SUB",
     OP_MUL: "MUL", OP_DIV: "DIV", OP_LT: "LT", OP_LE: "LE",
     OP_GT: "GT", OP_GE: "GE", OP_EQ: "EQ", OP_NE: "NE", OP_JF: "JF",
     OP_JT: "JT", OP_SETF_THIS: "SETF_THIS", OP_SETF: "SETF",
-    OP_GETF: "GETF", OP_GETF_RAW: "GETF_RAW",
-    OP_GETF_THIS_RAW: "GETF_THIS_RAW",
-    OP_GETF_THIS_ARG: "GETF_THIS_ARG", OP_GETF_ARG: "GETF_ARG",
-    OP_VAR_DYN: "VAR_DYN", OP_VAR_DYN_RAW: "VAR_DYN_RAW",
-    OP_VAR_DYN_ARG: "VAR_DYN_ARG", OP_MCASE_DISPATCH: "MCASE_DISPATCH",
+    OP_GETF: "GETF", OP_VAR_DYN: "VAR_DYN",
+    OP_MCASE_DISPATCH: "MCASE_DISPATCH",
     OP_MCASE_BUILD: "MCASE_BUILD", OP_MSELECT: "MSELECT",
-    OP_SNAPSHOT: "SNAPSHOT", OP_SNAPSHOT_ELIDE: "SNAPSHOT_ELIDE",
-    OP_CAST: "CAST", OP_CAST_ERR: "CAST_ERR", OP_NEW: "NEW",
-    OP_NEW_LIST: "NEW_LIST", OP_LIST_BUILD: "LIST_BUILD",
+    OP_SNAPSHOT: "SNAPSHOT", OP_CAST: "CAST", OP_CAST_ERR: "CAST_ERR",
+    OP_NEW: "NEW", OP_NEW_LIST: "NEW_LIST", OP_LIST_BUILD: "LIST_BUILD",
     OP_INSTANCEOF: "INSTANCEOF", OP_NEG: "NEG", OP_NOT: "NOT",
     OP_LOAD_THIS: "LOAD_THIS", OP_LOAD_NATIVE: "LOAD_NATIVE",
     OP_CALL_NATIVE: "CALL_NATIVE", OP_FOREACH_INIT: "FOREACH_INIT",
     OP_FOREACH_ITER: "FOREACH_ITER", OP_PUSH_HANDLER: "PUSH_HANDLER",
     OP_POP_HANDLER: "POP_HANDLER", OP_THROW: "THROW",
     OP_RETURN_NONE: "RETURN_NONE", OP_FALLOFF: "FALLOFF",
-    OP_BREAK_NOLOOP: "BREAK_NOLOOP", OP_CONT_NOLOOP: "CONT_NOLOOP",
-    OP_PROFILE: "PROFILE", OP_CALL_SHALLOW: "CALL_SHALLOW",
-    OP_SNAPSHOT_SHALLOW: "SNAPSHOT_SHALLOW",
+    OP_PROFILE: "PROFILE",
 }
 
 # ---------------------------------------------------------------------------
@@ -161,25 +153,24 @@ OP_NAMES = {
 # a stable, documented vocabulary that per-architecture cost tables are
 # written against.  Families mirror the profiler's label scheme
 # (``op.ADD`` → key ``alu``; ``check.dfall@3:4`` → key ``check.dfall``)
-# so calibration can join measured joules back onto the same keys.
+# so calibration can join measured joules back onto the same keys.  A
+# send is a ``call``: when its dfall check runs under the profiler, the
+# check kernel's own ``check.dfall@…`` label prices it.
 
 OP_COST_KEYS = {
     OP_FUEL: "control", OP_JF_LT: "branch", OP_JF_LE: "branch",
     OP_JF_GT: "branch", OP_JF_GE: "branch", OP_JF_EQ: "branch",
-    OP_JF_NE: "branch", OP_CALL_DFALL: "check.dfall",
-    OP_CALL_NODFALL: "call", OP_INC: "alu", OP_MOD: "alu",
+    OP_JF_NE: "branch", OP_CALL: "call", OP_INC: "alu", OP_MOD: "alu",
     OP_JUMP: "branch", OP_FIELD_ADD: "field", OP_RET_FIELD: "field",
     OP_RETURN: "control", OP_ADD: "alu", OP_MOVE: "move",
     OP_GETF_THIS: "field", OP_SUB: "alu", OP_MUL: "alu",
     OP_DIV: "alu", OP_LT: "alu", OP_LE: "alu", OP_GT: "alu",
     OP_GE: "alu", OP_EQ: "alu", OP_NE: "alu", OP_JF: "branch",
     OP_JT: "branch", OP_SETF_THIS: "field", OP_SETF: "field",
-    OP_GETF: "field", OP_GETF_RAW: "field",
-    OP_GETF_THIS_RAW: "field", OP_GETF_THIS_ARG: "field",
-    OP_GETF_ARG: "field", OP_VAR_DYN: "move", OP_VAR_DYN_RAW: "move",
-    OP_VAR_DYN_ARG: "move", OP_MCASE_DISPATCH: "check.mcase_elim",
+    OP_GETF: "field", OP_VAR_DYN: "move",
+    OP_MCASE_DISPATCH: "check.mcase_elim",
     OP_MCASE_BUILD: "alloc", OP_MSELECT: "check.mcase_elim",
-    OP_SNAPSHOT: "check.snapshot_bound", OP_SNAPSHOT_ELIDE: "call",
+    OP_SNAPSHOT: "check.snapshot_bound",
     OP_CAST: "check.snapshot_bound", OP_CAST_ERR: "control",
     OP_NEW: "alloc",
     OP_NEW_LIST: "alloc", OP_LIST_BUILD: "alloc",
@@ -189,9 +180,7 @@ OP_COST_KEYS = {
     OP_FOREACH_ITER: "branch", OP_PUSH_HANDLER: "control",
     OP_POP_HANDLER: "control", OP_THROW: "control",
     OP_RETURN_NONE: "control", OP_FALLOFF: "control",
-    OP_BREAK_NOLOOP: "control", OP_CONT_NOLOOP: "control",
-    OP_PROFILE: "control", OP_CALL_SHALLOW: "check.dfall",
-    OP_SNAPSHOT_SHALLOW: "check.snapshot_bound",
+    OP_PROFILE: "control",
 }
 
 
@@ -296,10 +285,11 @@ def loop_back_edges(instrs) -> Dict[int, int]:
 
 
 class CallSite:
-    """Per-call-site metadata carried by ``CALL_DFALL``/``CALL_NODFALL``:
-    the argument registers, their deferred mode-case elimination
-    descriptors, and the polymorphic inline cache (receiver class name
-    -> ``(minfo, wants, leaf code or None, transparent)``)."""
+    """Per-call-site metadata carried by ``CALL``: the argument
+    registers, their deferred mode-case elimination descriptors, the
+    planner's verdict on the send's dfall check (``elide_dfall``), and
+    the polymorphic inline cache (receiver class name -> ``(minfo,
+    wants, leaf code or None, transparent)``)."""
 
     __slots__ = ("name", "span", "arg_regs", "arg_elims", "any_elim",
                  "elide_dfall", "recv_is_this", "raw_result", "ic",
@@ -339,10 +329,6 @@ class _Lowering:
 
     def __init__(self, interp) -> None:
         self.interp = interp
-        #: Transient check depth (``--checks transient``): residual
-        #: checks lower to the dedicated shallow opcodes so the VM and
-        #: JIT pay an O(1) tag probe instead of the deep helper call.
-        self.transient = interp._transient
         self.instrs: List[list] = []
         self.consts: List[object] = []
         self.const_map: Dict[tuple, int] = {}
@@ -584,17 +570,12 @@ class _Lowering:
             self.emit(OP_POP_HANDLER)
 
     def _stmt_break(self) -> None:
-        if not self.loops:
-            self.emit(OP_BREAK_NOLOOP)
-            return
+        # The typechecker rejects ``break``/``continue`` outside a loop.
         breaks, _cont, depth = self.loops[-1]
         self._unwind_to(depth)
         breaks.append(self.emit(OP_JUMP, None))
 
     def _stmt_continue(self) -> None:
-        if not self.loops:
-            self.emit(OP_CONT_NOLOOP)
-            return
         _breaks, cont, depth = self.loops[-1]
         self._unwind_to(depth)
         self.emit(OP_JUMP, cont)
@@ -707,8 +688,8 @@ class _Lowering:
         if cls is ast.FieldAccess:
             obj = self.expr(expr.obj)
             dest = self.temp() if dst is None else dst
-            self.emit(OP_GETF_RAW if raw else OP_GETF, dest, expr.name,
-                      obj)
+            self.emit(OP_GETF, dest, expr.name, obj,
+                      MC_RAW if raw else MC_ELIM)
             return dest
         if cls is ast.New:
             return self._expr_new(expr, dst)
@@ -717,13 +698,8 @@ class _Lowering:
             bounds = (getattr(expr, "resolved_bounds", None)
                       or (BOTTOM, TOP))
             dest = self.temp() if dst is None else dst
-            if expr.elide_bound:
-                snap_op = OP_SNAPSHOT_ELIDE
-            elif self.transient:
-                snap_op = OP_SNAPSHOT_SHALLOW
-            else:
-                snap_op = OP_SNAPSHOT
-            self.emit(snap_op, dest, src, bounds, expr.span)
+            self.emit(OP_SNAPSHOT, dest, src, bounds, expr.span,
+                      expr.elide_bound)
             return dest
         if cls is ast.Cast:
             src = self.expr(expr.expr)
@@ -788,8 +764,8 @@ class _Lowering:
         kind = expr.resolved_kind
         if kind == "field":
             dest = self.temp() if dst is None else dst
-            self.emit(OP_GETF_THIS_RAW if raw else OP_GETF_THIS, dest,
-                      name)
+            self.emit(OP_GETF_THIS, dest, name,
+                      MC_RAW if raw else MC_ELIM)
             return dest
         if kind == "mode":
             mode = self.interp._mode_by_name.get(name)
@@ -800,7 +776,7 @@ class _Lowering:
             self.emit(OP_LOAD_NATIVE, dest, name)
             return dest
         dest = self.temp() if dst is None else dst
-        self.emit(OP_VAR_DYN_RAW if raw else OP_VAR_DYN, dest, name)
+        self.emit(OP_VAR_DYN, dest, name, MC_RAW if raw else MC_ELIM)
         return dest
 
     def _expr_binary(self, expr, dst) -> int:
@@ -866,13 +842,7 @@ class _Lowering:
                         tuple(p[1] for p in pairs),
                         expr.elide_dfall, recv_is_this, raw)
         dest = self.temp() if dst is None else dst
-        if expr.elide_dfall:
-            call_op = OP_CALL_NODFALL
-        elif self.transient:
-            call_op = OP_CALL_SHALLOW
-        else:
-            call_op = OP_CALL_DFALL
-        self.emit(call_op, dest, site, recv_reg)
+        self.emit(OP_CALL, dest, site, recv_reg)
         return dest
 
     def _arg(self, expr) -> Tuple[int, Optional[int]]:
@@ -894,7 +864,7 @@ class _Lowering:
             if kind == "field":
                 dest = self.temp()
                 owner = self.temp()
-                self.emit(OP_GETF_THIS_ARG, dest, name, owner)
+                self.emit(OP_GETF_THIS, dest, name, owner)
                 return dest, owner
             if kind == "mode":
                 mode = self.interp._mode_by_name.get(name)
@@ -906,13 +876,13 @@ class _Lowering:
                 return dest, None
             dest = self.temp()
             owner = self.temp()
-            self.emit(OP_VAR_DYN_ARG, dest, name, owner)
+            self.emit(OP_VAR_DYN, dest, name, owner)
             return dest, owner
         if cls is ast.FieldAccess:
             obj = self.expr(expr.obj)
             dest = self.temp()
             owner = self.temp()
-            self.emit(OP_GETF_ARG, dest, expr.name, obj, owner)
+            self.emit(OP_GETF, dest, expr.name, obj, owner)
             return dest, owner
         if cls is ast.MSelect:
             # mselect results are already eliminated.
@@ -980,30 +950,49 @@ def instrument(code: VMCode) -> VMCode:
 # Disassembler (``repro disasm``)
 
 #: Check-instruction annotations appended by the disassembler; keeping
-#: the analysis handoff visible is the point of ``repro disasm``.
+#: the analysis handoff visible is the point of ``repro disasm``.  A
+#: check's note names the check and, unless the planner elided it, the
+#: probe transient checking runs instead.
 _CHECK_NOTES = {
-    OP_CALL_DFALL: ";; DFALL_CHECK",
-    OP_CALL_NODFALL: ";; DFALL_CHECK elided by repro.analysis",
-    OP_CALL_SHALLOW: ";; DFALL_CHECK (transient: shallow tag probe)",
-    OP_SNAPSHOT: ";; BOUND_CHECK",
-    OP_SNAPSHOT_ELIDE: ";; BOUND_CHECK elided by repro.analysis",
-    OP_SNAPSHOT_SHALLOW:
-        ";; BOUND_CHECK (transient: tag-vs-bounds probe)",
-    OP_MCASE_DISPATCH: ";; MCASE_DISPATCH (implicit elimination)",
+    OP_CALL: ("DFALL_CHECK", "shallow tag probe"),
+    OP_SNAPSHOT: ("BOUND_CHECK", "tag-vs-bounds probe"),
 }
+
+#: Opcodes whose last operand is a policy rather than a register: a
+#: read's mode-case operand, or a snapshot's ``elide`` flag.
+_POLICY_OPS = (OP_GETF_THIS, OP_GETF, OP_VAR_DYN, OP_SNAPSHOT)
+
+
+def _check_note(inst, transient) -> Optional[str]:
+    op = inst[0]
+    if op == OP_MCASE_DISPATCH:
+        return ";; MCASE_DISPATCH (implicit elimination)"
+    if op not in _CHECK_NOTES:
+        return None
+    check, probe = _CHECK_NOTES[op]
+    elided = inst[2].elide_dfall if op == OP_CALL else inst[5]
+    if elided:
+        return f";; {check} elided by repro.analysis"
+    if transient:
+        return f";; {check} (transient: {probe})"
+    return f";; {check}"
 
 
 def _split_operands(inst):
     """An instruction's operands as ``(jump target or None, operands
-    that may name registers, literal operands)``."""
+    that may name registers, literal operands, policy operand or
+    None)``."""
+    op = inst[0]
     operands = inst[1:]
-    target = None
-    if inst[0] in _JUMP_OPS and operands:
+    target = policy = None
+    if op in _JUMP_OPS and operands:
         target, operands = operands[0], operands[1:]
-    if inst[0] == OP_INC:
+    elif op in _POLICY_OPS:
+        operands, policy = operands[:-1], operands[-1]
+    if op == OP_INC:
         # (slot, delta, op, lit): only the slot is a register.
-        return target, operands[:1], operands[1:]
-    return target, operands, ()
+        return target, operands[:1], operands[1:], policy
+    return target, operands, (), policy
 
 
 def _operand_slots(value, out) -> None:
@@ -1030,8 +1019,11 @@ def named_slots(instrs) -> List[int]:
     at its exit."""
     out = set()
     for inst in instrs:
-        for value in _split_operands(inst)[1]:
+        _target, operands, _literals, policy = _split_operands(inst)
+        for value in operands:
             _operand_slots(value, out)
+        # A read's owner-mode register (the other policies name none).
+        _operand_slots(policy, out)
     return sorted(out)
 
 
@@ -1054,6 +1046,16 @@ def _render_operand(code: VMCode, value) -> str:
     return repr(value)
 
 
+def _render_policy(op, value) -> str:
+    """A policy operand: ``elide`` or ``check`` for a snapshot; for a
+    read, ``elim``, ``raw`` or ``owner=rN``."""
+    if op == OP_SNAPSHOT:
+        return "elide" if value else "check"
+    if value is MC_RAW:
+        return "raw"
+    return "elim" if value == MC_ELIM else f"owner=r{value}"
+
+
 def _render_new(code: VMCode, meta) -> str:
     """``NEW``'s ``(class info, mode arguments, span)`` as the class
     name with its mode arguments, then the span."""
@@ -1064,8 +1066,10 @@ def _render_new(code: VMCode, meta) -> str:
     return text if span is None else f"{text} {_render_operand(code, span)}"
 
 
-def disassemble(code: VMCode) -> str:
-    """Pretty-print a lowered body with check-instruction annotations."""
+def disassemble(code: VMCode, transient: bool = False) -> str:
+    """Pretty-print a lowered body with check-instruction annotations;
+    ``transient`` is the check depth it runs under
+    (``Interpreter._transient``), which only the annotations show."""
     header = (f"; {code.name or '<anonymous>'} "
               f"params={list(code.param_names)} "
               f"slots={code.n_slots} consts={len(code.consts)}")
@@ -1073,7 +1077,7 @@ def disassemble(code: VMCode) -> str:
     for index, inst in enumerate(code.instrs):
         op = inst[0]
         parts = [OP_NAMES.get(op, f"OP<{op}>")]
-        target, operands, literals = _split_operands(inst)
+        target, operands, literals, policy = _split_operands(inst)
         if op in _JUMP_OPS:
             parts.append(f"->{target}")
         if op == OP_NEW:
@@ -1082,8 +1086,10 @@ def disassemble(code: VMCode) -> str:
             operands = operands[2:]
         parts.extend(_render_operand(code, value) for value in operands)
         parts.extend(repr(value) for value in literals)
+        if op in _POLICY_OPS:
+            parts.append(_render_policy(op, policy))
         line = f"  {index:4d}  " + " ".join(parts)
-        note = _CHECK_NOTES.get(op)
+        note = _check_note(inst, transient)
         if note:
             line = f"{line:<52s} {note}"
         lines.append(line)

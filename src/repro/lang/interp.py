@@ -1412,13 +1412,7 @@ class Interpreter:
         bound atom (shared with the VM and the JIT)."""
         if not isinstance(value, MCaseV):
             raise StuckError(f"mselect on non-mcase value {value!r}")
-        mode = self._resolve_atom(atom, frame)
-        self.stats.mcase_elims += 1
-        if self.tracer.enabled:
-            self.tracer.emit(MCaseElimEvent(
-                ts=self.tracer.now(), mode=mode_name(mode),
-                source="interp"))
-        return value.select(mode)
+        return self._elim_with_mode(value, self._resolve_atom(atom, frame))
 
     def _eval_binary(self, expr: ast.Binary, frame: _Frame,
                      want_mcase) -> object:

@@ -15,13 +15,16 @@ emitted code:
   monomorphic site emits a direct ``class_info is C`` identity test and,
   on success, enters the callee's register frame with no method lookup,
   no argument-descriptor interpretation and no dispatch loop.
-* **Check elision** exactly where the planner proved it safe: a
-  ``CALL_NODFALL`` site emits a bare ``dfall_elided`` counter bump (the
-  engine-invariant accounting), a ``CALL_DFALL``/``CALL_SHALLOW`` site
-  emits the inlined waterfall probe of the lattice's upward closure
-  (``ModeLattice.up``) with the check kernel's fallback through
-  :meth:`Interpreter._check_dfall`, and ``SNAPSHOT``/``SNAPSHOT_ELIDE``
-  keep their helper calls.
+* **Check policy** from the operands, known at compile time: a
+  ``CALL`` whose site the planner elided (``CallSite.elide_dfall``)
+  emits a bare ``dfall_elided`` counter bump (the engine-invariant
+  accounting), any other ``CALL`` the inlined waterfall probe of the
+  lattice's upward closure (``ModeLattice.up``) with the check
+  kernel's fallback through :meth:`Interpreter._check_dfall`.  A
+  ``SNAPSHOT`` keeps its helper call, except that under ``--checks
+  transient`` (``Interpreter._transient``) a residual one with concrete
+  bounds first emits the inlined tag-vs-bounds probe.  A read's
+  mode-case operand picks its elimination code.
 * **Deopt guards**: when a specialization assumption breaks (the
   receiver's class changed under a hot site), the emitted code falls
   back to :meth:`VM._site_send` — the generic send with the dispatch
@@ -65,22 +68,18 @@ from __future__ import annotations
 from repro.core.errors import StuckError
 from repro.core.modes import TOP, Mode
 from repro.lang.bytecode import (
-    OP_ADD, OP_BREAK_NOLOOP, OP_CALL_DFALL, OP_CALL_NATIVE,
-    OP_CALL_NODFALL, OP_CALL_SHALLOW, OP_CAST, OP_CAST_ERR,
-    OP_CONT_NOLOOP, OP_DIV,
+    OP_ADD, OP_CALL, OP_CALL_NATIVE, OP_CAST, OP_CAST_ERR, OP_DIV,
     OP_EQ, OP_FALLOFF, OP_FIELD_ADD, OP_FOREACH_INIT, OP_FOREACH_ITER,
-    OP_FUEL, OP_GE, OP_GETF, OP_GETF_ARG, OP_GETF_RAW, OP_GETF_THIS,
-    OP_GETF_THIS_ARG, OP_GETF_THIS_RAW, OP_GT, OP_INC, OP_INSTANCEOF,
+    OP_FUEL, OP_GE, OP_GETF, OP_GETF_THIS, OP_GT, OP_INC, OP_INSTANCEOF,
     OP_JF, OP_JF_EQ, OP_JF_GE, OP_JF_GT, OP_JF_LE, OP_JF_LT, OP_JF_NE,
     OP_JT, OP_JUMP, OP_LE, OP_LIST_BUILD, OP_LOAD_NATIVE, OP_LOAD_THIS,
     OP_LT, OP_MCASE_BUILD, OP_MCASE_DISPATCH, OP_MOD, OP_MOVE,
     OP_MSELECT, OP_MUL, OP_NE, OP_NEG, OP_NEW, OP_NEW_LIST, OP_NOT,
     OP_POP_HANDLER, OP_PUSH_HANDLER, OP_RETURN, OP_RETURN_NONE,
-    OP_RET_FIELD, OP_SETF, OP_SETF_THIS, OP_SNAPSHOT, OP_SNAPSHOT_ELIDE,
-    OP_SNAPSHOT_SHALLOW, OP_SUB, OP_THROW, OP_VAR_DYN, OP_VAR_DYN_ARG,
-    OP_VAR_DYN_RAW, LOOP_EXIT, LoopRegion, _JUMP_OPS, named_slots)
+    OP_RET_FIELD, OP_SETF, OP_SETF_THIS, OP_SNAPSHOT, OP_SUB, OP_THROW,
+    OP_VAR_DYN, LOOP_EXIT, MC_ELIM, MC_RAW, LoopRegion, _JUMP_OPS,
+    named_slots)
 from repro.lang.natives import NATIVE_STATIC_CLASSES
-from repro.lang.values import MCaseV
 
 __all__ = ["JITUnsupported", "compile_body", "jit_source",
            "HOT_CALL_THRESHOLD", "HOT_LOOP_THRESHOLD", "DEOPT_LIMIT",
@@ -114,8 +113,7 @@ _ARITH = {OP_ADD: ("+", None), OP_SUB: ("-", None), OP_MUL: ("*", None),
 _CMP = {OP_LT: "<", OP_LE: "<=", OP_GT: ">", OP_GE: ">="}
 
 _TERMINATORS = frozenset((OP_RETURN, OP_RETURN_NONE, OP_FALLOFF,
-                          OP_RET_FIELD, OP_THROW, OP_CAST_ERR,
-                          OP_BREAK_NOLOOP, OP_CONT_NOLOOP))
+                          OP_RET_FIELD, OP_THROW, OP_CAST_ERR))
 
 _SCALARS = (int, float, str, bool, type(None))
 
@@ -324,8 +322,6 @@ class _Emitter:
                 ("_NO_RETURN", interp_mod._NO_RETURN),
                 ("_Frame", interp_mod._Frame),
                 ("_NativeRef", NativeRef),
-                ("_BreakSignal", interp_mod._BreakSignal),
-                ("_ContinueSignal", interp_mod._ContinueSignal),
                 ("_java_div", interp_mod._java_div),
                 ("_java_mod", interp_mod._java_mod),
                 ("_SKIP_ELIM", _SKIP_ELIM),
@@ -412,9 +408,8 @@ class _Emitter:
             w(d, "else:")
             w(d + 1, f"_pc = {i + 1}")
             return True
-        if op == OP_CALL_DFALL or op == OP_CALL_NODFALL \
-                or op == OP_CALL_SHALLOW:
-            self._emit_call(d, inst, op)
+        if op == OP_CALL:
+            self._emit_call(d, inst)
             return False
         if op in _ARITH:
             sym, java = _ARITH[op]
@@ -468,31 +463,14 @@ class _Emitter:
         if op == OP_FALLOFF:
             w(d, "return _NO_RETURN")
             return True
-        if op == OP_GETF_THIS or op == OP_GETF_THIS_RAW:
+        if op == OP_GETF_THIS:
             name = inst[2]
             msg = f"unknown variable {name!r}"
             w(d, "try:")
             w(d + 1, f"_v = this_obj.fields[{name!r}]")
             w(d, "except (AttributeError, KeyError):")
             w(d + 1, f"raise StuckError({msg!r}) from None")
-            if op == OP_GETF_THIS:
-                w(d, "if _v.__class__ is MCaseV:")
-                w(d + 1, "_o = this_obj.effective_mode")
-                w(d + 1, "_v = _elim(_v, _o if _o is not None "
-                         "else current_mode)")
-            w(d, f"r{inst[1]} = _v")
-            return False
-        if op == OP_GETF_THIS_ARG:
-            name = inst[2]
-            msg = f"unknown variable {name!r}"
-            w(d, "try:")
-            w(d + 1, f"_v = this_obj.fields[{name!r}]")
-            w(d, "except (AttributeError, KeyError):")
-            w(d + 1, f"raise StuckError({msg!r}) from None")
-            w(d, "if _v.__class__ is MCaseV:")
-            w(d + 1, "_o = this_obj.effective_mode")
-            w(d + 1, f"r{inst[3]} = _o if _o is not None else "
-                     "current_mode")
+            self._mcase_read(d, inst[3], "this_obj")
             w(d, f"r{inst[1]} = _v")
             return False
         if op == OP_SETF_THIS:
@@ -539,31 +517,14 @@ class _Emitter:
                      "current_mode)")
             w(d, "return _v")
             return True
-        if op == OP_GETF or op == OP_GETF_RAW:
+        if op == OP_GETF:
             name = inst[2]
             prefix = f"cannot access field {name!r} of "
             w(d, f"_ob = {self.reg(inst[3])}")
             w(d, "if not isinstance(_ob, ObjectV):")
             w(d + 1, f"raise StuckError({prefix!r} + repr(_ob))")
             w(d, f"_v = _ob.get_field({name!r})")
-            if op == OP_GETF:
-                w(d, "if _v.__class__ is MCaseV:")
-                w(d + 1, "_o = _ob.effective_mode")
-                w(d + 1, "_v = _elim(_v, _o if _o is not None else "
-                         "current_mode)")
-            w(d, f"r{inst[1]} = _v")
-            return False
-        if op == OP_GETF_ARG:
-            name = inst[2]
-            prefix = f"cannot access field {name!r} of "
-            w(d, f"_ob = {self.reg(inst[3])}")
-            w(d, "if not isinstance(_ob, ObjectV):")
-            w(d + 1, f"raise StuckError({prefix!r} + repr(_ob))")
-            w(d, f"_v = _ob.get_field({name!r})")
-            w(d, "if _v.__class__ is MCaseV:")
-            w(d + 1, "_o = _ob.effective_mode")
-            w(d + 1, f"r{inst[4]} = _o if _o is not None else "
-                     "current_mode")
+            self._mcase_read(d, inst[4], "_ob")
             w(d, f"r{inst[1]} = _v")
             return False
         if op == OP_SETF:
@@ -575,12 +536,28 @@ class _Emitter:
             return False
         return self._emit_rare(d, i, inst, op)
 
+    def _mcase_read(self, d, mcase, owner) -> None:
+        """A field read's mode-case operand, applied to ``_v`` read from
+        ``owner``: eliminate at the owner's mode, or capture that mode
+        into the operand's register (nothing for ``MC_RAW``)."""
+        if mcase is MC_RAW:
+            return
+        w = self.w
+        w(d, "if _v.__class__ is MCaseV:")
+        w(d + 1, f"_o = {owner}.effective_mode")
+        if mcase == MC_ELIM:
+            w(d + 1, "_v = _elim(_v, _o if _o is not None else "
+                     "current_mode)")
+        else:
+            w(d + 1, f"r{mcase} = _o if _o is not None else "
+                     "current_mode")
+
     def _emit_rare(self, d, i, inst, op) -> bool:
         """The long tail: dynamic variable resolution, construction,
         snapshots, mode-case values, handlers, natives."""
         w = self.w
-        if op == OP_VAR_DYN or op == OP_VAR_DYN_RAW or op == OP_VAR_DYN_ARG:
-            name = inst[2]
+        if op == OP_VAR_DYN:
+            name, mcase = inst[2], inst[3]
             w(d, f"_found, _v = frame.lookup({name!r})")
             w(d, "if not _found:")
             w(d + 1, f"if this_obj is not None and {name!r} in "
@@ -588,11 +565,11 @@ class _Emitter:
             w(d + 2, f"_v = this_obj.fields[{name!r}]")
             w(d + 2, "if _v.__class__ is MCaseV:")
             w(d + 3, "_o = this_obj.effective_mode")
-            if op == OP_VAR_DYN:
+            if mcase == MC_ELIM:
                 w(d + 3, "_v = _elim(_v, _o if _o is not None else "
                          "current_mode)")
-            elif op == OP_VAR_DYN_ARG:
-                w(d + 3, f"r{inst[3]} = _o if _o is not None else "
+            elif mcase is not MC_RAW:
+                w(d + 3, f"r{mcase} = _o if _o is not None else "
                          "current_mode")
             else:
                 w(d + 3, "pass")
@@ -604,7 +581,7 @@ class _Emitter:
             else:
                 w(d + 3,
                   f"raise StuckError({f'unknown variable {name!r}'!r})")
-            if op == OP_VAR_DYN:
+            if mcase == MC_ELIM:
                 w(d, "elif _v.__class__ is MCaseV:")
                 w(d + 1, "_v = _elim(_v, current_mode)")
             w(d, f"r{inst[1]} = _v")
@@ -633,11 +610,10 @@ class _Emitter:
             w(d, f"r{inst[1]} = _mselect({self.reg(inst[2])}, "
                  f"{self.lit(inst[3])}, frame)")
             return False
-        if op == OP_SNAPSHOT or op == OP_SNAPSHOT_ELIDE \
-                or op == OP_SNAPSHOT_SHALLOW:
-            elide = op == OP_SNAPSHOT_ELIDE
-            bounds = inst[3]
-            if (op == OP_SNAPSHOT_SHALLOW and self.vm._dfall_plain
+        if op == OP_SNAPSHOT:
+            bounds, elide = inst[3], inst[5]
+            if (not elide and self.interp._transient
+                    and self.vm._dfall_plain
                     and bounds[0].__class__ is Mode
                     and bounds[1].__class__ is Mode):
                 # Transient re-snapshot, concrete bounds: specialize
@@ -746,17 +722,11 @@ class _Emitter:
             w(d, "_stats.energy_exceptions += 1")
             w(d, "raise EnergyException(_msg)")
             return True
-        if op == OP_BREAK_NOLOOP:
-            w(d, "raise _BreakSignal()")
-            return True
-        if op == OP_CONT_NOLOOP:
-            w(d, "raise _ContinueSignal()")
-            return True
         raise JITUnsupported(f"opcode {op!r} has no JIT emitter")
 
     # -- call sites -----------------------------------------------------
 
-    def _emit_call(self, d, inst, op) -> None:
+    def _emit_call(self, d, inst) -> None:
         """A message send.  Monomorphic sites (one inline-cache entry at
         compile time) emit a receiver-class identity guard and the VM
         leaf path inline; everything else — and every guard failure —
@@ -834,7 +804,7 @@ class _Emitter:
                 if not compile_self_call:
                     w(d + 1, "if _recv is not this_obj:")
                     dd = d + 2
-                    self._emit_dfall(dd, op, minfo_name, span_expr)
+                    self._emit_dfall(dd, site, minfo_name, span_expr)
                 closure = "(_gm if _gm is not None else current_mode)"
             w(d + 1, f"_f2 = _Frame(_recv, _recv.mode_env, {closure})")
             w(d + 1, f"_rg2 = {self.bind(callee.template)}.copy()")
@@ -868,12 +838,12 @@ class _Emitter:
         w(d + 1, f"vm._note_deopt({self.bind(self.unit)})")
         w(d + 1, f"r{dst} = {generic('_recv', self_call)}")
 
-    def _emit_dfall(self, d, op, minfo_name, span_expr) -> None:
+    def _emit_dfall(self, d, site, minfo_name, span_expr) -> None:
         """The waterfall check at a non-self leaf send: planner-elided
         counting, the inlined closure probe, or the full helper — the
         same split as the VM's leaf path."""
         w = self.w
-        if op == OP_CALL_NODFALL and self.interp._elide_on:
+        if site.elide_dfall and self.interp._elide_on:
             w(d, "_stats.dfall_elided += 1")
         elif self.vm._dfall_plain:
             up = self.bind(self.interp.lattice.up, "_up")

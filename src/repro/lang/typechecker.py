@@ -72,6 +72,9 @@ class _Scope:
     locals: List[Dict[str, Type]] = dc_field(default_factory=list)
     return_type: Type = ty.VOID
     in_attributor: bool = False
+    #: Loops enclosing the statement being checked, in this body only:
+    #: a loop in a calling method does not make ``break`` legal.
+    loop_depth: int = 0
     _fresh_counter: int = 0
 
     def push(self) -> None:
@@ -584,13 +587,15 @@ class TypeChecker:
             cond = self._check_expr_expecting(stmt.cond, scope, ty.BOOLEAN)
             self._require_assignable(cond, ty.BOOLEAN, scope,
                                      stmt.span, "while condition")
-            self._check_stmt(stmt.body, scope)
+            self._check_loop_body(stmt.body, scope)
         elif isinstance(stmt, ast.Foreach):
             self._check_foreach(stmt, scope)
         elif isinstance(stmt, ast.Return):
             self._check_return(stmt, scope)
         elif isinstance(stmt, (ast.Break, ast.Continue)):
-            pass
+            if not scope.loop_depth:
+                word = "break" if isinstance(stmt, ast.Break) else "continue"
+                raise EntTypeError(f"{word} outside a loop", stmt.span)
         elif isinstance(stmt, ast.TryCatch):
             if stmt.exc_class != "EnergyException":
                 raise EntTypeError(
@@ -608,6 +613,11 @@ class TypeChecker:
         else:  # pragma: no cover - parser produces no other statements
             raise EntTypeError(f"unsupported statement {type(stmt).__name__}",
                                stmt.span)
+
+    def _check_loop_body(self, body: ast.Stmt, scope: _Scope) -> None:
+        scope.loop_depth += 1
+        self._check_stmt(body, scope)
+        scope.loop_depth -= 1
 
     def _check_local_decl(self, stmt: ast.LocalVarDecl,
                           scope: _Scope) -> None:
@@ -694,7 +704,7 @@ class TypeChecker:
         stmt.resolved_var_type = var_type
         scope.push()
         scope.declare(stmt.var_name, var_type, stmt.span)
-        self._check_stmt(stmt.body, scope)
+        self._check_loop_body(stmt.body, scope)
         scope.pop()
 
     def _check_return(self, stmt: ast.Return, scope: _Scope) -> None:

@@ -21,6 +21,12 @@ that buy the speedup over the tree walk:
   the callee's parameter types are known, so the common non-mcase send
   pays nothing.
 
+One handler per ENT operation: a check's policy is an operand read in
+the handler — the planner's verdict (``CallSite.elide_dfall``,
+``SNAPSHOT``'s ``elide``) and a read's mode-case operand, which only a
+mode-case value consults — and the check depth is
+``Interpreter._transient``, which selects the inline transient probes.
+
 Everything non-hot delegates to the interpreter's shared helpers
 (``_snapshot_value``, ``_mselect_value``, ``_construct``, ``_invoke``,
 ``_binary_op``, the check kernel, …) and ``call_non_object``, so
@@ -42,22 +48,18 @@ from repro.core.errors import (EnergyException, EntRuntimeError,
                                FuelExhausted, StuckError)
 from repro.core.modes import TOP, Mode
 from repro.lang.bytecode import (  # noqa: F401 (re-exported for tests)
-    OP_ADD, OP_BREAK_NOLOOP, OP_CALL_DFALL, OP_CALL_NATIVE,
-    OP_CALL_NODFALL, OP_CALL_SHALLOW, OP_CAST, OP_CAST_ERR,
-    OP_CONT_NOLOOP, OP_DIV,
+    OP_ADD, OP_CALL, OP_CALL_NATIVE, OP_CAST, OP_CAST_ERR, OP_DIV,
     OP_EQ, OP_FALLOFF, OP_FIELD_ADD, OP_FOREACH_INIT, OP_FOREACH_ITER,
-    OP_FUEL, OP_GE, OP_GETF, OP_GETF_ARG, OP_GETF_RAW, OP_GETF_THIS,
-    OP_GETF_THIS_ARG, OP_GETF_THIS_RAW, OP_GT, OP_INC, OP_INSTANCEOF,
+    OP_FUEL, OP_GE, OP_GETF, OP_GETF_THIS, OP_GT, OP_INC, OP_INSTANCEOF,
     OP_JF, OP_JF_EQ, OP_JF_GE, OP_JF_GT, OP_JF_LE, OP_JF_LT, OP_JF_NE,
     OP_JT, OP_JUMP, OP_LE, OP_LIST_BUILD, OP_LOAD_NATIVE, OP_LOAD_THIS,
     OP_LT, OP_MCASE_BUILD, OP_MCASE_DISPATCH, OP_MOD, OP_MOVE,
     OP_MSELECT, OP_MUL, OP_NE, OP_NEG, OP_NEW, OP_NEW_LIST, OP_NOT,
     OP_POP_HANDLER, OP_PROFILE, OP_PUSH_HANDLER, OP_RETURN,
     OP_RETURN_NONE, OP_RET_FIELD, OP_SETF, OP_SETF_THIS, OP_SNAPSHOT,
-    OP_SNAPSHOT_ELIDE, OP_SNAPSHOT_SHALLOW, OP_SUB, OP_THROW,
-    OP_VAR_DYN, OP_VAR_DYN_ARG,
-    OP_VAR_DYN_RAW, LOOP_EXIT, LoopRegion, VMCode, instrument,
-    loop_back_edges, lower_body, lower_expr)
+    OP_SUB, OP_THROW, OP_VAR_DYN, LOOP_EXIT, MC_ELIM, MC_RAW,
+    LoopRegion, VMCode, instrument, loop_back_edges, lower_body,
+    lower_expr)
 from repro.lang.natives import (NATIVE_STATIC_CLASSES, NativeRef,
                                 call_native_static, call_non_object)
 from repro.lang.values import MCaseV, ObjectV
@@ -357,8 +359,7 @@ class VM:
                         if interp.values_equal(regs[inst[2]],
                                                regs[inst[3]]):
                             pc = inst[1]
-                    elif op == OP_CALL_DFALL or op == OP_CALL_NODFALL \
-                            or op == OP_CALL_SHALLOW:
+                    elif op == OP_CALL:
                         site = inst[2]
                         rv = inst[3]
                         if rv is None:
@@ -405,7 +406,7 @@ class VM:
                                 else:
                                     guard = receiver.effective_mode
                                     if not self_call:
-                                        if (op == OP_CALL_NODFALL
+                                        if (site.elide_dfall
                                                 and interp._elide_on):
                                             stats.dfall_elided += 1
                                         # Inlined closure probe: a
@@ -559,10 +560,9 @@ class VM:
                             raise StuckError(
                                 f"unknown variable {inst[2]!r}") from None
                         if v.__class__ is MCaseV:
-                            owner = this_obj.effective_mode
-                            v = interp._elim_with_mode(
-                                v, owner if owner is not None
-                                else current_mode)
+                            v = _mcase_read(
+                                interp, v, this_obj.effective_mode,
+                                inst[3], current_mode, regs)
                         regs[inst[1]] = v
                     elif op == OP_SUB:
                         a = regs[inst[2]]
@@ -667,37 +667,7 @@ class VM:
                             raise StuckError(
                                 f"cannot assign field of {obj!r}")
                         obj.set_field(inst[1], regs[inst[3]])
-                    elif op == OP_GETF or op == OP_GETF_RAW:
-                        obj = regs[inst[3]]
-                        if not isinstance(obj, ObjectV):
-                            raise StuckError(
-                                f"cannot access field {inst[2]!r} of "
-                                f"{obj!r}")
-                        v = obj.get_field(inst[2])
-                        if v.__class__ is MCaseV and op == OP_GETF:
-                            owner = obj.effective_mode
-                            v = interp._elim_with_mode(
-                                v, owner if owner is not None
-                                else current_mode)
-                        regs[inst[1]] = v
-                    elif op == OP_GETF_THIS_RAW:
-                        try:
-                            regs[inst[1]] = this_obj.fields[inst[2]]
-                        except (AttributeError, KeyError):
-                            raise StuckError(
-                                f"unknown variable {inst[2]!r}") from None
-                    elif op == OP_GETF_THIS_ARG:
-                        try:
-                            v = this_obj.fields[inst[2]]
-                        except (AttributeError, KeyError):
-                            raise StuckError(
-                                f"unknown variable {inst[2]!r}") from None
-                        if v.__class__ is MCaseV:
-                            owner = this_obj.effective_mode
-                            regs[inst[3]] = (owner if owner is not None
-                                             else current_mode)
-                        regs[inst[1]] = v
-                    elif op == OP_GETF_ARG:
+                    elif op == OP_GETF:
                         obj = regs[inst[3]]
                         if not isinstance(obj, ObjectV):
                             raise StuckError(
@@ -705,12 +675,10 @@ class VM:
                                 f"{obj!r}")
                         v = obj.get_field(inst[2])
                         if v.__class__ is MCaseV:
-                            owner = obj.effective_mode
-                            regs[inst[4]] = (owner if owner is not None
-                                             else current_mode)
+                            v = _mcase_read(interp, v, obj.effective_mode,
+                                            inst[4], current_mode, regs)
                         regs[inst[1]] = v
-                    elif (op == OP_VAR_DYN or op == OP_VAR_DYN_RAW
-                            or op == OP_VAR_DYN_ARG):
+                    elif op == OP_VAR_DYN:
                         name = inst[2]
                         found, v = frame.lookup(name)
                         if not found:
@@ -718,15 +686,9 @@ class VM:
                                     and name in this_obj.fields):
                                 v = this_obj.fields[name]
                                 if v.__class__ is MCaseV:
-                                    owner = this_obj.effective_mode
-                                    if op == OP_VAR_DYN:
-                                        v = interp._elim_with_mode(
-                                            v, owner if owner is not None
-                                            else current_mode)
-                                    elif op == OP_VAR_DYN_ARG:
-                                        regs[inst[3]] = (
-                                            owner if owner is not None
-                                            else current_mode)
+                                    v = _mcase_read(
+                                        interp, v, this_obj.effective_mode,
+                                        inst[3], current_mode, regs)
                             else:
                                 v = interp._mode_by_name.get(name)
                                 if v is None:
@@ -735,8 +697,7 @@ class VM:
                                     else:
                                         raise StuckError(
                                             f"unknown variable {name!r}")
-                        elif (v.__class__ is MCaseV
-                                and op == OP_VAR_DYN):
+                        elif v.__class__ is MCaseV and inst[3] == MC_ELIM:
                             v = interp._elim_with_mode(v, current_mode)
                         regs[inst[1]] = v
                     elif op == OP_MCASE_DISPATCH:
@@ -759,22 +720,15 @@ class VM:
                         regs[inst[1]] = interp._mselect_value(
                             regs[inst[2]], inst[3], frame)
                     elif op == OP_SNAPSHOT:
-                        regs[inst[1]] = interp._snapshot_value(
-                            regs[inst[2]], inst[3], frame,
-                            elide_bound=False, span=inst[4])
-                    elif op == OP_SNAPSHOT_ELIDE:
-                        regs[inst[1]] = interp._snapshot_value(
-                            regs[inst[2]], inst[3], frame,
-                            elide_bound=True, span=inst[4])
-                    elif op == OP_SNAPSHOT_SHALLOW:
+                        src = regs[inst[2]]
                         # Transient re-snapshot: when the tag is
                         # already fixed and the bounds are concrete,
                         # the whole check is two set probes; anything
                         # else (first snapshot, hooks, symbolic
                         # bounds, failures) re-enters the shared
                         # helper, which owns the blame raise.
-                        src = regs[inst[2]]
-                        if (self._dfall_plain
+                        if (not inst[5] and interp._transient
+                                and self._dfall_plain
                                 and src.__class__ is ObjectV
                                 and src.is_snapshot
                                 and interp.on_snapshot is None):
@@ -794,7 +748,7 @@ class VM:
                                     continue
                         regs[inst[1]] = interp._snapshot_value(
                             src, inst[3], frame,
-                            elide_bound=False, span=inst[4])
+                            elide_bound=inst[5], span=inst[4])
                     elif op == OP_CAST:
                         regs[inst[1]] = interp._cast_value(
                             regs[inst[2]], inst[3], frame)
@@ -884,10 +838,6 @@ class VM:
                         return None
                     elif op == OP_FALLOFF:
                         return _NO_RETURN
-                    elif op == OP_BREAK_NOLOOP:
-                        raise _BreakSignal()
-                    elif op == OP_CONT_NOLOOP:
-                        raise _ContinueSignal()
                     elif op == OP_PROFILE:
                         # Only present in instrument()ed bodies; sits
                         # at the chain's end so uninstrumented code
@@ -1035,6 +985,22 @@ def _body_names(table):
     return names
 
 
+def _mcase_read(interp, value, owner, mcase, current_mode, regs):
+    """A read's mode-case operand applied to the mode case ``value`` of
+    an object whose effective mode is ``owner`` (the current mode when
+    it has none): keep ``value`` raw, eliminate it at that mode, or
+    store the mode in the operand's register for the send that
+    eliminates ``value``."""
+    if mcase is MC_RAW:
+        return value
+    if owner is None:
+        owner = current_mode
+    if mcase == MC_ELIM:
+        return interp._elim_with_mode(value, owner)
+    regs[mcase] = owner
+    return value
+
+
 # Late imports resolved once at module load: the interp module imports
 # this one lazily (inside ``Interpreter.__init__``), so the circular
 # reference is safe by the time a VM is constructed.
@@ -1043,8 +1009,6 @@ def _bind_interp_names():
 
     globals().update({
         "_Frame": _interp_mod._Frame,
-        "_BreakSignal": _interp_mod._BreakSignal,
-        "_ContinueSignal": _interp_mod._ContinueSignal,
         "_NO_RETURN": _interp_mod._NO_RETURN,
         "_java_div": _interp_mod._java_div,
         "_java_mod": _interp_mod._java_mod,

@@ -97,7 +97,7 @@ def test_label_resolution_chain():
     model = builtin_model()
     assert model.resolve_key("check.dfall") == "check.dfall"
     assert model.resolve_key("op.ADD") == "alu"
-    assert model.resolve_key("op.CALL_DFALL") == "check.dfall"
+    assert model.resolve_key("op.CALL") == "call"
     assert model.resolve_key("op.SNAPSHOT") == "check.snapshot_bound"
     assert model.resolve_key("check.dfall@3:4") == "check.dfall"
     assert model.resolve_key(

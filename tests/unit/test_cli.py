@@ -486,6 +486,32 @@ class Main { void main() { D d = snapshot (new D@mode<?>()); } }
         assert main([*argv, program(self.RECURSIVE[shape])]) == 1
         assert capsys.readouterr().err == "error: call depth exceeded\n"
 
+    #: ``break`` outside a loop: at the top of ``main``, and in a
+    #: helper that ``main`` calls from a loop (which does not count).
+    LOOP_CONTROL = {
+        "top level": "class Main { void main() { break; } }",
+        "in a helper": """
+class Main {
+    void helper() { break; }
+    void main() {
+        int i = 0;
+        while (i < 100) { Sys.print(i); helper(); i = i + 99; }
+        Sys.print(i);
+    }
+}
+""",
+    }
+
+    @pytest.mark.parametrize("shape", LOOP_CONTROL)
+    @pytest.mark.parametrize("engine", ["walk", "vm", "jit"])
+    def test_break_outside_a_loop(self, program, capsys, engine, shape):
+        path = program(self.LOOP_CONTROL[shape])
+        assert main(["run", "--engine", engine, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith(": break outside a loop\n")
+
     def test_recursion_is_not_a_catchable_energy_exception(self, program,
                                                             capsys):
         source = """

@@ -8,8 +8,7 @@ from repro.eval import (e1_benchmarks, e2_benchmarks, e3_benchmarks,
 from repro.eval.config import ALL_COMBOS, VIOLATING_COMBOS
 from repro.eval.e1 import Figure9Bar
 from repro.eval.e2 import Figure10Row
-from repro.eval.overhead import (OverheadRow, measure_mechanism_costs,
-                                 paired_end_to_end)
+from repro.eval.overhead import OverheadRow, measure_mechanism_costs
 from repro.eval.runner import EpisodeResult
 from repro.workloads import ES, FT, MG
 
@@ -126,7 +125,3 @@ class TestOverheadRow:
         assert a.elim_s >= 0
         # The snapshot machinery costs more than an elimination.
         assert a.snapshot_s > a.elim_s
-
-    def test_paired_end_to_end_returns_times(self):
-        ent, base = paired_end_to_end("crypto", pairs=2)
-        assert ent > 0 and base > 0

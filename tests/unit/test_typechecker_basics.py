@@ -214,3 +214,56 @@ class TestNativesAndLists:
     def test_instanceof(self):
         check("Helper h = new Helper(); boolean b = h instanceof Helper;",
               extra_classes="class Helper { }\n")
+
+
+class TestLoopControl:
+    """``break`` and ``continue`` need a loop around them in the same
+    body, as in Java: a loop in a calling method does not count, but a
+    ``try`` inside a loop does."""
+
+    BODIES = {
+        "method": "class Main {{ void main() {{ {stmt} }} }}",
+        "constructor": ("class Helper {{ Helper() {{ {stmt} }} }}\n"
+                        "class Main {{ void main() {{ }} }}"),
+        "attributor": ("class Helper@mode<?X> {{ attributor {{ {stmt} "
+                       "return managed; }} }}\n"
+                       "class Main {{ void main() {{ }} }}"),
+    }
+
+    @pytest.mark.parametrize("where", BODIES)
+    @pytest.mark.parametrize("word", ["break", "continue"])
+    def test_top_level_of_a_body_rejected(self, where, word):
+        source = MODES + self.BODIES[where].format(stmt=word + ";")
+        with pytest.raises(EntTypeError) as exc_info:
+            check_program(source)
+        assert f"{word} outside a loop" in str(exc_info.value)
+        line = MODES.count("\n") + 1
+        column = source.splitlines()[line - 1].index(word) + 1
+        assert (exc_info.value.span.line,
+                exc_info.value.span.column) == (line, column)
+
+    @pytest.mark.parametrize("word", ["break", "continue"])
+    def test_loop_in_the_caller_does_not_count(self, word):
+        with pytest.raises(EntTypeError, match=f"{word} outside a loop"):
+            check_program(MODES + f"""
+class Main {{
+    void helper() {{ {word}; }}
+    void main() {{ while (true) {{ helper(); }} }}
+}}""")
+
+    @pytest.mark.parametrize("word", ["break", "continue"])
+    def test_if_outside_a_loop_rejected(self, word):
+        check_fails(f"if (true) {{ {word}; }}", f"{word} outside a loop")
+
+    @pytest.mark.parametrize("word", ["break", "continue"])
+    @pytest.mark.parametrize("body", [
+        "while (true) {{ {w}; }}",
+        "List l = [1]; foreach (int x : l) {{ {w}; }}",
+        "while (true) {{ List l = [1]; foreach (int x : l) {{ {w}; }} "
+        "{w}; }}",
+        "while (true) {{ try {{ {w}; }} catch (EnergyException e) "
+        "{{ {w}; }} }}",
+        "while (true) {{ if (true) {{ {w}; }} }}",
+    ], ids=["while", "foreach", "nested", "try in loop", "if in loop"])
+    def test_inside_a_loop_accepted(self, word, body):
+        check(body.format(w=word))

@@ -2,10 +2,12 @@
 engine resolution, superinstruction fallbacks, handler unwinding,
 fuel accounting on ``continue``, and the disassembler."""
 
+import re
+
 import pytest
 
 from repro.core.errors import FuelExhausted
-from repro.lang.bytecode import disassemble, lower_body
+from repro.lang.bytecode import disassemble, lower_body, named_slots
 from repro.lang.engines import ENGINES, resolve_engine
 from repro.lang.interp import Interpreter, InterpOptions
 from repro.lang.typechecker import check_program
@@ -227,7 +229,7 @@ class Main {
         assert "FUEL" in main
         assert "JF_LT" in main
         assert "INC" in main
-        assert "CALL_DFALL" in main and ";; DFALL_CHECK" in main
+        assert "CALL " in main and ";; DFALL_CHECK" in main
         bump = texts["Acc.bump"]
         assert "FIELD_ADD" in bump
         assert "RET_FIELD" in bump
@@ -244,6 +246,34 @@ class Main {
         # k-index with its value.
         assert "=100" in texts["Main.main"]
 
+    MCASE = MODES + """
+class D@mode<?X> {
+    mcase<int> cost = mcase<int>{ lo: 1; hi: 5; default: 9; };
+    attributor { return hi; }
+    D() { }
+    int take(int c) { return c; }
+    int own() { return take(cost); }
+    mcase<int> raw() { mcase<int> m = cost; return m; }
+    int elim() { int c = cost; return c; }
+}
+class Main { void main() { } }
+"""
+
+    def test_mcase_operand_renders_and_names_its_register(self):
+        checked = check_program(self.MCASE)
+        interp = Interpreter(checked,
+                             options=InterpOptions(engine="vm"))
+        info = interp.table.get("D")
+        code = {name: interp._vm.code_for_method(
+            interp._find_method(info, name))
+            for name in ("own", "raw", "elim")}
+        own = disassemble(code["own"])
+        assert "GETF_THIS r0 'cost' owner=r1" in own
+        assert "GETF_THIS r0 'cost' raw" in disassemble(code["raw"])
+        assert "GETF_THIS r0 'cost' elim" in disassemble(code["elim"])
+        # The owner-mode register is a frame slot a loop region loads.
+        assert named_slots(code["own"].instrs[:1]) == [0, 1]
+
     def test_lower_body_idempotent_shape(self):
         checked = check_program(self.HOT)
         interp = Interpreter(checked,
@@ -256,9 +286,9 @@ class Main {
 
 
 class TestShallowOpcodes:
-    """Transient checking lowers to dedicated shallow opcodes
-    (``CALL_SHALLOW``/``SNAPSHOT_SHALLOW``) and the JIT inlines the
-    matching tag probes; full checking must never emit them."""
+    """Transient checking runs residual checks as shallow tag probes:
+    the listing's ``;;`` notes say so and the JIT inlines the probes;
+    full checking must never annotate them as transient."""
 
     PROGRAM = MODES + """
 class R@mode<?X> {
@@ -292,23 +322,22 @@ class Main {
                         if c.name == "Main")
         minfo = interp._find_method(interp.table.get("Main"), "main")
         assert main_cls is not None
-        return disassemble(interp._vm.code_for_method(minfo))
+        return disassemble(interp._vm.code_for_method(minfo),
+                           transient=interp._transient)
 
     def test_transient_lowering_uses_shallow_opcodes(self):
         listing = self._main_listing("transient")
-        assert "SNAPSHOT_SHALLOW" in listing
-        assert "CALL_SHALLOW" in listing
         assert ";; BOUND_CHECK (transient: tag-vs-bounds probe)" \
             in listing
         assert ";; DFALL_CHECK (transient: shallow tag probe)" \
             in listing
-        assert "CALL_DFALL" not in listing
+        assert not re.search(r";; (DFALL|BOUND)_CHECK$", listing, re.M)
 
     def test_full_lowering_keeps_deep_opcodes(self):
         listing = self._main_listing("full")
-        assert "SHALLOW" not in listing
-        assert "CALL_DFALL" in listing
-        assert "SNAPSHOT " in listing or "SNAPSHOT\t" in listing
+        assert "transient" not in listing
+        assert re.search(r";; DFALL_CHECK$", listing, re.M)
+        assert re.search(r";; BOUND_CHECK$", listing, re.M)
 
     def test_jit_inlines_shallow_probes(self):
         from repro.lang.jit import jit_source
