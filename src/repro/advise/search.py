@@ -221,7 +221,7 @@ def _calibration_worker(task: Dict[str, object]) -> Dict[str, object]:
                     if mode is not None)
     source = pin_classes(task["source"], assignment,
                          filename=task["file"])
-    checked = check_program(source)
+    checked = check_program(source, task["file"])
     report = analyze_program(checked, annotate=False, file=task["file"])
     discharged = apply_assignment(report.sites, pinned)
     platform = make_platform(task["system"], seed=task["platform_seed"],
@@ -408,7 +408,7 @@ def advise_source(source: str, file: str = "<advise>",
     model = model or builtin_model(cfg.arch)
     notes: List[str] = []
 
-    checked = check_program(source)
+    checked = check_program(source, file)
     analyzer = ProgramAnalyzer(checked)
     analyzer.analyze()
     declared = sorted(m.name for m in checked.lattice.declared_modes)

@@ -123,16 +123,9 @@ def _roots(analyzer: ProgramAnalyzer) -> Dict[str, Bound]:
         return roots
     roots["Main.main"] = ONE
     info = table.get("Main")
-    current = info
-    while current is not None:
-        decl = current.decl
-        if decl is not None:
-            for fdecl in decl.fields:
-                if fdecl.init is not None:
-                    key = f"{current.name}.<field {fdecl.name}>"
-                    roots[key] = roots.get(key, ZERO) + ONE
-        current = (table.get(current.superclass)
-                   if current.superclass else None)
+    for finfo in table.all_fields("Main"):
+        if finfo.decl is not None and finfo.decl.init is not None:
+            roots[f"{finfo.owner}.<field {finfo.name}>"] = ONE
     if info.decl is not None and info.decl.constructor is not None:
         roots["Main.<init>"] = ONE
     return roots

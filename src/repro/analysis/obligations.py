@@ -395,17 +395,6 @@ class ProgramAnalyzer:
                 if info.name != "Object"
                 and self.table.is_subclass(info.name, class_name)]
 
-    def _nearest_attributor(
-            self, info: ClassInfo) -> Optional[ast.AttributorDecl]:
-        current: Optional[ClassInfo] = info
-        while current is not None:
-            decl = current.decl
-            if decl is not None and decl.attributor is not None:
-                return decl.attributor
-            current = (self.table.get(current.superclass)
-                       if current.superclass else None)
-        return None
-
     def _class_hull(self,
                     class_name: str) -> Optional[FrozenSet[Mode]]:
         """All modes any attributor reachable from a snapshot of static
@@ -419,11 +408,11 @@ class ProgramAnalyzer:
         result: Optional[FrozenSet[Mode]] = None
         complete = True
         for info in self._subclasses(class_name):
-            attributor = self._nearest_attributor(info)
-            if attributor is None:
+            owner = self.table.attributor(info.name)
+            if owner is None:
                 complete = False
                 break
-            modes = attributor_modes(attributor)
+            modes = attributor_modes(owner.decl.attributor)
             if modes is None:
                 complete = False
                 break
@@ -433,24 +422,13 @@ class ProgramAnalyzer:
         self._hull_cache[class_name] = result
         return result
 
-    def _resolve_method(self, info: ClassInfo,
-                        name: str) -> Optional[MethodInfo]:
-        current: Optional[ClassInfo] = info
-        while current is not None:
-            minfo = current.methods.get(name)
-            if minfo is not None:
-                return minfo
-            current = (self.table.get(current.superclass)
-                       if current.superclass else None)
-        return None
-
     def _override_minfos(self, class_name: str,
                          method: str) -> List[MethodInfo]:
         """The method implementations any dynamic dispatch from a
         static receiver type ``class_name`` can reach."""
         seen: Dict[int, MethodInfo] = {}
         for info in self._subclasses(class_name):
-            minfo = self._resolve_method(info, method)
+            minfo = self.table.method(info.name, method)
             if minfo is not None:
                 seen[id(minfo)] = minfo
         return list(seen.values())
@@ -810,31 +788,14 @@ class ProgramAnalyzer:
         info = self.table.get(resolved.class_name)
         # Construction runs every inherited field initializer plus the
         # class's own constructor (see ``Interpreter._construct``).
-        current: Optional[ClassInfo] = info
-        while current is not None:
-            decl = current.decl
-            if decl is not None:
-                for fdecl in decl.fields:
-                    if fdecl.init is not None:
-                        self.edges.append(
-                            (self._ctx,
-                             f"{current.name}.<field {fdecl.name}>",
-                             weight))
-            current = (self.table.get(current.superclass)
-                       if current.superclass else None)
+        for finfo in self.table.all_fields(info.name):
+            if finfo.decl is not None and finfo.decl.init is not None:
+                self.edges.append(
+                    (self._ctx, f"{finfo.owner}.<field {finfo.name}>",
+                     weight))
         if info.decl is not None and info.decl.constructor is not None:
             self.edges.append(
                 (self._ctx, f"{info.name}.<init>", weight))
-
-    def _attributor_owner(self, info: ClassInfo) -> Optional[str]:
-        current: Optional[ClassInfo] = info
-        while current is not None:
-            decl = current.decl
-            if decl is not None and decl.attributor is not None:
-                return current.name
-            current = (self.table.get(current.superclass)
-                       if current.superclass else None)
-        return None
 
     def _record_snapshot_edges(self, class_name: str) -> None:
         # One snapshot runs exactly one attributor, but the object may
@@ -842,9 +803,9 @@ class ProgramAnalyzer:
         weight = self._edge_weight()
         targets: Set[str] = set()
         for info in self._subclasses(class_name):
-            owner = self._attributor_owner(info)
+            owner = self.table.attributor(info.name)
             if owner is not None:
-                targets.add(owner)
+                targets.add(owner.name)
         for owner in sorted(targets):
             self.edges.append(
                 (self._ctx, f"{owner}.<attributor>", weight))

@@ -394,6 +394,16 @@ def _read(path: str) -> str:
                        f"{exc.start})") from None
 
 
+def _checked(path: str):
+    """Read and typecheck ``path``; syntax and type errors name it."""
+    return check_program(_read(path), _source_name(path))
+
+
+def _source_name(path: str) -> str:
+    """The file name error spans report for ``path``."""
+    return "<stdin>" if path == "-" else path
+
+
 def _platform(system: Optional[str], args):
     """The simulator for ``--system`` (``None`` without one)."""
     if system is None:
@@ -414,14 +424,13 @@ def _run_program(interp, args) -> int:
 
 
 def _cmd_check(args) -> int:
-    check_program(_read(args.file))
+    _checked(args.file)
     print(f"{args.file}: OK")
     return 0
 
 
 def _cmd_run(args) -> int:
-    source = _read(args.file)
-    checked = check_program(source)
+    checked = _checked(args.file)
     platform = _platform(args.system, args)
     tracer = None
     if args.trace is not None:
@@ -470,7 +479,7 @@ def _cmd_analyze(args) -> int:
         return _analyze_embedded(args)
     from repro.analysis import analyze_program
 
-    checked = check_program(_read(args.file))
+    checked = _checked(args.file)
     report = analyze_program(checked, file=args.file,
                              fuel=args.fuel)
     if args.json:
@@ -513,8 +522,7 @@ def _cmd_profile(args) -> int:
     from repro.obs.prof import Profiler, energy_by_label, \
         render_profile, write_profile
 
-    source = _read(args.file)
-    checked = check_program(source)
+    checked = _checked(args.file)
     system = args.system
     if args.energy and system is None:
         system = "A"
@@ -671,8 +679,7 @@ def _cmd_disasm(args) -> int:
     """
     from repro.lang.bytecode import disassemble
 
-    source = _read(args.file)
-    checked = check_program(source)
+    checked = _checked(args.file)
     if not args.no_elide:
         from repro.analysis import plan_elisions
         plan_elisions(checked)
@@ -725,7 +732,7 @@ def _cmd_disasm(args) -> int:
         if cls.attributor is not None:
             chunks.append(render(vm._lower(cls.attributor.body, [], ())))
         for method in cls.methods:
-            minfo = interp._find_method(info, method.name)
+            minfo = info.methods[method.name]
             chunks.append(render(vm.code_for_method(minfo)))
             if method.attributor is not None:
                 chunks.append(render(vm._lower(
@@ -736,12 +743,13 @@ def _cmd_disasm(args) -> int:
 
 
 def _cmd_pretty(args) -> int:
-    print(pretty_program(parse_program(_read(args.file))), end="")
+    print(pretty_program(parse_program(_read(args.file),
+                                       _source_name(args.file))), end="")
     return 0
 
 
 def _cmd_tokens(args) -> int:
-    for token in tokenize(_read(args.file)):
+    for token in tokenize(_read(args.file), _source_name(args.file)):
         print(token)
     return 0
 

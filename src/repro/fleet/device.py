@@ -178,7 +178,7 @@ def run_device(platform, rt: EntRuntime, app: DeviceApp,
         pushes=pushes,
         energy_uj=energy_uj,
         total_uj=sum(energy_uj),
-        battery_pm=int(round(battery.fraction(platform.now()) * 1000)),
+        battery_pm=int(round(battery.fraction() * 1000)),
         dwell_us={name: int(round(seconds * 1e6))
                   for name, seconds in dwell_s.items()},
         stats=tuple(a - b for a, b in zip(after, before)))

@@ -36,10 +36,12 @@ Hot-path engineering (all behaviour-transparent; see
 * variable reads branch on the typechecker's ``resolved_kind``
   annotation instead of re-discovering what a name means on every
   evaluation;
-* method/attributor lookup and object-construction environments are
-  memoized behind ``InterpOptions.inline_caches`` — a toggle whose only
-  purpose is letting the transparency test suite assert that outputs,
-  stats and exceptions are identical either way;
+* method and attributor lookup and an object's mode bindings come from
+  the class table's memos (:class:`~repro.lang.types.ClassTable`), the
+  same inheritance model the typechecker uses; the per-class field
+  template sits behind ``InterpOptions.inline_caches`` — a toggle whose
+  only purpose is letting the transparency test suite assert that
+  outputs, stats and exceptions are identical either way;
 * every dfall verdict and bound check is one probe of the mode
   lattice's precomputed upward closure (``ModeLattice.up``), in the
   kernel and in the inline passing-check probes alike;
@@ -314,13 +316,8 @@ class Interpreter:
         #: Mode constants by name — static lattice data, always on.
         self._mode_by_name: Dict[str, Mode] = {
             m.name: m for m in self.lattice.modes}
-        #: class name -> flattened {method name -> MethodInfo}.
-        self._method_tables: Dict[str, Dict[str, MethodInfo]] = {}
-        #: class name -> nearest AttributorDecl (or None).
-        self._attributor_cache: Dict[str, Optional[ast.AttributorDecl]] = {}
-        #: (class name, own-env items) -> full mode-env template.
-        self._env_templates: Dict[tuple, Dict[str, Optional[Mode]]] = {}
-        #: class name -> (field defaults, ((name, init, wants_mcase),…)).
+        #: class name -> (field defaults,
+        #: ((name, init, wants_mcase, owner), …)).
         self._field_templates: Dict[str, tuple] = {}
         #: id(MethodInfo) -> per-parameter wants-mcase tuple (static
         #: typed data, like ``_mode_by_name``; always on).
@@ -402,9 +399,13 @@ class Interpreter:
             raise EntRuntimeError("program has no class Main")
         boot_frame = _Frame(this_obj=None, mode_env={}, current_mode=TOP)
         boot_frame.push()
-        main_obj = self._construct(self.table.get("Main"), (TOP,), [],
-                                   boot_frame, span=None)
-        minfo = self._find_method(main_obj.class_info, "main")
+        main_info = self.table.get("Main")
+        # Main⟨⊤⟩: boot binds only the first mode parameter; any extra
+        # one stays unbound (?).
+        main_obj = self._construct(
+            main_info, (TOP,) + (DYN,) * (len(main_info.params) - 1), [],
+            boot_frame, span=None)
+        minfo = self.table.method("Main", "main")
         if minfo is None:
             raise EntRuntimeError("class Main has no method main")
         call_args: List[object] = []
@@ -471,84 +472,6 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Object construction
 
-    def _find_method(self, info: ClassInfo,
-                     name: str) -> Optional[MethodInfo]:
-        if self.options.inline_caches:
-            return self._method_table(info).get(name)
-        current: Optional[ClassInfo] = info
-        while current is not None:
-            if name in current.methods:
-                return current.methods[name]
-            current = (self.table.get(current.superclass)
-                       if current.superclass else None)
-        return None
-
-    def _method_table(self, info: ClassInfo) -> Dict[str, MethodInfo]:
-        """Flattened method table (inherited methods included), built
-        once per class.  Classes are immutable after the typechecker
-        registers them, so no invalidation is needed within a run."""
-        table = self._method_tables.get(info.name)
-        if table is None:
-            if info.superclass:
-                table = dict(
-                    self._method_table(self.table.get(info.superclass)))
-            else:
-                table = {}
-            table.update(info.methods)
-            self._method_tables[info.name] = table
-        return table
-
-    def _find_attributor(self,
-                         info: ClassInfo) -> Optional[ast.AttributorDecl]:
-        if self.options.inline_caches:
-            try:
-                return self._attributor_cache[info.name]
-            except KeyError:
-                pass
-        current: Optional[ClassInfo] = info
-        found: Optional[ast.AttributorDecl] = None
-        while current is not None:
-            if current.decl is not None and current.decl.attributor:
-                found = current.decl.attributor
-                break
-            current = (self.table.get(current.superclass)
-                       if current.superclass else None)
-        if self.options.inline_caches:
-            self._attributor_cache[info.name] = found
-        return found
-
-    def _full_mode_env(self, info: ClassInfo,
-                       own: Dict[str, Optional[Mode]]
-                       ) -> Dict[str, Optional[Mode]]:
-        """Extend an instantiation with the resolved parameters of every
-        ancestor (so inherited method bodies resolve their variables)."""
-        env = dict(own)
-        current = info
-        while current.superclass is not None:
-            super_info = self.table.get(current.superclass)
-            if current.super_args:
-                atoms = current.super_args
-            else:
-                # Default: pass our mode through; bound extras at their
-                # upper bounds.
-                own_atom: ModeAtom = (
-                    current.params[0].concrete
-                    if current.params[0].concrete is not None
-                    else current.params[0].var)
-                atoms = (own_atom,) + tuple(
-                    p.upper for p in super_info.params[1:])
-            for param, atom in zip(super_info.params, atoms):
-                if param.var is None:
-                    continue
-                if isinstance(atom, Mode):
-                    env[param.var] = atom
-                elif atom is DYN:
-                    env[param.var] = None
-                else:
-                    env[param.var] = env.get(atom)
-            current = super_info
-        return env
-
     def _default_value(self, declared: ty.Type) -> object:
         if declared == ty.INT:
             return 0
@@ -571,30 +494,20 @@ class Interpreter:
                 if finfo.decl is not None and finfo.decl.init is not None:
                     inits.append((finfo.name, finfo.decl.init,
                                   isinstance(finfo.declared,
-                                             ty.MCaseType)))
+                                             ty.MCaseType),
+                                  finfo.owner))
             entry = (defaults, tuple(inits))
             self._field_templates[info.name] = entry
         return entry
 
     def _construct(self, info: ClassInfo, atoms, arg_values: List[object],
                    frame: _Frame, span) -> ObjectV:
-        own_env: Dict[str, Optional[Mode]] = {}
-        for param, atom in zip(info.params, atoms):
-            if param.var is None:
-                continue
-            own_env[param.var] = (atom if isinstance(atom, Mode)
-                                  else self._resolve_atom(atom, frame))
-        if self.options.inline_caches:
-            key = (info.name, tuple(own_env.items()))
-            template = self._env_templates.get(key)
-            if template is None:
-                template = self._full_mode_env(info, own_env)
-                self._env_templates[key] = template
-            # Copied per object: snapshot tagging mutates mode_env.
-            env = dict(template)
-        else:
-            env = self._full_mode_env(info, own_env)
-        obj = ObjectV(info, env, {})
+        args = tuple(param.concrete if param.concrete is not None
+                     else atom if isinstance(atom, Mode)
+                     else self._resolve_atom(atom, frame)
+                     for param, atom in zip(info.params, atoms))
+        bindings = self.table.bindings(info.name, args)
+        obj = ObjectV(info, args, bindings, {})
         self.stats.objects_created += 1
         if self._transient and span is not None and \
                 obj.effective_mode is not None:
@@ -602,14 +515,16 @@ class Interpreter:
             # is the blame provenance for transient check failures on
             # this object (the "cast" arm of the blame map).
             obj.provenance = site_id("new", span)
-        # Field defaults and initializers, superclass-first.
-        init_frame = _Frame(this_obj=obj, mode_env=env,
+        # Field defaults and initializers, superclass-first, each under
+        # the bindings of the class that declares it.
+        init_frame = _Frame(this_obj=obj, mode_env=bindings[info.name],
                             current_mode=frame.current_mode)
         init_frame.push()
         if self.options.inline_caches:
             defaults, inits = self._field_template(info)
             obj.fields.update(defaults)
-            for fname, init_expr, wants in inits:
+            for fname, init_expr, wants, owner in inits:
+                init_frame.mode_env = bindings[owner]
                 obj.fields[fname] = self._execute_expr(
                     init_expr, init_frame, want_mcase=wants)
         else:
@@ -618,6 +533,7 @@ class Interpreter:
             for finfo in self.table.all_fields(info.name):
                 if finfo.decl is not None and finfo.decl.init is not None:
                     wants = isinstance(finfo.declared, ty.MCaseType)
+                    init_frame.mode_env = bindings[finfo.owner]
                     obj.fields[finfo.name] = self._execute_expr(
                         finfo.decl.init, init_frame, want_mcase=wants)
         # Constructor body.
@@ -632,7 +548,7 @@ class Interpreter:
                     f"constructor of class {info.name} expects "
                     f"{len(ctor.params)} argument(s), "
                     f"got {len(arg_values)}")
-            ctor_frame = _Frame(this_obj=obj, mode_env=env,
+            ctor_frame = _Frame(this_obj=obj, mode_env=bindings[info.name],
                                 current_mode=frame.current_mode)
             # Return value (if any) discarded; ``new`` yields the object.
             self._call_body(ctor.body, [p.name for p in ctor.params],
@@ -653,13 +569,14 @@ class Interpreter:
                 f"{len(minfo.param_names)} argument(s), "
                 f"got {len(args)}")
         self.stats.messages += 1
-        # The receiver's mode environment is only copied when a method-
-        # level binding extends it; bodies never mutate it.
-        mode_env = receiver.mode_env
+        # The body runs under its declaring class's bindings, copied
+        # only when a method-level binding extends them; bodies never
+        # mutate them.
+        mode_env = receiver.bindings[minfo.owner]
         guard: Optional[Mode]
         closure: Optional[Mode]
         if minfo.mode_param is not None:
-            mode_env = dict(receiver.mode_env)
+            mode_env = dict(mode_env)
             mp = minfo.mode_param
             if mp.concrete is not None:
                 guard = closure = mp.concrete
@@ -781,7 +698,7 @@ class Interpreter:
                                 args: List[object]) -> Mode:
         assert minfo.decl is not None and minfo.decl.attributor is not None
         attr_frame = _Frame(this_obj=receiver,
-                            mode_env=dict(receiver.mode_env),
+                            mode_env=receiver.bindings[minfo.owner],
                             current_mode=BOTTOM)
         return self._run_attributor_body(minfo.decl.attributor, attr_frame,
                                          f"{minfo.owner}.{minfo.name}",
@@ -805,7 +722,8 @@ class Interpreter:
     def _infer_runtime_mode(self, minfo: MethodInfo,
                             args: List[object]) -> Optional[Mode]:
         """Runtime counterpart of the checker's generic-method inference:
-        read the binding off the argument objects' mode tags."""
+        read the binding off the argument objects' mode tags, as the
+        declared parameter class sees them."""
         var = minfo.mode_param.var
         for ptype, value in zip(minfo.param_types, args):
             if isinstance(ptype, ObjectType) and isinstance(value, ObjectV):
@@ -815,7 +733,10 @@ class Interpreter:
                         param = declared_info.params[index]
                         if param.concrete is not None:
                             return param.concrete
-                        return value.mode_env.get(param.var)
+                        # An unrelated class (a type-erased List
+                        # element) binds nothing.
+                        return value.bindings.get(
+                            ptype.class_name, {}).get(param.var)
         return None
 
     # ------------------------------------------------------------------
@@ -1207,7 +1128,7 @@ class Interpreter:
             self_call = (expr.receiver.__class__ is ast.This
                          or receiver is frame.this_obj)
         if receiver.__class__ is ObjectV:
-            minfo = self._find_method(receiver.class_info, expr.name)
+            minfo = self.table.method(receiver.class_info.name, expr.name)
             if minfo is None:
                 raise StuckError(
                     f"no method {expr.name!r} on class "
@@ -1333,8 +1254,8 @@ class Interpreter:
             raise StuckError(f"cannot snapshot {value!r}")
         shallow = self._transient and value.is_snapshot
         if not shallow:
-            attributor = self._find_attributor(value.class_info)
-            if attributor is None:
+            owner = self.table.attributor(value.class_info.name)
+            if owner is None:
                 raise StuckError(
                     f"class {value.class_info.name} has no attributor")
         self.stats.snapshots += 1
@@ -1342,9 +1263,10 @@ class Interpreter:
         previous_mode = mode = value.effective_mode
         if not shallow:
             attr_frame = _Frame(this_obj=value,
-                                mode_env=dict(value.mode_env),
+                                mode_env=value.bindings[owner.name],
                                 current_mode=BOTTOM)
-            mode = self._run_attributor_body(attributor, attr_frame,
+            mode = self._run_attributor_body(owner.decl.attributor,
+                                             attr_frame,
                                              value.class_info.name)
             if traced:
                 self.tracer.emit(AttributorEvent(
@@ -1352,9 +1274,8 @@ class Interpreter:
                     mode=mode.name, source="interp"))
             if self.options.baseline:
                 # Overhead baseline: no tagging bookkeeping, no checks.
-                first = value.class_info.params[0]
-                if first.var is not None:
-                    value.mode_env[first.var] = mode
+                if value.class_info.params[0].concrete is None:
+                    value.retag(mode, self.table)
                 return value
         lower = self._resolve_atom(bounds[0], frame)
         upper = self._resolve_atom(bounds[1], frame)
@@ -1379,9 +1300,9 @@ class Interpreter:
             self.stats.lazy_tags += 1
             if span is not None:
                 value.provenance = site_id("snapshot_bound", span)
-            return value.tag_in_place(mode)
+            return value.tag_in_place(mode, self.table)
         self.stats.copies += 1
-        copy = value.shallow_copy(mode)
+        copy = value.shallow_copy(mode, self.table)
         if span is not None:
             copy.provenance = site_id("snapshot_bound", span)
         return copy

@@ -806,7 +806,8 @@ class _Emitter:
                     dd = d + 2
                     self._emit_dfall(dd, site, minfo_name, span_expr)
                 closure = "(_gm if _gm is not None else current_mode)"
-            w(d + 1, f"_f2 = _Frame(_recv, _recv.mode_env, {closure})")
+            w(d + 1, f"_f2 = _Frame(_recv, _recv.bindings["
+                     f"{self.lit(minfo.owner)}], {closure})")
             w(d + 1, f"_rg2 = {self.bind(callee.template)}.copy()")
             for j, expr in enumerate(arg_exprs):
                 w(d + 1, f"_rg2[{j}] = {expr}")

@@ -142,7 +142,7 @@ class TypeChecker:
         self.table.check_acyclic()
         for cls in self.program.classes:
             info = self.table.get(cls.name)
-            if info.is_dynamic and not self._has_attributor(info):
+            if info.is_dynamic and self.table.attributor(cls.name) is None:
                 raise EntTypeError(
                     f"dynamic class {cls.name} must declare (or "
                     f"inherit) an attributor", cls.span)
@@ -156,8 +156,7 @@ class TypeChecker:
         params = self._resolve_mode_params(cls)
         transparent = cls.mode_param is None and cls.name != "Main"
         info = ClassInfo(name=cls.name, superclass=cls.superclass,
-                         params=params, decl=cls, transparent=transparent,
-                         has_attributor=cls.attributor is not None)
+                         params=params, decl=cls, transparent=transparent)
         if cls.name == "Object":
             raise EntTypeError("cannot redeclare class Object", cls.span)
         if not info.is_dynamic and cls.attributor is not None:
@@ -466,20 +465,23 @@ class TypeChecker:
 
     def _check_override_compatibility(self, info: ClassInfo) -> None:
         """Overriding methods must preserve arity (we require identical
-        parameter counts; full variance checking is out of scope)."""
-        if info.superclass is None:
-            return
-        current = info.superclass
-        while current is not None:
-            super_info = self.table.get(current)
+        parameter counts; full variance checking is out of scope), and
+        a field may not redeclare an inherited one (Featherweight Java's
+        rule: an object has one slot per field name)."""
+        for super_info in self.table.ancestry(info.name)[1:]:
+            for name, finfo in info.fields.items():
+                if name in super_info.fields:
+                    raise EntTypeError(
+                        f"field {name!r} of {info.name} redeclares "
+                        f"{super_info.name}.{name}", finfo.decl.span)
             for name, minfo in info.methods.items():
                 if name in super_info.methods:
                     smeth = super_info.methods[name]
                     if len(smeth.param_types) != len(minfo.param_types):
                         raise EntTypeError(
                             f"{info.name}.{name} overrides "
-                            f"{current}.{name} with a different arity")
-            current = super_info.superclass
+                            f"{super_info.name}.{name} with a different "
+                            f"arity")
 
     def _check_attributor(self, attributor: ast.AttributorDecl,
                           info: ClassInfo,
@@ -1153,8 +1155,7 @@ class TypeChecker:
             raise EntTypeError(
                 f"snapshot requires an object of dynamic mode, got "
                 f"{source}", expr.span)
-        info = self.table.get(source.class_name)
-        if not self._has_attributor(info):
+        if self.table.attributor(source.class_name) is None:
             raise EntTypeError(
                 f"class {source.class_name} has no attributor", expr.span)
         lower = self._resolve_snapshot_bound(expr.lower, BOTTOM, scope)
@@ -1168,15 +1169,6 @@ class TypeChecker:
         expr.resolved_class_name = source.class_name
         return ObjectType(source.class_name,
                           (fresh,) + source.mode_args[1:])
-
-    def _has_attributor(self, info: ClassInfo) -> bool:
-        current: Optional[ClassInfo] = info
-        while current is not None:
-            if current.has_attributor:
-                return True
-            current = (self.table.get(current.superclass)
-                       if current.superclass else None)
-        return False
 
     def _resolve_snapshot_bound(self, bound: Optional[ast.SnapshotBound],
                                 default: Mode, scope: _Scope) -> ModeAtom:
@@ -1377,11 +1369,13 @@ class TypeChecker:
         return True
 
 
-def check_program(source_or_program) -> CheckedProgram:
-    """Parse (if given text) and typecheck an ENT program."""
+def check_program(source_or_program,
+                  filename: str = "<ent>") -> CheckedProgram:
+    """Parse (if given text) and typecheck an ENT program; ``filename``
+    names the source in error spans."""
     if isinstance(source_or_program, str):
         from repro.lang.parser import parse_program
-        program = parse_program(source_or_program)
+        program = parse_program(source_or_program, filename)
     else:
         program = source_or_program
     return TypeChecker(program).check()

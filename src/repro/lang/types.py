@@ -10,7 +10,7 @@ is the object's mode (``omode``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.core.constraints import Atom
 from repro.core.errors import EntTypeError
@@ -252,7 +252,6 @@ class ClassInfo:
     super_args: Tuple[ModeAtom, ...] = ()
     fields: Dict[str, FieldInfo] = field(default_factory=dict)
     methods: Dict[str, MethodInfo] = field(default_factory=dict)
-    has_attributor: bool = False
     decl: Optional[ast.ClassDecl] = None
 
     @property
@@ -268,13 +267,26 @@ class ClassInfo:
         return self.params[0].internal_atom
 
 
+#: One object's mode bindings, per class of its ancestry:
+#: ``{class name: {mode variable: mode, or None for ?}}``.
+Bindings = Dict[str, Dict[str, Optional[Mode]]]
+
+
 class ClassTable:
     """All classes of a program, with inheritance-aware lookups.
+
+    The one inheritance model: the typechecker, the analysis and every
+    engine ask this table for a class's ancestry, the nearest
+    declaration of a method (the paper's ``mbody``) or attributor, its
+    fields (``fields``) and the mode bindings each ancestor of an
+    object sees (the ``c⟨ι⟩`` chain).
 
     Lookup results are memoized: the table only ever grows (via
     :meth:`add`, which drops every cache), classes are immutable once
     registered, and the substituted types/mappings handed out are treated
     as read-only by all callers, so a cached answer can be shared freely.
+    :meth:`method` and :meth:`all_fields` read resolved members, so they
+    answer only once the typechecker has resolved every signature.
     """
 
     def __init__(self) -> None:
@@ -285,13 +297,18 @@ class ClassTable:
         self._reset_caches()
 
     def _reset_caches(self) -> None:
+        self._ancestry_cache: Dict[str, Tuple[ClassInfo, ...]] = {}
         self._chain_cache: Dict[ObjectType, Tuple[ObjectType, ...]] = {}
         self._method_cache: Dict[Tuple[ObjectType, str],
                                  Tuple["MethodInfo", Dict[str, ModeAtom]]] = {}
         self._field_cache: Dict[Tuple[ObjectType, str],
                                 Tuple["FieldInfo", "Type"]] = {}
         self._fields_list_cache: Dict[str, Tuple["FieldInfo", ...]] = {}
-        self._subclass_cache: Dict[Tuple[str, str], bool] = {}
+        self._methods_cache: Dict[str, Dict[str, MethodInfo]] = {}
+        self._attributor_class_cache: Dict[str, Optional[ClassInfo]] = {}
+        self._bindings_cache: Dict[Tuple[str, Tuple[Optional[Mode], ...]],
+                                   Bindings] = {}
+        self._ancestor_names: Dict[str, FrozenSet[str]] = {}
         self._inst_cache: Dict[Tuple[str, Tuple[ModeAtom, ...]],
                                Dict[str, ModeAtom]] = {}
 
@@ -315,41 +332,61 @@ class ClassTable:
 
     # ------------------------------------------------------------------
 
-    def check_acyclic(self) -> None:
-        for name in self._classes:
-            seen = {name}
-            current = self._classes[name].superclass
-            while current is not None:
-                if current in seen:
-                    raise EntTypeError(
-                        f"inheritance cycle involving class {name!r}")
-                seen.add(current)
-                current = self.get(current).superclass
-
-    def supertype_chain(self, typ: ObjectType) -> Tuple[ObjectType, ...]:
-        """``typ`` and all its supertypes with mode args substituted."""
-        cached = self._chain_cache.get(typ)
+    def ancestry(self, name: str) -> Tuple[ClassInfo, ...]:
+        """The class, then its superclasses, nearest first (ending at
+        ``Object``).  Raises on an unknown superclass or a cycle."""
+        cached = self._ancestry_cache.get(name)
         if cached is not None:
             return cached
-        chain = [typ]
-        current = typ
-        while True:
-            info = self.get(current.class_name)
-            if info.superclass is None:
-                result = tuple(chain)
-                self._chain_cache[typ] = result
-                return result
-            mapping = self._param_mapping(info, current.mode_args)
+        chain: List[ClassInfo] = []
+        seen = set()
+        current: Optional[str] = name
+        while current is not None:
+            if current in seen:
+                raise EntTypeError(
+                    f"inheritance cycle involving class {name!r}")
+            seen.add(current)
+            info = self.get(current)
+            chain.append(info)
+            current = info.superclass
+        result = tuple(chain)
+        self._ancestry_cache[name] = result
+        return result
+
+    def check_acyclic(self) -> None:
+        for name in self._classes:
+            self.ancestry(name)
+
+    def _chain(self, name: str, args: tuple) -> List[Tuple[ClassInfo, tuple]]:
+        """Each class in the ancestry of ``name`` with its mode arguments
+        when ``name`` is instantiated at ``args`` (the ``c⟨ι⟩`` chain):
+        the one substitution rule, read as types by
+        :meth:`supertype_chain` and as run-time modes by :meth:`bindings`.
+        """
+        ancestry = self.ancestry(name)
+        steps = [(ancestry[0], args)]
+        for info, super_info in zip(ancestry, ancestry[1:]):
+            mapping = self._param_mapping(info, args)
             super_args = tuple(_subst_atom(a, mapping)
                                for a in info.super_args)
             if not super_args:
                 # Default: pass our own mode through as the super's mode.
-                super_info = self.get(info.superclass)
-                passthrough = (current.omode,) if info.params else (TOP,)
+                passthrough = (args[0],) if info.params else (TOP,)
                 super_args = passthrough + tuple(
                     p.upper for p in super_info.params[1:])
-            current = ObjectType(info.superclass, super_args)
-            chain.append(current)
+            args = super_args
+            steps.append((super_info, args))
+        return steps
+
+    def supertype_chain(self, typ: ObjectType) -> Tuple[ObjectType, ...]:
+        """``typ`` and all its supertypes with mode args substituted."""
+        cached = self._chain_cache.get(typ)
+        if cached is None:
+            steps = self._chain(typ.class_name, typ.mode_args)
+            cached = (typ,) + tuple(ObjectType(info.name, args)
+                                    for info, args in steps[1:])
+            self._chain_cache[typ] = cached
+        return cached
 
     def _param_mapping(self, info: ClassInfo,
                        args: Tuple[ModeAtom, ...]) -> Dict[str, ModeAtom]:
@@ -377,20 +414,30 @@ class ClassTable:
             self._inst_cache[key] = cached
         return cached
 
+    def bindings(self, name: str,
+                 args: Tuple[Optional[Mode], ...]) -> Bindings:
+        """The mode variables each class in the ancestry of an object of
+        class ``name`` instantiated at ``args`` (``None`` for ``?``)
+        binds, by the substitution :meth:`supertype_chain` uses: a body
+        runs under its declaring class's entry, so an ancestor that
+        reuses a variable name sees its own argument.  Shared: treat it
+        as read-only."""
+        key = (name, args)
+        cached = self._bindings_cache.get(key)
+        if cached is None:
+            cached = {info.name: {param.var: arg for param, arg
+                                  in zip(info.params, step_args)
+                                  if param.var is not None}
+                      for info, step_args in self._chain(name, args)}
+            self._bindings_cache[key] = cached
+        return cached
+
     def is_subclass(self, sub: str, sup: str) -> bool:
-        key = (sub, sup)
-        cached = self._subclass_cache.get(key)
-        if cached is not None:
-            return cached
-        answer = False
-        current: Optional[str] = sub
-        while current is not None:
-            if current == sup:
-                answer = True
-                break
-            current = self.get(current).superclass
-        self._subclass_cache[key] = answer
-        return answer
+        names = self._ancestor_names.get(sub)
+        if names is None:
+            names = frozenset(info.name for info in self.ancestry(sub))
+            self._ancestor_names[sub] = names
+        return sup in names
 
     def lookup_field(self, typ: ObjectType,
                      name: str) -> Tuple[FieldInfo, Type]:
@@ -435,24 +482,39 @@ class ClassTable:
         raise EntTypeError(
             f"no method {name!r} in class {typ.class_name}")
 
+    def method(self, class_name: str, name: str) -> Optional[MethodInfo]:
+        """The nearest declaration of method ``name`` in the ancestry of
+        ``class_name`` (the paper's ``mbody``), or None; one probe of a
+        flattened per-class table."""
+        table = self._methods_cache.get(class_name)
+        if table is None:
+            table = {}
+            for info in reversed(self.ancestry(class_name)):
+                table.update(info.methods)
+            self._methods_cache[class_name] = table
+        return table.get(name)
+
+    def attributor(self, class_name: str) -> Optional[ClassInfo]:
+        """The nearest class in the ancestry of ``class_name`` that
+        declares a class attributor, or None."""
+        try:
+            return self._attributor_class_cache[class_name]
+        except KeyError:
+            pass
+        found = next((info for info in self.ancestry(class_name)
+                      if info.decl is not None
+                      and info.decl.attributor is not None), None)
+        self._attributor_class_cache[class_name] = found
+        return found
+
     def all_fields(self, class_name: str) -> Tuple[FieldInfo, ...]:
-        """Fields of a class including inherited ones (super first)."""
+        """Fields of a class including inherited ones (super first).
+        Names are unique: the typechecker rejects a field that
+        redeclares an inherited one."""
         cached = self._fields_list_cache.get(class_name)
-        if cached is not None:
-            return cached
-        chain: List[ClassInfo] = []
-        current: Optional[str] = class_name
-        while current is not None:
-            info = self.get(current)
-            chain.append(info)
-            current = info.superclass
-        out: List[FieldInfo] = []
-        seen = set()
-        for info in reversed(chain):
-            for finfo in info.fields.values():
-                if finfo.name not in seen:
-                    out.append(finfo)
-                    seen.add(finfo.name)
-        result = tuple(out)
-        self._fields_list_cache[class_name] = result
-        return result
+        if cached is None:
+            cached = tuple(finfo
+                           for info in reversed(self.ancestry(class_name))
+                           for finfo in info.fields.values())
+            self._fields_list_cache[class_name] = cached
+        return cached

@@ -7,19 +7,20 @@ Two value kinds are ENT-specific:
 
 * :class:`ObjectV` — an object with the run-time metadata the paper's
   section 5 describes: a mode tag for dynamic objects, a "snapshotted"
-  bit driving the lazy-copy optimization, and — for generic objects — a
-  mapping from mode type parameters to mode tags.
+  bit driving the lazy-copy optimization, and — for generic objects —
+  its mode arguments and the mode bindings they give each class of its
+  ancestry.
 * :class:`MCaseV` — a mode-case value ``mcase⟨T⟩{m : v}``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from repro.core.errors import EntRuntimeError
+from repro.core.errors import EntRuntimeError, StuckError
 from repro.core.modes import Mode
-from repro.lang.types import ClassInfo
+from repro.lang.types import Bindings, ClassInfo, ClassTable
 
 __all__ = ["ObjectV", "MCaseV"]
 
@@ -29,30 +30,32 @@ _object_ids = itertools.count(1)
 class ObjectV:
     """An ENT object value (the paper's ``obj(α, c⟨µ, ι⟩, v)``).
 
-    ``mode_env`` maps every mode parameter variable of the object's class
-    *and its ancestors* to a concrete :class:`Mode`, or to ``None`` for
-    the dynamic mode ``?``.  The object's own mode (``omode``) is the
-    first parameter's entry — ``None`` exactly when the object is an
-    un-snapshotted dynamic object.
+    ``args`` is the instantiation: one :class:`Mode` per mode parameter
+    of the class, or ``None`` for the dynamic mode ``?``.  The object's
+    own mode (``omode``) is ``args[0]``, ``None`` exactly when the object
+    is an un-snapshotted dynamic object.  ``bindings`` is the class
+    table's entry for that instantiation
+    (:meth:`~repro.lang.types.ClassTable.bindings`): each class of the
+    ancestry's own mode variables, which a body reads under its
+    declaring class.  It is shared, so a re-tag replaces it.
     """
 
-    __slots__ = ("oid", "class_info", "mode_env", "fields", "is_snapshot",
-                 "snap_tagged", "provenance")
+    __slots__ = ("oid", "class_info", "args", "bindings", "fields",
+                 "is_snapshot", "provenance")
 
     def __init__(self, class_info: ClassInfo,
-                 mode_env: Dict[str, Optional[Mode]],
+                 args: Tuple[Optional[Mode], ...], bindings: Bindings,
                  fields: Dict[str, object],
                  is_snapshot: bool = False) -> None:
         self.oid = next(_object_ids)
         self.class_info = class_info
-        self.mode_env = mode_env
+        self.args = args
+        self.bindings = bindings
         self.fields = fields
         #: True once this storage has been given a concrete mode by a
-        #: snapshot (including an in-place lazy tag).
+        #: snapshot (including an in-place lazy tag); the next snapshot
+        #: of a lazily tagged object must physically copy.
         self.is_snapshot = is_snapshot
-        #: True if a lazy in-place snapshot already claimed this storage;
-        #: the next snapshot must physically copy.
-        self.snap_tagged = False
         #: Blame provenance: the site ID (``kind@line:column``) of the
         #: snapshot or concrete-mode construction that fixed this
         #: object's mode tag, or None.  Transient-mode check failures
@@ -62,34 +65,32 @@ class ObjectV:
     @property
     def effective_mode(self) -> Optional[Mode]:
         """The object's concrete mode, or None for dynamic ``?``."""
-        params = self.class_info.params
-        if not params:
-            return None
-        first = params[0]
-        if first.concrete is not None:
-            return first.concrete
-        assert first.var is not None
-        return self.mode_env.get(first.var)
+        return self.args[0]
 
-    def shallow_copy(self, mode: Mode) -> "ObjectV":
+    def retag(self, mode: Mode, table: ClassTable) -> None:
+        """Give the object the mode ``mode``: its first argument, and
+        with it every ancestor variable that argument reaches."""
+        if self.class_info.params[0].concrete is not None:
+            # Reachable through a type-erased List element.
+            raise StuckError(f"cannot re-mode {self!r}: class "
+                             f"{self.class_info.name} has a fixed mode")
+        self.args = (mode,) + self.args[1:]
+        self.bindings = table.bindings(self.class_info.name, self.args)
+
+    def shallow_copy(self, mode: Mode, table: ClassTable) -> "ObjectV":
         """The paper's snapshot copy semantics: a shallow copy whose mode
         tag is ``mode``.  Field *values* are shared; the field map is new,
         enforcing monotonic type change without aliasing equivocation."""
-        env = dict(self.mode_env)
-        first = self.class_info.params[0]
-        assert first.var is not None, "cannot re-mode a fixed-mode class"
-        env[first.var] = mode
-        return ObjectV(self.class_info, env, dict(self.fields),
-                       is_snapshot=True)
+        copy = ObjectV(self.class_info, self.args, self.bindings,
+                       dict(self.fields), is_snapshot=True)
+        copy.retag(mode, table)
+        return copy
 
-    def tag_in_place(self, mode: Mode) -> "ObjectV":
+    def tag_in_place(self, mode: Mode, table: ClassTable) -> "ObjectV":
         """Lazy-copy optimization: the first snapshot of a dynamic object
         tags the existing storage instead of copying (section 5)."""
-        first = self.class_info.params[0]
-        assert first.var is not None
-        self.mode_env[first.var] = mode
+        self.retag(mode, table)
         self.is_snapshot = True
-        self.snap_tagged = True
         return self
 
     def get_field(self, name: str) -> object:

@@ -191,7 +191,7 @@ class VM:
         """Resolve a send on a cache miss; returns (and usually caches)
         ``(minfo, wants, leaf code or None, transparent)``."""
         interp = self.interp
-        minfo = interp._find_method(receiver.class_info, site.name)
+        minfo = interp.table.method(receiver.class_info.name, site.name)
         if minfo is None:
             raise StuckError(
                 f"no method {site.name!r} on class "
@@ -433,9 +433,10 @@ class VM:
                                 regs2 = callee.template.copy()
                                 if argv:
                                     regs2[:len(argv)] = argv
-                                frame2 = _Frame(receiver,
-                                                receiver.mode_env,
-                                                closure)
+                                frame2 = _Frame(
+                                    receiver,
+                                    receiver.bindings[minfo.owner],
+                                    closure)
                                 if self._jit_on:
                                     # Tier up: per-call-site heat; a
                                     # hot site compiles its callee and

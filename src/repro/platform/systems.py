@@ -155,7 +155,7 @@ class Platform:
     # Interpreter / embedded-runtime interface
 
     def battery_fraction(self) -> float:
-        fraction = self.battery.fraction(self.clock.now)
+        fraction = self.battery.fraction()
         if self.tracer.enabled:
             self.tracer.emit(PlatformReadEvent(
                 ts=self.clock.now, signal="battery", value=fraction))
@@ -275,7 +275,7 @@ class Platform:
         return (f"<Platform {self.config.name} t={self.clock.now:.3f}s "
                 f"E={self.ledger.total_j:.2f}J "
                 f"T={self.thermal.temperature_c:.1f}C "
-                f"bat={self.battery.fraction(self.clock.now):.0%}>")
+                f"bat={self.battery.fraction():.0%}>")
 
 
 def make_platform(system: str, seed: int = 0,

@@ -53,20 +53,6 @@ class ThermalModel:
         self._temp = target + (self._temp - target) * decay
         return self._temp
 
-    def time_to_reach(self, power_w: float, threshold_c: float) -> float:
-        """Seconds of constant ``power_w`` until ``threshold_c``.
-
-        Returns ``inf`` if the steady state never reaches the threshold
-        (or 0 if already there).  Used by tests and by E3 workload sizing.
-        """
-        target = self.steady_state(power_w)
-        if self._temp >= threshold_c:
-            return 0.0
-        if target <= threshold_c:
-            return math.inf
-        ratio = (target - threshold_c) / (target - self._temp)
-        return -self.tau * math.log(ratio)
-
     def __repr__(self) -> str:
         return (f"ThermalModel(T={self._temp:.2f}C, ambient="
                 f"{self.ambient_c}C, R={self.r_th}C/W, tau={self.tau}s)")

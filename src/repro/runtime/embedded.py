@@ -359,7 +359,6 @@ class EntRuntime:
             self.stats.lazy_tags += 1
             tag.mode = mode
             tag.is_snapshot = True
-            tag.snap_tagged = True
             return obj
         self.stats.copies += 1
         clone = copy.copy(obj)

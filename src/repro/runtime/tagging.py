@@ -25,8 +25,6 @@ class ObjectTag:
     mode: Optional[Mode] = None
     #: True for instances of dynamic classes (pre- and post-snapshot).
     dynamic: bool = False
-    #: True once this storage has been claimed by an in-place lazy tag.
-    snap_tagged: bool = False
     #: True for objects produced by (or lazily claimed by) a snapshot.
     is_snapshot: bool = False
 

@@ -11,7 +11,7 @@ dynamic waterfall invariant on every message (Corollary 1).  Both
 properties are checked on every engine under both check depths.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import (EnergyException, EntError, FuelExhausted,
@@ -112,6 +112,47 @@ def programs(draw):
             + body + " Sys.print(acc); } }")
 
 
+#: Inheritance counterexamples the generator does not draw.  A subclass
+#: passes an explicit argument to a superclass variable of the same name
+#: (its own ``X`` must stay ``full_throttle``), and a snapshot of a
+#: subclass must reach the superclass variable its mode passes through.
+SUPER_ARGUMENT = """
+modes { energy_saver <= managed; managed <= full_throttle; }
+class Helper@mode<managed> { int h() { return 5; } }
+class Base@mode<X> { int b() { return 1; } }
+class Pinned@mode<managed <= X <= full_throttle>
+        extends Base@mode<energy_saver> {
+    int tell() { Helper hh = new Helper(); return hh.h(); }
+}
+class Main {
+    void main() {
+        Pinned p = new Pinned@mode<full_throttle>();
+        Sys.print(p.tell());
+    }
+}
+"""
+
+INHERITED_SNAPSHOT = """
+modes { energy_saver <= managed; managed <= full_throttle; }
+class Base@mode<?X> {
+    int n;
+    mcase<int> tier = mcase{ energy_saver: 1; managed: 2;
+                             full_throttle: 3; };
+    attributor {
+        if (n > 10) { return full_throttle; }
+        return energy_saver;
+    }
+    int lvl() { return mselect(tier, X); }
+}
+class Derived@mode<?Y> extends Base { Derived(int n) { this.n = n; } }
+class Main {
+    void main() {
+        Derived d = snapshot (new Derived@mode<?>(50));
+        Sys.print(d.lvl());
+    }
+}
+"""
+
 #: Every engine under both check depths.
 CONFIGS = [(engine, checks) for engine in ENGINES
            for checks in ("full", "transient")]
@@ -130,6 +171,8 @@ def _interpreter(source, engine, checks):
 
 @settings(max_examples=60, deadline=None)
 @given(programs())
+@example(SUPER_ARGUMENT)
+@example(INHERITED_SNAPSHOT)
 def test_soundness_never_stuck(source):
     """Theorem 1: well-typed programs reduce to a value, diverge, or
     stop at a bad check — they never get stuck."""
@@ -146,6 +189,8 @@ def test_soundness_never_stuck(source):
 
 @settings(max_examples=40, deadline=None)
 @given(programs())
+@example(SUPER_ARGUMENT)
+@example(INHERITED_SNAPSHOT)
 def test_waterfall_invariant_preservation(source):
     """Corollary 1: dfall holds at every message of a well-typed run."""
     for engine, checks in CONFIGS:

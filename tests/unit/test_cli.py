@@ -93,6 +93,34 @@ class TestCheck:
         assert main(["check", "/no/such/file.ent"]) == 2
 
 
+#: A field that redeclares an inherited one (rejected, as in
+#: Featherweight Java).
+REDECLARED_FIELD = """
+modes { lo <= hi; }
+class A { int x = 1; }
+class B extends A { boolean x = true; }
+class Main { void main() { B b = new B(); if (b.x) { Sys.print(1); } } }
+"""
+
+
+class TestErrorsNameTheFile:
+    """Syntax and type errors point at ``<path>:<line>:<column>``."""
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("source, where", [
+        (BAD_SYNTAX, ":1:7: expected 'IDENT' in class declaration"),
+        (BAD_TYPES, ":4:47: waterfall invariant violated"),
+        (REDECLARED_FIELD, ":4:21: field 'x' of B redeclares A.x"),
+    ], ids=["syntax", "type", "redeclared-field"])
+    def test_error_names_the_file(self, program, capsys, command, source,
+                                  where):
+        path = program(source)
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}{where}")
+
+
 class TestRun:
     def test_runs_and_prints(self, program, capsys):
         assert main(["run", program(GOOD)]) == 0
@@ -511,6 +539,27 @@ class Main {
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.endswith(": break outside a loop\n")
+
+    @pytest.mark.parametrize("engine", ["walk", "vm", "jit"])
+    def test_snapshot_of_a_fixed_mode_list_element(self, program, capsys,
+                                                   engine):
+        """A fixed-mode subclass of a dynamic class reaches a snapshot
+        through a type-erased List element; it cannot be re-moded."""
+        path = program("""
+modes { lo <= hi; }
+class Base@mode<?X> { attributor { return hi; } }
+class Sub@mode<lo> extends Base { }
+class Main {
+    void main() {
+        List l = [new Sub()];
+        foreach (Base b : l) { Base s = snapshot b; }
+    }
+}
+""")
+        assert main(["run", "--engine", engine, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot re-mode <Sub@lo #")
+        assert err.endswith(": class Sub has a fixed mode\n")
 
     def test_recursion_is_not_a_catchable_energy_exception(self, program,
                                                             capsys):

@@ -6,6 +6,8 @@ import pytest
 from repro.core.errors import (BadCastError, EnergyException,
                                EntTypeError, WaterfallError)
 from repro.lang import check_program, run_source
+from repro.lang.engines import ENGINES
+from repro.lang.interp import InterpOptions
 
 MODES = "modes { energy_saver <= managed; managed <= full_throttle; }\n"
 
@@ -16,6 +18,45 @@ def run(source, **kwargs):
 
 def check(source, **kwargs):
     return check_program(MODES + source, **kwargs)
+
+
+#: An explicit super argument for a variable name the subclass reuses.
+PINNED_PROGRAM = """
+class Helper@mode<managed> { int h() { return 5; } }
+class Base@mode<X> { int b() { return 1; } }
+class Pinned@mode<managed <= X <= full_throttle>
+        extends Base@mode<energy_saver> {
+    int tell() { Helper hh = new Helper(); return hh.h(); }
+}
+class Main {
+    void main() {
+        Pinned p = new Pinned@mode<full_throttle>();
+        Sys.print(p.tell());
+    }
+}
+"""
+
+#: An inherited method reads the superclass's dynamic variable after a
+#: snapshot of the subclass.
+INHERITED_SNAPSHOT_PROGRAM = """
+class Base@mode<?X> {
+    int n;
+    mcase<int> tier = mcase{ energy_saver: 1; managed: 2;
+                             full_throttle: 3; };
+    attributor {
+        if (n > 10) { return full_throttle; }
+        return energy_saver;
+    }
+    int lvl() { return mselect(tier, X); }
+}
+class Derived@mode<?Y> extends Base { Derived(int n) { this.n = n; } }
+class Main {
+    void main() {
+        Derived d = snapshot (new Derived@mode<?>(50));
+        Sys.print(d.lvl());
+    }
+}
+"""
 
 
 class TestInheritanceWithModes:
@@ -55,6 +96,50 @@ class TestInheritanceWithModes:
         }
         """)
         assert interp.output == ["1"]
+
+    @pytest.mark.parametrize("checks", ["full", "transient"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_explicit_super_argument_keeps_the_subclass_variable(
+            self, engine, checks):
+        """``Base``'s ``X := energy_saver`` binds Base's variable only:
+        ``Pinned``'s own ``X`` stays ``full_throttle``, so the send to a
+        managed helper passes dfall (Corollary 1)."""
+        interp = run(PINNED_PROGRAM, options=InterpOptions(
+            engine=engine, checks=checks))
+        assert interp.output == ["5"]
+
+    @pytest.mark.parametrize("checks", ["full", "transient"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_explicit_super_argument_keeps_the_subclass_mode(
+            self, engine, checks):
+        """Implicit elimination of the subclass's own mode case reads
+        the subclass's mode, not the superclass argument."""
+        interp = run("""
+        class Base@mode<X> { int b() { return 1; } }
+        class Pinned@mode<managed <= X <= full_throttle>
+                extends Base@mode<energy_saver> {
+            mcase<int> mine = mcase{ energy_saver: 1; managed: 2;
+                                     full_throttle: 3; };
+            int tell() { return mine; }
+        }
+        class Main {
+            void main() {
+                Pinned p = new Pinned@mode<managed>();
+                Sys.print(p.tell());
+            }
+        }
+        """, options=InterpOptions(engine=engine, checks=checks))
+        assert interp.output == ["2"]
+
+    @pytest.mark.parametrize("checks", ["full", "transient"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_snapshot_reaches_inherited_variables(self, engine, checks):
+        """The snapshot's mode flows to ``Base``'s ``X`` through the
+        default passthrough, so the inherited ``mselect`` is not stuck
+        (Theorem 1)."""
+        interp = run(INHERITED_SNAPSHOT_PROGRAM, options=InterpOptions(
+            engine=engine, checks=checks))
+        assert interp.output == ["3"]
 
     def test_dynamic_subclass_inherits_attributor(self):
         interp = run("""
@@ -100,6 +185,49 @@ class TestInheritanceWithModes:
             class Bad@mode<Y> extends Base@mode<energy_saver> { }
             class Main { void main() { } }
             """)
+
+
+class TestFieldRedeclaration:
+    """Featherweight Java's rule: a field may not redeclare an inherited
+    one (an object has one slot per field name)."""
+
+    def test_redeclared_parent_field_rejected(self):
+        with pytest.raises(EntTypeError) as info:
+            check("""
+            class A { int x = 1; }
+            class B extends A { boolean x = true; }
+            class Main {
+                void main() { B b = new B(); if (b.x) { Sys.print(1); } }
+            }
+            """)
+        assert "field 'x' of B redeclares A.x" in str(info.value)
+        assert (info.value.span.line, info.value.span.column) == (4, 33)
+
+    def test_redeclared_grandparent_field_rejected(self):
+        with pytest.raises(EntTypeError) as info:
+            check("""
+            class A { int x = 1; }
+            class B extends A { int y = 2; }
+            class C extends B { int x = 3; }
+            class Main { void main() { C c = new C(); Sys.print(c.x); } }
+            """)
+        assert "field 'x' of C redeclares A.x" in str(info.value)
+        assert info.value.span.line == 5
+
+    def test_same_name_in_unrelated_classes_accepted(self):
+        interp = run("""
+        class A { int x = 1; }
+        class B { boolean x = true; }
+        class C extends A { int y = 2; }
+        class Main {
+            void main() {
+                B b = new B();
+                C c = new C();
+                if (b.x) { Sys.print(c.x + c.y); }
+            }
+        }
+        """)
+        assert interp.output == ["3"]
 
 
 class TestMultiParamGenerics:

@@ -48,14 +48,6 @@ class TestBattery:
         battery.set_fraction(0.4)
         assert battery.fraction() == pytest.approx(0.4)
 
-    def test_script_overrides_queries(self):
-        battery = Battery(100.0)
-        battery.use_script(lambda t: 0.9 - 0.1 * t)
-        assert battery.fraction(0.0) == pytest.approx(0.9)
-        assert battery.fraction(2.0) == pytest.approx(0.7)
-        # Clamped to [0, 1].
-        assert battery.fraction(100.0) == 0.0
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             Battery(-5.0)
@@ -93,16 +85,6 @@ class TestThermal:
         for _ in range(100):
             b.step(20.0, 0.1)
         assert a.temperature_c == pytest.approx(b.temperature_c)
-
-    def test_time_to_reach(self):
-        model = ThermalModel(ambient_c=35.0, r_th_c_per_w=1.2, tau_s=25.0)
-        t = model.time_to_reach(25.0, 60.0)
-        model.step(25.0, t)
-        assert model.temperature_c == pytest.approx(60.0, abs=0.01)
-
-    def test_time_to_reach_unreachable(self):
-        model = ThermalModel(ambient_c=35.0, r_th_c_per_w=1.0)
-        assert model.time_to_reach(5.0, 90.0) == math.inf
 
 
 class TestCpu:

@@ -6,41 +6,51 @@ from repro.core.errors import EntRuntimeError
 from repro.core.modes import Mode
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
-from repro.lang.types import ClassInfo, ModeParam
+from repro.lang.types import ClassInfo, ClassTable, ModeParam
 from repro.lang.values import MCaseV, ObjectV
 
 ES, MG, FT = (Mode("energy_saver"), Mode("managed"), Mode("full_throttle"))
 
+TABLE = ClassTable()
+TABLE.add(ClassInfo(name="D", superclass="Object",
+                    params=[ModeParam(dynamic=True, var="X")]))
+TABLE.add(ClassInfo(name="C", superclass="Object",
+                    params=[ModeParam(concrete=MG)]))
+
+
+def make_object(name, args):
+    return ObjectV(TABLE.get(name), args, TABLE.bindings(name, args),
+                   {"f": 1})
+
 
 def make_dynamic_object():
-    info = ClassInfo(name="D", superclass="Object",
-                     params=[ModeParam(dynamic=True, var="X")])
-    return ObjectV(info, {"X": None}, {"f": 1})
+    return make_object("D", (None,))
 
 
 class TestObjectV:
     def test_effective_mode_dynamic(self):
         obj = make_dynamic_object()
         assert obj.effective_mode is None
+        assert obj.bindings["D"] == {"X": None}
 
     def test_effective_mode_concrete_param(self):
-        info = ClassInfo(name="C", superclass="Object",
-                         params=[ModeParam(concrete=MG)])
-        obj = ObjectV(info, {}, {})
+        obj = make_object("C", (MG,))
         assert obj.effective_mode == MG
 
     def test_shallow_copy_tags(self):
         obj = make_dynamic_object()
-        copy = obj.shallow_copy(FT)
+        copy = obj.shallow_copy(FT, TABLE)
         assert copy.effective_mode == FT
+        assert copy.bindings["D"] == {"X": FT}
         assert obj.effective_mode is None
+        assert obj.bindings["D"] == {"X": None}
         assert copy.oid != obj.oid
         assert copy.is_snapshot
 
     def test_shallow_copy_shares_values_not_map(self):
         obj = make_dynamic_object()
         obj.fields["lst"] = [1]
-        copy = obj.shallow_copy(MG)
+        copy = obj.shallow_copy(MG, TABLE)
         copy.fields["lst"].append(2)
         assert obj.fields["lst"] == [1, 2]  # value shared
         copy.set_field("f", 99)
@@ -48,10 +58,11 @@ class TestObjectV:
 
     def test_tag_in_place(self):
         obj = make_dynamic_object()
-        same = obj.tag_in_place(MG)
+        same = obj.tag_in_place(MG, TABLE)
         assert same is obj
         assert obj.effective_mode == MG
-        assert obj.snap_tagged
+        assert obj.bindings["D"] == {"X": MG}
+        assert obj.is_snapshot
 
     def test_unknown_field(self):
         obj = make_dynamic_object()

@@ -217,8 +217,7 @@ class Main {
         texts = {}
         for cls in program.classes:
             for method in cls.methods:
-                minfo = interp._find_method(interp.table.get(cls.name),
-                                            method.name)
+                minfo = interp.table.method(cls.name, method.name)
                 texts[f"{cls.name}.{method.name}"] = disassemble(
                     interp._vm.code_for_method(minfo))
         return texts
@@ -263,9 +262,8 @@ class Main { void main() { } }
         checked = check_program(self.MCASE)
         interp = Interpreter(checked,
                              options=InterpOptions(engine="vm"))
-        info = interp.table.get("D")
         code = {name: interp._vm.code_for_method(
-            interp._find_method(info, name))
+            interp.table.method("D", name))
             for name in ("own", "raw", "elim")}
         own = disassemble(code["own"])
         assert "GETF_THIS r0 'cost' owner=r1" in own
@@ -320,7 +318,7 @@ class Main {
                                                    checks=checks))
         main_cls = next(c for c in checked.program.classes
                         if c.name == "Main")
-        minfo = interp._find_method(interp.table.get("Main"), "main")
+        minfo = interp.table.method("Main", "main")
         assert main_cls is not None
         return disassemble(interp._vm.code_for_method(minfo),
                            transient=interp._transient)
@@ -346,7 +344,7 @@ class Main {
         interp = Interpreter(checked,
                              options=InterpOptions(engine="vm",
                                                    checks="transient"))
-        minfo = interp._find_method(interp.table.get("Main"), "main")
+        minfo = interp.table.method("Main", "main")
         source = jit_source(interp._vm,
                             interp._vm.code_for_method(minfo))
         assert "shallow_checks" in source
