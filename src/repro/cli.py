@@ -217,9 +217,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="arguments passed to main")
     profile.add_argument("--engine", choices=list(ENGINES), default=None,
                          help="execution engine to profile: walk "
-                              "(default), vm or jit (jit profiles as the "
-                              "vm: the JIT tier stays off under a "
-                              "profiler)")
+                              "(default), vm or jit (the compiled tier, "
+                              "with the VM's labels; the report ends "
+                              "with the tier counters)")
     profile.add_argument("--top", type=bounded_int(1), default=15,
                          help="rows in the hot-label table (default 15)")
     profile.add_argument("--checks", action="store_true",
@@ -512,8 +512,9 @@ def _cmd_profile(args) -> int:
     """Run a program under the cross-engine profiler.
 
     Prints the hot-label table (opcodes for the vm and jit, AST node
-    kinds for walk), the call-site inline-cache table, and — with
-    ``--checks`` — the per-check-site residual counts.  Unless
+    kinds for walk), the call-site inline-cache table, the
+    per-check-site residual counts (with ``--checks``) and the JIT
+    tier counters (with ``--engine jit``).  Unless
     ``--no-elide`` is given the same run's elision plan is diffed
     against the observed check firings; a check that fired at a site
     the analysis classified elided is a soundness violation and makes
@@ -565,8 +566,11 @@ def _cmd_profile(args) -> int:
     if report is not None:
         from repro.analysis import static_vs_observed
         diff = static_vs_observed(report, profile)
+    tier = interp._vm.tier_counters() if engine == "jit" else None
     if args.json:
         payload = {"file": args.file, "profile": profile.as_dict()}
+        if tier is not None:
+            payload["jit"] = tier
         if energy is not None:
             payload["energy_by_label"] = {
                 label: round(joules, 9)
@@ -582,6 +586,10 @@ def _cmd_profile(args) -> int:
         print(render_profile(profile, top=args.top, checks=args.checks,
                              energy=intervals if intervals is not None
                              else energy))
+        if tier is not None:
+            print()
+            print("JIT tier: " + ", ".join(
+                f"{name}={count}" for name, count in tier.items()))
         if diff is not None:
             print()
             print(diff.render())

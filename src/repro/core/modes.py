@@ -29,14 +29,18 @@ __all__ = ["Mode", "TOP", "BOTTOM", "ModeLattice"]
 class Mode:
     """An interned mode constant.
 
-    Two modes are identical iff their names are equal; instances are
-    interned so ``is`` comparisons are safe.  The distinguished modes
-    ``TOP`` and ``BOTTOM`` are members of every lattice.
+    Two modes are identical iff their names are equal: construction
+    interns by name, and :meth:`__reduce__` re-interns on unpickle,
+    ``copy`` and ``deepcopy``.  Equality is therefore identity, so
+    modes keep ``object``'s ``__eq__`` and ``__hash__``: dict and set
+    probes (``lattice.up[guard]``, the profiler's cell keys) make no
+    Python-level call.  The distinguished modes ``TOP`` and ``BOTTOM``
+    are members of every lattice.
     """
 
     _interned: Dict[str, "Mode"] = {}
 
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name",)
 
     def __new__(cls, name: str) -> "Mode":
         existing = cls._interned.get(name)
@@ -46,7 +50,6 @@ class Mode:
             raise ModeLatticeError(f"invalid mode name: {name!r}")
         mode = super().__new__(cls)
         mode.name = name
-        mode._hash = hash(name)
         cls._interned[name] = mode
         return mode
 
@@ -55,14 +58,6 @@ class Mode:
 
     def __str__(self) -> str:
         return self.name
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Mode):
-            return self.name == other.name
-        return NotImplemented
 
     def __reduce__(self):
         return (Mode, (self.name,))

@@ -142,8 +142,11 @@ def run_episodes(tasks: Iterable[EpisodeTask],
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate EpisodeTask keys in one batch")
     if resolve_jobs(jobs) <= 1 or len(tasks) <= 1:
-        return {task.key: _run_one(task, tracer, profiler)
-                for task in tasks}
+        results = {task.key: _run_one(task, tracer, profiler)
+                   for task in tasks}
+        # Fold the profile, as each pool worker does for its own.
+        profiler.finish()
+        return results
     capacity = trace_capacity if tracer.enabled else None
     worker = partial(_pool_worker, trace_capacity=capacity,
                      profile=profiler.enabled)

@@ -200,6 +200,23 @@ class InterpStats:
 _NO_RETURN = object()
 
 
+class _Labels(dict):
+    """The walk's profiler label per AST node class, built on first
+    use: ``prefix`` + the class name."""
+
+    def __init__(self, prefix: str) -> None:
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, cls) -> str:
+        label = self[cls] = self.prefix + cls.__name__
+        return label
+
+
+_NODE_LABELS = _Labels("node.")
+_STMT_LABELS = _Labels("stmt.")
+
+
 class _BreakSignal(Exception):
     pass
 
@@ -371,6 +388,10 @@ class Interpreter:
         wrappers are what every engine binds.
         """
         self._invoke = self._invoke_profiled
+        #: ``(id(method), id(call-site span)) -> (site id, method
+        #: name)``, formatted once; both objects belong to the checked
+        #: program, which outlives this interpreter.
+        self._profiled_sends: Dict[tuple, tuple] = {}
         if self.engine == "walk":
             self._eval = self._eval_profiled
             self._eval_leaf = self._eval_leaf_profiled
@@ -393,18 +414,19 @@ class Interpreter:
             return self._boot(args)
         except RecursionError:
             raise EntRuntimeError("call depth exceeded") from None
+        finally:
+            # Fold the profile however the run ended, construction of
+            # Main included (a no-op when disabled).
+            self.profiler.finish()
 
     def _boot(self, args: Optional[List[str]]) -> object:
         if "Main" not in self.table:
             raise EntRuntimeError("program has no class Main")
         boot_frame = _Frame(this_obj=None, mode_env={}, current_mode=TOP)
         boot_frame.push()
-        main_info = self.table.get("Main")
-        # Main⟨⊤⟩: boot binds only the first mode parameter; any extra
-        # one stays unbound (?).
-        main_obj = self._construct(
-            main_info, (TOP,) + (DYN,) * (len(main_info.params) - 1), [],
-            boot_frame, span=None)
+        # Main⟨⊤⟩: the typechecker admits at most one mode parameter.
+        main_obj = self._construct(self.table.get("Main"), (TOP,), [],
+                                   boot_frame, span=None)
         minfo = self.table.method("Main", "main")
         if minfo is None:
             raise EntRuntimeError("class Main has no method main")
@@ -415,19 +437,14 @@ class Interpreter:
             if len(minfo.param_names) != (1 if args else 0):
                 raise EntRuntimeError(
                     "main must take zero parameters or a single List")
-        try:
-            if self.tracer.enabled:
-                self.tracer.mode_transition("closure", None, TOP)
-                with self.tracer.span("main", category="program"):
-                    return self._invoke(main_obj, minfo, call_args,
-                                        boot_frame, self_call=False,
-                                        span=None)
-            return self._invoke(main_obj, minfo, call_args, boot_frame,
-                                self_call=False, span=None)
-        finally:
-            # Flush the profiler's trailing interval so per-label
-            # counts are exact (a no-op when disabled or re-run).
-            self.profiler.finish()
+        if self.tracer.enabled:
+            self.tracer.mode_transition("closure", None, TOP)
+            with self.tracer.span("main", category="program"):
+                return self._invoke(main_obj, minfo, call_args,
+                                    boot_frame, self_call=False,
+                                    span=None)
+        return self._invoke(main_obj, minfo, call_args, boot_frame,
+                            self_call=False, span=None)
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -631,8 +648,13 @@ class Interpreter:
         VM's leaf fast path is disabled while profiling, so every
         object send lands here, as under tracing)."""
         profiler = self.profiler
-        name = f"{minfo.owner}.{minfo.name}"
-        profiler.call(site_id("call", span), name)
+        key = (id(minfo), id(span))
+        send = self._profiled_sends.get(key)
+        if send is None:
+            send = self._profiled_sends[key] = (
+                site_id("call", span), f"{minfo.owner}.{minfo.name}")
+        sid, name = send
+        profiler.call(sid, name)
         mode = frame.current_mode
         profiler.push(name, mode)
         try:
@@ -1020,7 +1042,7 @@ class Interpreter:
 
     def _eval_profiled(self, expr: ast.Expr, frame: _Frame,
                        want_mcase: bool = False) -> object:
-        self.profiler.bump("node." + expr.__class__.__name__,
+        self.profiler.bump(_NODE_LABELS[expr.__class__],
                            frame.current_mode)
         return Interpreter._eval(self, expr, frame, want_mcase)
 
@@ -1028,8 +1050,7 @@ class Interpreter:
                             frame: _Frame) -> object:
         cls = expr.__class__
         if cls is ast.IntLit or cls is ast.Binary or cls is ast.Var:
-            self.profiler.bump("node." + cls.__name__,
-                               frame.current_mode)
+            self.profiler.bump(_NODE_LABELS[cls], frame.current_mode)
             return Interpreter._eval_leaf(self, expr, frame)
         # Non-leaf operands take the full (already shadowed) evaluator,
         # which bumps exactly once.
@@ -1037,7 +1058,7 @@ class Interpreter:
 
     def _exec_stmt_profiled(self, stmt: ast.Stmt,
                             frame: _Frame) -> None:
-        self.profiler.bump("stmt." + stmt.__class__.__name__,
+        self.profiler.bump(_STMT_LABELS[stmt.__class__],
                            frame.current_mode)
         return Interpreter._exec_stmt(self, stmt, frame)
 

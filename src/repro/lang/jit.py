@@ -51,11 +51,17 @@ Tiering is deliberately simple (two tiers, counter driven):
   already has a whole-body version OSRs into that instead (its
   ``_pc >= 0`` entry reloads every slot).
 
-The JIT turns itself off whenever the VM's leaf fast path is off
-(tracing or profiling attached): those runs need every send to flow
-through ``_invoke`` so events and call-site profiles are emitted, which
-is also why ``repro profile --engine jit`` satisfies the
-static-vs-observed oracle by construction.
+The tier stays armed under a tracer or profiler.  There the VM's leaf
+fast path and inline check probes are off, so no inline-cache entry
+carries a leaf body and compiled code sends through ``_invoke`` /
+``_site_send`` and checks through the check kernel, emitting every
+event, call-site count and check count the VM emits.  An
+``instrument()``ed body's ``PROFILE`` instructions compile to inline
+``bump(label, current_mode)`` calls, so ``repro profile --engine jit``
+profiles the compiled tier with the VM's labels and counts, plus
+``engine.jit_compile`` for compile time.  The profiler's and tracer's
+bindings exist only in profiled and traced compiles, so unprofiled
+listings (``repro disasm --jit``) keep their ``_gN`` numbering.
 
 Step accounting is charged at the same three points as the VM (one per
 activation, one per ``FUEL``, one per ``FOREACH_ITER`` element), so even
@@ -75,10 +81,10 @@ from repro.lang.bytecode import (
     OP_JT, OP_JUMP, OP_LE, OP_LIST_BUILD, OP_LOAD_NATIVE, OP_LOAD_THIS,
     OP_LT, OP_MCASE_BUILD, OP_MCASE_DISPATCH, OP_MOD, OP_MOVE,
     OP_MSELECT, OP_MUL, OP_NE, OP_NEG, OP_NEW, OP_NEW_LIST, OP_NOT,
-    OP_POP_HANDLER, OP_PUSH_HANDLER, OP_RETURN, OP_RETURN_NONE,
-    OP_RET_FIELD, OP_SETF, OP_SETF_THIS, OP_SNAPSHOT, OP_SUB, OP_THROW,
-    OP_VAR_DYN, LOOP_EXIT, MC_ELIM, MC_RAW, LoopRegion, _JUMP_OPS,
-    named_slots)
+    OP_POP_HANDLER, OP_PROFILE, OP_PUSH_HANDLER, OP_RETURN,
+    OP_RETURN_NONE, OP_RET_FIELD, OP_SETF, OP_SETF_THIS, OP_SNAPSHOT,
+    OP_SUB, OP_THROW, OP_VAR_DYN, LOOP_EXIT, MC_ELIM, MC_RAW, LoopRegion,
+    _JUMP_OPS, named_slots)
 from repro.lang.natives import NATIVE_STATIC_CLASSES
 
 __all__ = ["JITUnsupported", "compile_body", "jit_source",
@@ -342,6 +348,10 @@ class _Emitter:
                 ("call_native_static", call_native_static),
         ):
             self.bind(obj, name)
+        if interp.profiler.enabled:
+            self.bind(interp.profiler.bump, "_bump")
+        if interp.tracer.enabled:
+            self.bind(interp.tracer, "_tracer")
 
     # -- per-instruction emission --------------------------------------
 
@@ -362,6 +372,9 @@ class _Emitter:
         terminates the block (no fall-through assignment needed)."""
         w = self.w
         op = inst[0]
+        if op == OP_PROFILE:
+            w(d, f"_bump({inst[1]!r}, current_mode)")
+            return False
         if op == OP_FUEL:
             self.charge(d)
             return False
@@ -720,6 +733,8 @@ class _Emitter:
         if op == OP_THROW:
             w(d, f"_msg = _render({self.reg(inst[1])})")
             w(d, "_stats.energy_exceptions += 1")
+            if self.interp.tracer.enabled:
+                w(d, "_tracer.energy_exception(_msg, source='interp')")
             w(d, "raise EnergyException(_msg)")
             return True
         raise JITUnsupported(f"opcode {op!r} has no JIT emitter")

@@ -174,6 +174,12 @@ class TypeChecker:
             # code stays typeable, with objects adopting their creator's
             # mode by default.
             return [ModeParam(var=f"$X_{cls.name}")]
+        if cls.name == "Main" and cls.extra_params:
+            # boot(P) binds one mode, ⊤; another parameter would stay
+            # unbound and get stuck at its first elimination.
+            raise EntTypeError(
+                "class Main takes at most one mode parameter (the boot "
+                "mode ⊤)", cls.span)
         params = [self._resolve_mode_param(cls, cls.mode_param, first=True)]
         for node in cls.extra_params:
             params.append(self._resolve_mode_param(cls, node, first=False))

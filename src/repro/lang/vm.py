@@ -31,9 +31,9 @@ Everything non-hot delegates to the interpreter's shared helpers
 (``_snapshot_value``, ``_mselect_value``, ``_construct``, ``_invoke``,
 ``_binary_op``, the check kernel, …) and ``call_non_object``, so
 semantics, stats and error messages stay identical across engines.
-The fast path is disabled while a tracer is attached (``_fast_ok``):
-traced runs take the general ``_invoke`` path, which emits the
-mode-transition and check events.
+The fast path is disabled while a tracer or profiler is attached
+(``_fast_ok``): those runs take the general ``_invoke`` path, which
+emits the mode-transition and check events and the call-site profile.
 
 Fuel model: one step at activation entry plus one per loop iteration
 (the ``FUEL`` instruction at every ``while`` head, and ``FOREACH_ITER``
@@ -90,8 +90,8 @@ class VM:
     (created when ``engine="vm"``)."""
 
     #: The JIT tier gate, probed on the hot paths; only the
-    #: :class:`JITVM` subclass ever sets it (and only when the leaf
-    #: fast path is on), so the plain VM pays one false branch.
+    #: :class:`JITVM` subclass sets it, so the plain VM pays one false
+    #: branch.
     _jit_on = False
 
     def __init__(self, interp) -> None:
@@ -162,7 +162,7 @@ class VM:
             if jfn is None:
                 code.heat = heat = code.heat + 1
                 if heat >= self._hot_call:
-                    jfn = self._jit_compile(code)
+                    jfn = self._jit_compile(code, frame.current_mode)
             if jfn is not None:
                 return jfn(self, regs, frame, -1)
         return self._run(code, regs, frame)
@@ -297,7 +297,8 @@ class VM:
                             jfn = code.jit
                             if jfn is not None:
                                 return jfn(self, regs, frame, pc)
-                            loop = self._hot_loop_region(code, pc - 1)
+                            loop = self._hot_loop_region(code, pc - 1,
+                                                         current_mode)
                             if loop is not None:
                                 value = loop.jit(self, regs, frame, pc)
                                 if value is not LOOP_EXIT:
@@ -815,7 +816,8 @@ class VM:
                                 jfn = code.jit
                                 if jfn is not None:
                                     return jfn(self, regs, frame, pc)
-                                loop = self._hot_loop_region(code, pc - 1)
+                                loop = self._hot_loop_region(
+                                    code, pc - 1, current_mode)
                                 if loop is not None:
                                     value = loop.jit(self, regs, frame,
                                                      pc)
@@ -859,13 +861,15 @@ class JITVM(VM):
     All tiering state lives here: thresholds (instance attributes so
     tests can force-compile with ``_hot_call = 1``), the compile /
     deopt / invalidation counters, the per-loop tiering records, and
-    the compile entry point the dispatch loop's hooks call.  The JIT
-    arms itself exactly when the leaf-call fast path is on
-    (``_fast_ok``): traced and profiled runs need every send on the
-    ``_invoke`` path for events and call-site profiles, so under them
-    ``jit`` degrades to the plain VM — which is also why ``repro
-    profile --engine jit`` satisfies the static-vs-observed oracle by
-    construction.
+    the compile entry point the dispatch loop's hooks call.  The tier
+    stays armed under a tracer or profiler.  There the leaf fast path
+    and the inline check probes are off (``_fast_ok``,
+    ``_dfall_plain``), so compiled code sends through ``_invoke`` and
+    checks through the check kernel exactly as the VM does, and an
+    ``instrument()``ed body compiles its ``PROFILE`` instructions to
+    inline bumps: events, call-site and check counts and profile
+    labels equal the VM's, plus ``engine.jit_compile`` for compile
+    time.
 
     See :mod:`repro.lang.jit` for the emitter and the tiering policy.
     """
@@ -874,7 +878,7 @@ class JITVM(VM):
         super().__init__(interp)
         from repro.lang import jit
         self._jit_mod = jit
-        self._jit_on = self._fast_ok
+        self._jit_on = True
         self._hot_call = jit.HOT_CALL_THRESHOLD
         self._hot_loop = jit.HOT_LOOP_THRESHOLD
         self._deopt_limit = jit.DEOPT_LIMIT
@@ -890,17 +894,23 @@ class JITVM(VM):
         self.jit_loop_compiles = 0
         #: Compile log: (body or region name, version) in compile order.
         self.jit_compiled = []
-        #: Per-loop tiering records: VMCode -> {loop head: LoopRegion}.
+        #: Per-loop tiering records: VMCode -> {charge point:
+        #: LoopRegion}.
         self._loops = {}
 
-    def _jit_compile(self, code):
+    def _jit_compile(self, code, mode=None):
         """Compile ``code`` — a body or a :class:`LoopRegion` — or
-        blacklist it; returns the installed entry point or ``None``."""
+        blacklist it; returns the installed entry point or ``None``.
+        ``mode`` is the running code's, for the profiler."""
         if code.jit is not None:
             return code.jit
         if code.jit_versions >= self._max_versions:
             code.heat = _COLD
             return None
+        profiler = self.interp.profiler
+        if profiler.enabled:
+            # Compile time gets its own label; the next bump closes it.
+            profiler.bump("engine.jit_compile", mode)
         try:
             fn, src = self._jit_mod.compile_body(self, code)
         except self._jit_mod.JITUnsupported:
@@ -917,19 +927,25 @@ class JITVM(VM):
                                   code.jit_versions))
         return fn
 
-    def _hot_loop_region(self, code, head):
-        """Count one back edge of the loop at ``head`` in ``code``;
-        returns the loop's record once it has a compiled region (which
-        may compile now), else ``None``."""
+    def _hot_loop_region(self, code, charge, mode):
+        """Count one back edge of the loop whose charge point
+        (``FUEL``/``FOREACH_ITER``) is ``charge`` in ``code``; returns
+        the loop's record once it has a compiled region (which may
+        compile now, at ``mode``), else ``None``."""
         loops = self._loops.get(code)
         if loops is None:
+            instrs = code.instrs
+            # A loop's head is its back edge's target: the charge
+            # point, or in an instrument()ed body the PROFILE before it.
             loops = self._loops[code] = {
-                start: LoopRegion(code, start, end)
-                for start, end in loop_back_edges(code.instrs).items()}
-        loop = loops[head]
+                (start + 1 if instrs[start][0] == OP_PROFILE else start):
+                    LoopRegion(code, start, end)
+                for start, end in loop_back_edges(instrs).items()}
+        loop = loops[charge]
         if loop.jit is None:
             loop.heat = h = loop.heat + 1
-            if h < self._hot_loop or self._jit_compile(loop) is None:
+            if (h < self._hot_loop
+                    or self._jit_compile(loop, mode) is None):
                 return None
             self.jit_loop_compiles += 1
         return loop
@@ -937,8 +953,8 @@ class JITVM(VM):
     def loop_regions(self, code):
         """``code``'s loops that hold a compiled region, by head."""
         loops = self._loops.get(code, {})
-        return [loops[head] for head in sorted(loops)
-                if loops[head].jit_src is not None]
+        return [loop for _, loop in sorted(loops.items())
+                if loop.jit_src is not None]
 
     def tier_counters(self) -> dict:
         """The tiering counters, as ``repro run --stats`` reports them."""

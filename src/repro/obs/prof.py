@@ -18,14 +18,17 @@ embedded runtime; what differs is only the label vocabulary:
 * the check kernel bumps ``check.<site-id>`` so individual dfall /
   snapshot-bound sites get counts, time, *and* energy.
 
-**Attribution mechanism.**  The profiler keeps one pending label; each
-``bump`` stamps the monotonic clock, attributes the elapsed interval
-to the *previous* label (into a per-label latency
-:class:`~repro.obs.metrics.Histogram`, a per-``(label, mode)`` time
-table, and a per-call-stack time table), then opens the new label.
-``finish`` flushes the trailing interval, so per-label histogram
-counts are exact execution counts and the attributed intervals
-partition wall time.
+**Attribution mechanism.**  The profiler keeps one pending interval:
+a cell and a start time.  Each ``bump`` stamps the monotonic clock,
+records the elapsed interval into the pending cell, then opens the
+cell of ``(label, mode, call-stack key)`` with one dict lookup.  A
+cell is a latency :class:`~repro.obs.metrics.Histogram`; ``finish``
+closes the trailing interval and folds the cell table into the
+profile's per-label histograms (bucket-wise merge), per-``(label,
+mode)`` time table and per-call-stack time table, resolving mode
+names there rather than per event.  Per-label histogram counts are
+exact execution counts and the attributed intervals partition wall
+time.
 
 **Site IDs.**  :func:`site_id` renders ``<kind>@<line>:<column>`` from
 a node's source span — the same coordinates
@@ -51,12 +54,13 @@ See ``docs/PROFILING.md``.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from time import perf_counter
 from typing import Dict, IO, List, Optional, Tuple, Union
 
 from repro.obs.events import mode_name
 from repro.obs.export import opened
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import DEFAULT_BOUNDS, Histogram, MetricsRegistry
 
 __all__ = ["site_id", "ic_class", "Profile", "Profiler", "NullProfiler",
            "NULL_PROFILER", "collapsed_stacks", "profile_chrome_trace",
@@ -255,58 +259,65 @@ class Profiler:
                  clock=perf_counter) -> None:
         self.profile = Profile(engine)
         self._clock = clock
-        self._stack: List[str] = []
-        self._stack_key = ROOT
-        self._prev_label: Optional[str] = None
-        self._prev_mode: Optional[str] = None
-        self._prev_stack = ROOT
-        self._prev_ts = 0.0
+        #: ``(label, mode, stack key) -> Histogram``: every interval
+        #: lands in one cell; :meth:`finish` folds the table into the
+        #: profile.
+        self._cells: Dict[Tuple[str, object, str], Histogram] = {}
+        #: The pending interval: its cell (``None`` before the first
+        #: bump) and start time.
+        self._cell: Optional[Histogram] = None
+        self._ts = 0.0
+        #: The current stack key, and the callers' keys for ``pop``.
+        self._key = ROOT
+        self._keys: List[str] = []
+        #: ``(caller key, method) -> (call label, callee key)``.
+        self._frames: Dict[Tuple[str, str], Tuple[str, str]] = {}
+        #: ``(kind, site) -> (check-site entry, check label, site)``.
+        self._sites: Dict[Tuple[str, object], Tuple[Dict, str, object]] = {}
 
     # ------------------------------------------------------------------
     # The hot path
 
-    def _attribute(self, now: float) -> None:
-        label = self._prev_label
-        if label is None:
-            return
-        delta = now - self._prev_ts
-        profile = self.profile
-        profile.registry.histogram(label).record(delta)
-        key = (label, self._prev_mode)
-        mode_time = profile.mode_time
-        mode_time[key] = mode_time.get(key, 0.0) + delta
-        stack_time = profile.stack_time
-        stack = self._prev_stack
-        stack_time[stack] = stack_time.get(stack, 0.0) + delta
-
     def bump(self, label: str, mode=None) -> None:
         """Close the pending interval, open ``label``'s."""
         now = self._clock()
-        self._attribute(now)
-        self._prev_label = label
-        self._prev_mode = mode_name(mode)
-        self._prev_stack = self._stack_key
-        self._prev_ts = now
+        cell = self._cell
+        if cell is not None:
+            # Histogram.record, inline.
+            delta = now - self._ts
+            cell.count += 1
+            cell.total += delta
+            if delta < cell.min:
+                cell.min = delta
+            if delta > cell.max:
+                cell.max = delta
+            cell.bucket_counts[bisect_left(DEFAULT_BOUNDS, delta)] += 1
+        key = (label, mode, self._key)
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = Histogram(label)
+        self._cell = cell
+        self._ts = now
 
     def push(self, name: str, mode=None) -> None:
-        """Enter an ENT method: count the call label, grow the stack."""
-        self.bump("call." + name, mode)
-        self._stack.append(name)
-        self._stack_key = ";".join(self._stack)
-        # The callee's body time belongs to the deepened stack.
-        self._prev_stack = self._stack_key
+        """Enter an ENT method: count the call label, grow the stack.
+        The call label's interval already belongs to the callee's
+        stack."""
+        caller = self._key
+        frame = self._frames.get((caller, name))
+        if frame is None:
+            frame = self._frames[(caller, name)] = (
+                "call." + name,
+                name if caller is ROOT else f"{caller};{name}")
+        self._keys.append(caller)
+        self._key = frame[1]
+        self.bump(frame[0], mode)
 
     def pop(self, mode=None) -> None:
         """Leave an ENT method; the caller resumes."""
-        now = self._clock()
-        self._attribute(now)
-        if self._stack:
-            self._stack.pop()
-            self._stack_key = ";".join(self._stack) or ROOT
-        self._prev_label = "engine.resume"
-        self._prev_mode = mode_name(mode)
-        self._prev_stack = self._stack_key
-        self._prev_ts = now
+        if self._keys:
+            self._key = self._keys.pop()
+        self.bump("engine.resume", mode)
 
     # ------------------------------------------------------------------
     # Sites
@@ -329,27 +340,45 @@ class Profiler:
         if entries > entry["ic_entries"]:
             entry["ic_entries"] = entries
 
-    def _check_site(self, kind: str, site) -> Tuple[str, Dict]:
-        sid = site_id(kind, site)
-        sites = self.profile.check_sites
-        entry = sites.get(sid)
-        if entry is None:
-            entry = sites[sid] = {"kind": kind, "executed": 0,
-                                  "elided": 0}
-        return sid, entry
+    def _check_site(self, kind: str, site) -> Tuple[Dict, str, object]:
+        """``site``'s entry and label, formatted once per site: a span
+        is keyed by identity (the cached tuple holds it, so its id
+        stays its own), a symbolic site by its string."""
+        key = (kind, site if site.__class__ is str else id(site))
+        hit = self._sites.get(key)
+        if hit is None:
+            sid = site_id(kind, site)
+            entry = self.profile.check_sites.setdefault(
+                sid, {"kind": kind, "executed": 0, "elided": 0})
+            hit = self._sites[key] = (entry, "check." + sid, site)
+        return hit
 
     def check(self, kind: str, site, mode=None) -> None:
-        sid, entry = self._check_site(kind, site)
+        entry, label, _site = self._check_site(kind, site)
         entry["executed"] += 1
-        self.bump("check." + sid, mode)
+        self.bump(label, mode)
 
     def check_elided(self, kind: str, site) -> None:
-        self._check_site(kind, site)[1]["elided"] += 1
+        self._check_site(kind, site)[0]["elided"] += 1
 
     def finish(self) -> None:
-        """Flush the trailing interval (call when the run ends)."""
-        self._attribute(self._clock())
-        self._prev_label = None
+        """Close the trailing interval and fold the cell table into the
+        profile (call when the run ends).  The table starts empty
+        again, so a second call adds nothing and a reused profiler
+        starts clean."""
+        if self._cell is not None:
+            self._cell.record(self._clock() - self._ts)
+            self._cell = None
+        profile = self.profile
+        registry = profile.registry
+        mode_time = profile.mode_time
+        stack_time = profile.stack_time
+        for (label, mode, stack), cell in self._cells.items():
+            registry.histogram(label).merge(cell)
+            key = (label, mode_name(mode))
+            mode_time[key] = mode_time.get(key, 0.0) + cell.total
+            stack_time[stack] = stack_time.get(stack, 0.0) + cell.total
+        self._cells = {}
 
 
 # ---------------------------------------------------------------------------

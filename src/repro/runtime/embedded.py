@@ -52,13 +52,19 @@ from repro.runtime.ext import Ext
 from repro.runtime.tagging import TAG_ATTR, ObjectTag, get_tag
 
 __all__ = ["EntRuntime", "ModeCase", "RuntimeStats", "STANDARD_MODES",
-           "THERMAL_MODES"]
+           "THERMAL_MODES", "STANDARD_LATTICE", "THERMAL_LATTICE"]
 
 #: The battery-mode chain used across the paper's benchmarks.
 STANDARD_MODES = ("energy_saver", "managed", "full_throttle")
 
 #: The temperature-mode chain used by the E3 experiments.
 THERMAL_MODES = ("overheating", "hot", "safe")
+
+#: The two chains' lattices, built and validated once: a
+#: :class:`ModeLattice` is immutable, so every runtime over a chain
+#: (one per E1/E2/E3 episode) shares it.
+STANDARD_LATTICE = ModeLattice.linear(list(STANDARD_MODES))
+THERMAL_LATTICE = ModeLattice.linear(list(THERMAL_MODES))
 
 ModeLike = Union[Mode, str]
 
@@ -129,8 +135,7 @@ class EntRuntime:
     @classmethod
     def standard(cls, platform=None, **kwargs) -> "EntRuntime":
         """A runtime over the es <= managed <= full_throttle chain."""
-        return cls(ModeLattice.linear(list(STANDARD_MODES)),
-                   platform=platform, **kwargs)
+        return cls(STANDARD_LATTICE, platform=platform, **kwargs)
 
     @classmethod
     def thermal(cls, platform=None, **kwargs) -> "EntRuntime":
@@ -138,8 +143,7 @@ class EntRuntime:
 
         ``safe`` is the *greatest* mode: the cooler the CPU, the more
         work the program may boot."""
-        return cls(ModeLattice.linear(list(THERMAL_MODES)),
-                   platform=platform, **kwargs)
+        return cls(THERMAL_LATTICE, platform=platform, **kwargs)
 
     @property
     def platform(self):
@@ -250,6 +254,9 @@ class EntRuntime:
         override: Optional[Mode] = getattr(func, "_ent_mode_override", None)
         method = func.__name__
         up = self.lattice.up
+        # Receiver class -> (call-site id, ``Class.method``) for the
+        # profiler, formatted once per class.
+        sends = {}
 
         @functools.wraps(func)
         def wrapper(obj, *args, **kwargs):
@@ -279,9 +286,12 @@ class EntRuntime:
                 runtime.tracer.mode_transition("closure", current, closure)
             profiled = runtime.profiler.enabled
             if profiled:
-                name = f"{type(obj).__name__}.{method}"
-                runtime.profiler.call(f"call@{name}", name)
-                runtime.profiler.push(name, closure)
+                send = sends.get(type(obj))
+                if send is None:
+                    name = f"{type(obj).__name__}.{method}"
+                    send = sends[type(obj)] = (f"call@{name}", name)
+                runtime.profiler.call(*send)
+                runtime.profiler.push(send[1], closure)
             runtime._mode_stack.append(closure)
             runtime._self_stack.append(obj)
             try:

@@ -69,9 +69,8 @@ def _literal_strings(node: pyast.expr) -> Optional[List[str]]:
 
 
 def _fallback_lattices() -> List[ModeLattice]:
-    from repro.runtime.embedded import STANDARD_MODES, THERMAL_MODES
-    return [ModeLattice.linear(list(STANDARD_MODES)),
-            ModeLattice.linear(list(THERMAL_MODES))]
+    from repro.runtime.embedded import STANDARD_LATTICE, THERMAL_LATTICE
+    return [STANDARD_LATTICE, THERMAL_LATTICE]
 
 
 def _detect_lattices(tree: pyast.AST) -> List[ModeLattice]:
@@ -92,11 +91,10 @@ def _detect_lattices(tree: pyast.AST) -> List[ModeLattice]:
             continue
         owner = func.value.id
         if owner == "EntRuntime" and func.attr in ("standard", "thermal"):
-            from repro.runtime.embedded import (STANDARD_MODES,
-                                                THERMAL_MODES)
-            names = (STANDARD_MODES if func.attr == "standard"
-                     else THERMAL_MODES)
-            lattices.append(ModeLattice.linear(list(names)))
+            from repro.runtime.embedded import (STANDARD_LATTICE,
+                                                THERMAL_LATTICE)
+            lattices.append(STANDARD_LATTICE if func.attr == "standard"
+                            else THERMAL_LATTICE)
         elif owner == "ModeLattice" and func.attr == "linear" \
                 and node.args:
             names = _literal_strings(node.args[0])

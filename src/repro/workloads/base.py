@@ -28,6 +28,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 from repro.core.modes import Mode, ModeLattice
+# THERMAL_LATTICE (``overheating <= hot <= safe``) is re-exported as is.
+from repro.runtime.embedded import (  # noqa: F401
+    STANDARD_LATTICE, THERMAL_LATTICE)
 
 #: Battery-mode names, least to greatest.
 ES, MG, FT = "energy_saver", "managed", "full_throttle"
@@ -37,12 +40,9 @@ BATTERY_MODES = (ES, MG, FT)
 OVERHEATING, HOT, SAFE = "overheating", "hot", "safe"
 THERMAL_MODES = (OVERHEATING, HOT, SAFE)
 
-#: The declared battery lattice (``es <= mg <= ft``) — the same chain
+#: The declared battery lattice (``es <= mg <= ft``): the very one
 #: :meth:`repro.runtime.embedded.EntRuntime.standard` checks against.
-BATTERY_LATTICE = ModeLattice.linear(list(BATTERY_MODES))
-
-#: The declared thermal lattice (``overheating <= hot <= safe``).
-THERMAL_LATTICE = ModeLattice.linear(list(THERMAL_MODES))
+BATTERY_LATTICE = STANDARD_LATTICE
 
 
 def mode_leq(lesser, greater, lattice: ModeLattice = None) -> bool:

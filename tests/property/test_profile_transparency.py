@@ -18,9 +18,14 @@ It also pins the tentpole's check-level guarantees:
   the interpreter's own stats counters, on every engine, so the
   profile is exact, not sampled.
 * **Cross-engine check invariance** — the per-site check counts are
-  identical across walk/vm/jit.  The JIT tier stays off under a
-  profiler, so a profiled ``jit`` run is exactly a profiled ``vm``
-  run; the unprofiled ``jit`` run it is compared against is not.
+  identical across walk/vm/jit.
+* **The compiled tier profiles as the VM** — the JIT stays armed under
+  the profiler and compiles the VM's ``PROFILE`` instructions to
+  inline bumps, so a profiled ``jit`` run matches the profiled ``vm``
+  run in label counts, call sites, check sites, ``mode_time`` keys and
+  stack keys; only the ``engine.jit_compile`` label (one bump per
+  compile attempt) is its own.  Loops that cross the tiering
+  threshold must actually compile.
 """
 
 import pathlib
@@ -47,13 +52,12 @@ FIXED_PROGRAMS = sorted(
 ENGINES = ("walk", "vm", "jit")
 
 
-def run_engine(source: str, engine: str, battery: float = 0.6,
-               elide: bool = True, profile: bool = False):
-    """Returns ``(observables, profile, analysis_report, stats)``.
-
-    ``observables`` includes the *full* stats dict — ``steps`` too:
-    profiling must not change how many steps the engine itself counts.
-    """
+def make_interpreter(source: str, engine: str, battery: float = 0.6,
+                     elide: bool = True, profile: bool = False,
+                     jit_hot: bool = False):
+    """Returns ``(interpreter, profiler or None, analysis report)``;
+    ``jit_hot`` drops the JIT's thresholds to 1, so every body and
+    loop runs compiled."""
 
     class _Battery(NullPlatform):
         def battery_fraction(self):
@@ -68,6 +72,20 @@ def run_engine(source: str, engine: str, battery: float = 0.6,
         checked, platform=_Battery(),
         options=InterpOptions(engine=engine, fuel=500_000),
         profiler=profiler)
+    if jit_hot:
+        interp._vm._hot_call = interp._vm._hot_loop = 1
+    return interp, profiler, report
+
+
+def run_engine(source: str, engine: str, battery: float = 0.6,
+               elide: bool = True, profile: bool = False):
+    """Returns ``(observables, profile, analysis_report, stats)``.
+
+    ``observables`` includes the *full* stats dict — ``steps`` too:
+    profiling must not change how many steps the engine itself counts.
+    """
+    interp, profiler, report = make_interpreter(
+        source, engine, battery=battery, elide=elide, profile=profile)
     try:
         interp.run()
         outcome = ("ok", None)
@@ -167,7 +185,7 @@ def test_kernel_check_sites_invariant_across_engines(index):
 @settings(max_examples=20, deadline=None)
 @given(programs())
 def test_random_programs_profiling_transparent(source):
-    for engine in ("walk", "vm"):
+    for engine in ENGINES:
         plain, _, _, _ = run_engine(source, engine, elide=False)
         profiled, _, _, _ = run_engine(source, engine, elide=False,
                                        profile=True)
@@ -177,7 +195,171 @@ def test_random_programs_profiling_transparent(source):
 @settings(max_examples=15, deadline=None)
 @given(programs())
 def test_random_programs_static_vs_observed_clean(source):
-    for engine in ("walk", "vm"):
+    for engine in ENGINES:
         _, profile, report, _ = run_engine(source, engine, profile=True)
         diff = static_vs_observed(report, profile)
         assert diff.clean, diff.render()
+
+
+# ---------------------------------------------------------------------------
+# The compiled tier under the profiler
+
+#: Loops shaped like entbench's ``ent_exec`` programs, long enough to
+#: cross the JIT's loop threshold: a static-mode send loop, a
+#: re-snapshot loop whose bound and dfall checks stay residual, a send
+#: site that turns polymorphic halfway (deopts, invalidation), and a
+#: loop that throws and catches.
+_HEADER = "modes { energy_saver <= managed; managed <= full_throttle; }\n"
+LOOP_PROGRAMS = {
+    "send": _HEADER + """
+class Acc@mode<full_throttle> {
+    int total;
+    int bump(int k) { total = (total + k * 7) % 1009; return total; }
+}
+class Main {
+    void main() {
+        Acc a = new Acc();
+        int i = 0;
+        while (i < 300) { a.bump(i % 5); i = i + 1; }
+        Sys.print(a.total);
+    }
+}
+""",
+    "residual": _HEADER + """
+class R@mode<?X> {
+    int load;
+    attributor {
+        if (load > 40) { return full_throttle; }
+        if (load > 10) { return managed; }
+        return energy_saver;
+    }
+    R(int load) { this.load = load; }
+    int get() { return load; }
+}
+class Main {
+    void main() {
+        R@mode<?> r = new R@mode<?>(25);
+        int total = 0;
+        int i = 0;
+        while (i < 200) {
+            R s = snapshot r [managed, _];
+            total = (total + s.get() * 3) % 1009;
+            i = i + 1;
+        }
+        Sys.print(total);
+    }
+}
+""",
+    "poly": _HEADER + """
+class Shape@mode<full_throttle> { int area(int k) { return k; } }
+class Sq@mode<full_throttle> extends Shape {
+    int area(int k) { return k * 3 + 1; }
+}
+class Ci@mode<full_throttle> extends Shape {
+    int area(int k) { return k * 5 + 2; }
+}
+class Tr@mode<full_throttle> extends Shape {
+    int area(int k) { return k + 4; }
+}
+class Main {
+    void main() {
+        Shape q = new Sq();
+        Shape c = new Ci();
+        Shape t = new Tr();
+        int total = 0;
+        int i = 0;
+        while (i < 400) {
+            Shape s = q;
+            if (i >= 200) {
+                int r = i % 3;
+                if (r == 1) { s = c; }
+                if (r == 2) { s = t; }
+            }
+            total = (total + s.area(i)) % 1009;
+            i = i + 1;
+        }
+        Sys.print(total);
+    }
+}
+""",
+    "throw": _HEADER + """
+class Main {
+    void main() {
+        int caught = 0;
+        int i = 0;
+        while (i < 100) {
+            try {
+                if (i % 3 == 0) { throw "tick"; }
+                caught = caught + 2;
+            } catch (EnergyException e) { caught = caught + 1; }
+            i = i + 1;
+        }
+        Sys.print(caught);
+    }
+}
+""",
+}
+
+
+def profile_shape(profile):
+    """Everything a profile records apart from its times, minus the
+    JIT's own ``engine.jit_compile`` label."""
+    labels = {name: h.count
+              for name, h in profile.registry.histograms.items()
+              if name != "engine.jit_compile"}
+    return (labels, profile.call_sites, profile.check_sites,
+            {key for key in profile.mode_time
+             if key[0] != "engine.jit_compile"},
+            set(profile.stack_time))
+
+
+def profile_jit_against_vm(source: str, jit_hot: bool = False):
+    """Profile ``source`` on vm and jit; the profiles must agree in
+    everything but time.  Returns the jit run's ``JITVM``."""
+    shapes = []
+    for engine in ("vm", "jit"):
+        interp, profiler, _ = make_interpreter(source, engine,
+                                               profile=True,
+                                               jit_hot=jit_hot)
+        try:
+            interp.run()
+        except (EnergyException, EntRuntimeError):
+            pass
+        shapes.append(profile_shape(profiler.profile))
+    assert shapes[0] == shapes[1]
+    jit = interp._vm
+    compiles = profiler.profile.registry.histograms.get(
+        "engine.jit_compile")
+    # One bump per compile attempt, bailouts included.
+    assert (compiles.count if compiles else 0) == (jit.jit_compiles
+                                                   + jit.jit_bailouts)
+    return jit
+
+
+@pytest.mark.parametrize("jit_hot", [False, True],
+                         ids=["tiered", "all-compiled"])
+@pytest.mark.parametrize("path", FIXED_PROGRAMS)
+def test_examples_jit_profiles_as_vm(path, jit_hot):
+    jit = profile_jit_against_vm((_ROOT / path).read_text(),
+                                 jit_hot=jit_hot)
+    if path.endswith("crawler.ent"):
+        assert jit.jit_compiles > 0
+
+
+#: Programs whose loops or sends cross the JIT's default thresholds.
+HOT_PROGRAMS = dict(LOOP_PROGRAMS, **dict(zip(
+    ("accumulate", "pagerank", "crypto"), KERNEL_PROGRAMS)))
+
+
+@pytest.mark.parametrize("name", sorted(HOT_PROGRAMS))
+def test_hot_programs_jit_profiles_as_vm(name):
+    jit = profile_jit_against_vm(HOT_PROGRAMS[name])
+    assert jit.jit_compiles > 0
+    if name == "poly":
+        assert jit.jit_deopts > 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(programs())
+def test_random_programs_jit_profiles_as_vm(source):
+    profile_jit_against_vm(source, jit_hot=True)

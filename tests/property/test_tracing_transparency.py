@@ -9,14 +9,27 @@ would mean instrumentation leaked into the semantics (e.g. by
 advancing the simulation clock or consuming platform randomness).
 """
 
+import dataclasses
+import pathlib
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import EnergyException, EntRuntimeError
 from repro.eval.runner import (run_e1_episode, run_e2_episode,
                                run_e3_episode)
+from repro.lang.interp import Interpreter, InterpOptions
+from repro.lang.typechecker import check_program
 from repro.obs.tracer import Tracer
 from repro.workloads import E3_BENCHMARKS, get_workload
 from repro.workloads.base import ES, FT, MG
+
+from test_profile_transparency import LOOP_PROGRAMS  # type: ignore
+
+_EXAMPLES = sorted(
+    (pathlib.Path(__file__).resolve().parents[2] / "examples"
+     / "ent").glob("*.ent"))
 
 _MODES = [ES, MG, FT]
 _E1_E2_BENCHMARKS = ["jspider", "sunflow", "crypto"]
@@ -77,3 +90,40 @@ class TestTracingTransparency:
         assert "energy_exception" in kinds
         assert "snapshot" in kinds
         assert "meter_sample" in kinds
+
+
+def _traced_run(source, engine, checks):
+    """One traced run: ``(events as dicts, output, JITVM or None)``."""
+    tracer = Tracer()
+    interp = Interpreter(check_program(source), tracer=tracer,
+                         options=InterpOptions(engine=engine,
+                                               checks=checks))
+    try:
+        interp.run()
+    except (EnergyException, EntRuntimeError):
+        pass
+    events = [(event.kind, dataclasses.asdict(event))
+              for event in tracer.events()]
+    return events, interp.output, (interp._vm if engine == "jit"
+                                   else None)
+
+
+_TRACED = ([(path.stem, path.read_text()) for path in _EXAMPLES]
+           + sorted(LOOP_PROGRAMS.items()))
+
+
+class TestJitUnderTracer:
+    """The JIT tier stays armed under a tracer, and compiled code emits
+    exactly the events the VM emits."""
+
+    @pytest.mark.parametrize("checks", ["full", "transient"])
+    @pytest.mark.parametrize("name,source", _TRACED,
+                             ids=[name for name, _ in _TRACED])
+    def test_traced_jit_records_the_vm_events(self, name, source,
+                                              checks):
+        vm_events, vm_out, _ = _traced_run(source, "vm", checks)
+        jit_events, jit_out, jit = _traced_run(source, "jit", checks)
+        assert jit_events == vm_events
+        assert jit_out == vm_out
+        if name in LOOP_PROGRAMS or name == "crawler":
+            assert jit.jit_compiles > 0

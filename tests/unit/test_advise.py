@@ -107,6 +107,8 @@ def test_label_resolution_chain():
     assert model.resolve_key("native.Sys.work") == "native"
     assert model.resolve_key("attributor.Site") == "attributor"
     assert model.resolve_key("engine.vm") == "default"
+    assert model.resolve_key("engine.resume") == "default"
+    assert model.resolve_key("engine.jit_compile") == "default"
 
 
 def test_cost_j_scales_counts_into_joules():

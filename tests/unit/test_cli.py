@@ -102,6 +102,19 @@ class B extends A { boolean x = true; }
 class Main { void main() { B b = new B(); if (b.x) { Sys.print(1); } } }
 """
 
+#: Boot binds Main's one mode parameter to ⊤; a second one would stay
+#: unbound and the mselect would get stuck, so the program is rejected.
+MAIN_TWO_MODE_PARAMS = """
+modes { energy_saver <= managed; managed <= full_throttle; }
+class Main@mode<X, Y> {
+    void main() {
+        mcase<int> m = mcase{ energy_saver: 1; managed: 2;
+                              full_throttle: 3; };
+        Sys.print(mselect(m, Y));
+    }
+}
+"""
+
 
 class TestErrorsNameTheFile:
     """Syntax and type errors point at ``<path>:<line>:<column>``."""
@@ -111,7 +124,9 @@ class TestErrorsNameTheFile:
         (BAD_SYNTAX, ":1:7: expected 'IDENT' in class declaration"),
         (BAD_TYPES, ":4:47: waterfall invariant violated"),
         (REDECLARED_FIELD, ":4:21: field 'x' of B redeclares A.x"),
-    ], ids=["syntax", "type", "redeclared-field"])
+        (MAIN_TWO_MODE_PARAMS,
+         ":3:1: class Main takes at most one mode parameter"),
+    ], ids=["syntax", "type", "redeclared-field", "main-mode-params"])
     def test_error_names_the_file(self, program, capsys, command, source,
                                   where):
         path = program(source)
@@ -327,8 +342,26 @@ class TestProfile:
         assert "static-vs-observed clean" in out
         if engine == "walk":
             assert "node." in out
-        else:  # the jit profiles as the vm
+        else:  # the jit profiles the VM's labels
             assert "op." in out
+        assert ("JIT tier: compiles=" in out) == (engine == "jit")
+
+    @pytest.mark.parametrize("engine", ["walk", "vm", "jit"])
+    def test_profile_json_reports_the_jit_tier(self, program, capsys,
+                                               engine):
+        assert main(["profile", program(HOT_LOOP), "--engine", engine,
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        if engine != "jit":
+            assert "jit" not in payload
+            return
+        jit = payload["jit"]
+        assert sorted(jit) == ["bailouts", "compiles", "deopts",
+                               "invalidations", "loop_compiles"]
+        assert jit["loop_compiles"] >= 1
+        labels = payload["profile"]["labels"]
+        assert labels["engine.jit_compile"]["count"] == (
+            jit["compiles"] + jit["bailouts"])
 
     def test_profile_vm_reports_ic_and_check_sites(self, program, capsys):
         assert main(["profile", program(GOOD), "--engine", "vm",

@@ -1,5 +1,6 @@
 """Unit tests for the mode lattice (repro.core.modes)."""
 
+import copy
 import pickle
 
 import pytest
@@ -29,6 +30,23 @@ class TestMode:
 
     def test_hashable(self):
         assert len({Mode("x1"), Mode("x1"), Mode("x2")}) == 2
+
+    @pytest.mark.parametrize("clone", [
+        lambda m: pickle.loads(pickle.dumps(m)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"])
+    def test_clones_are_the_interned_instance(self, clone):
+        """Equality is identity, so every way of cloning a mode must
+        hand back the interned one."""
+        assert clone(Mode("managed")) is Mode("managed")
+        assert clone(TOP) is TOP
+
+    def test_dict_keys_and_set_members_survive_pickling(self):
+        es, ft = Mode("energy_saver"), Mode("full_throttle")
+        table, members = pickle.loads(pickle.dumps(
+            ({es: 1, ft: 2}, frozenset({es}))))
+        assert table[es] == 1 and table[Mode("full_throttle")] == 2
+        assert es in members and ft not in members
+        assert {es: 0, **table} == {es: 1, ft: 2}
 
 
 @pytest.fixture

@@ -76,6 +76,64 @@ class TestProfilerAttribution:
         profiler.finish()
         assert profiler.profile.total_time == total
 
+    def test_second_finish_adds_nothing(self):
+        profiler = make_profiler()
+        profiler.push("Main.main", "managed")
+        profiler.bump("op.A", "managed")
+        profiler.pop()
+        profiler.finish()
+        profile = profiler.profile
+        before = (profile.as_dict(), dict(profile.mode_time),
+                  dict(profile.stack_time))
+        profiler.finish()
+        assert (profile.as_dict(), dict(profile.mode_time),
+                dict(profile.stack_time)) == before
+
+    def test_reused_profiler_counts_both_runs(self):
+        """Each run ends in ``finish``; the second run's first bump
+        opens a fresh interval instead of closing the first run's."""
+        profiler = make_profiler()
+        for _ in range(2):
+            profiler.push("Main.main")
+            profiler.bump("op.A")
+            profiler.bump("op.B")
+            profiler.pop()
+            profiler.finish()
+        hists = profiler.profile.registry.histograms
+        assert {name: h.count for name, h in hists.items()} == {
+            "call.Main.main": 2, "op.A": 2, "op.B": 2,
+            "engine.resume": 2}
+        # Every bump interval is one clock step: 8 intervals in all.
+        assert profiler.profile.total_time == pytest.approx(8.0)
+        assert profiler.profile.stack_time == pytest.approx(
+            {"Main.main": 6.0, "(root)": 2.0})
+
+    def test_merged_folds_equal_one_profile_of_both_runs(self):
+        def run(profiler, labels):
+            for label, mode in labels:
+                profiler.bump(label, mode)
+            profiler.finish()
+
+        first = [("op.A", "managed"), ("op.B", None), ("op.A", None)]
+        second = [("op.B", None), ("op.A", "managed")]
+        # A step inside one bucket, so rounding cannot move a sample.
+        both = make_profiler(step=3e-4)
+        run(both, first)
+        run(both, second)
+        merged, other = make_profiler(step=3e-4), make_profiler(step=3e-4)
+        run(merged, first)
+        run(other, second)
+        merged.profile.merge(other.profile)
+        for name, h in both.profile.registry.histograms.items():
+            m = merged.profile.registry.histograms[name]
+            assert (m.count, m.bucket_counts) == (h.count, h.bucket_counts)
+        assert set(merged.profile.registry.histograms) == set(
+            both.profile.registry.histograms)
+        assert merged.profile.mode_time == pytest.approx(
+            both.profile.mode_time)
+        assert merged.profile.stack_time == pytest.approx(
+            both.profile.stack_time)
+
     def test_mode_time_keys(self):
         profiler = make_profiler()
         profiler.bump("op.A", "managed")
@@ -99,6 +157,33 @@ class TestProfilerAttribution:
         assert profile.registry.histograms["call.Agent.work"].count == 1
         # Popping re-opens the caller's frame under engine.resume.
         assert "engine.resume" in profile.registry.histograms
+
+    def test_stack_keys_after_nested_push_pop(self):
+        """``pop`` restores the caller's key; a call label's interval
+        belongs to the callee's stack, ``engine.resume`` to the
+        caller's."""
+        profiler = make_profiler()
+        profiler.push("Main.main")           # t=1
+        profiler.push("A.f")                 # t=2
+        profiler.push("B.g")                 # t=3
+        profiler.pop()                       # t=4
+        profiler.push("B.g")                 # t=5
+        profiler.pop()                       # t=6
+        profiler.pop()                       # t=7
+        profiler.push("B.g")                 # t=8
+        profiler.pop()                       # t=9
+        profiler.pop()                       # t=10
+        profiler.pop()                       # t=11: unbalanced, stays
+        profiler.finish()                    # t=12
+        assert profiler.profile.stack_time == pytest.approx({
+            "Main.main": 3.0,                # call.Main.main, 2 resumes
+            "Main.main;A.f": 3.0,            # call.A.f, 2 resumes
+            "Main.main;A.f;B.g": 2.0,        # call.B.g twice
+            "Main.main;B.g": 1.0,
+            "(root)": 2.0})                  # 2 resumes
+        hists = profiler.profile.registry.histograms
+        assert hists["call.B.g"].count == 3
+        assert hists["engine.resume"].count == 6
 
 
 class TestProfilerSites:

@@ -348,6 +348,22 @@ class TestMCase:
         """, "mselect requires")
 
 
+class TestMainModeParameters:
+    """``boot(P) = cl(⊤, mbody(main, Main⟨⊤⟩))`` binds one mode, so
+    ``Main`` may take one mode parameter (a second is rejected: see
+    ``test_cli.TestErrorsNameTheFile``)."""
+
+    def test_one_mode_parameter_is_the_boot_mode(self):
+        check("""
+class Main@mode<X> {
+    void main() {
+        mcase<int> m = mcase{ energy_saver: 1; default: 7; };
+        Sys.print(mselect(m, X));
+    }
+}
+""")
+
+
 class TestMethodLevelModes:
     def test_override_blocks_low_sender(self):
         check_fails(DYN_SITE.replace(
