@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.platform.systems import make_platform
-from repro.runtime.embedded import EntRuntime, RuntimeStats
+from repro.runtime.embedded import EntRuntime
 from repro.workloads.base import ES, MG, Workload
 from repro.workloads.registry import ALL_WORKLOADS, get_workload
 
@@ -171,7 +171,7 @@ def _episode_counts(workload: Workload, system: str,
                     seed: int) -> Dict[str, int]:
     run, rt = _build_episode(workload, system, baseline=False, seed=seed)
     run()
-    stats: RuntimeStats = rt.stats
+    stats = rt.stats
     return {
         "snapshots": stats.snapshots,
         "messages": stats.messages,

@@ -37,14 +37,13 @@ from repro.workloads.base import battery_boot_mode
 
 __all__ = ["DeviceApp", "DeviceOutcome", "run_device"]
 
-#: RuntimeStats fields aggregated fleet-wide.  ``dfall_memo_hits`` is
-#: absent: it is always 0 and kept only for the benchmark harness, and
-#: leaving it out keeps the aggregate digest's shape.
+#: RunStats fields aggregated fleet-wide; the interpreter-only ones
+#: (always 0 here) are left out, so the digest keeps its shape.
 STAT_FIELDS: Tuple[str, ...] = (
     "messages", "dfall_checks", "snapshots", "copies", "lazy_tags",
     "bound_checks", "energy_exceptions", "mcase_elims")
 
-#: Reads every :data:`STAT_FIELDS` counter off a ``RuntimeStats`` in
+#: Reads every :data:`STAT_FIELDS` counter off a ``RunStats`` in
 #: one call, as a tuple.
 _read_stats = operator.attrgetter(*STAT_FIELDS)
 _EXCEPTIONS = STAT_FIELDS.index("energy_exceptions")
@@ -103,7 +102,7 @@ class DeviceOutcome:
     battery_pm: int
     #: Simulated microseconds dwelt per boot mode.
     dwell_us: Dict[str, int]
-    #: RuntimeStats deltas in :data:`STAT_FIELDS` order.
+    #: RunStats deltas in :data:`STAT_FIELDS` order.
     stats: Tuple[int, ...]
 
 

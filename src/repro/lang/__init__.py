@@ -8,8 +8,8 @@ Typical use::
     print(interp.output)
 """
 
-from repro.lang.interp import (Interpreter, InterpOptions, InterpStats,
-                               NullPlatform, run_source)
+from repro.lang.interp import (Interpreter, InterpOptions, NullPlatform,
+                               run_source)
 from repro.lang.lexer import tokenize
 from repro.lang.parser import parse_expression, parse_program
 from repro.lang.typechecker import CheckedProgram, TypeChecker, check_program
@@ -18,7 +18,6 @@ __all__ = [
     "CheckedProgram",
     "Interpreter",
     "InterpOptions",
-    "InterpStats",
     "NullPlatform",
     "TypeChecker",
     "check_program",

@@ -32,9 +32,9 @@ register file:
 
 Semantics are *not* duplicated: slow paths call straight back into the
 interpreter's shared helpers (``_binary_op``, ``_snapshot_value``,
-``_mselect_value``, ``_cast_value``, ``_elim_with_mode``, ``_invoke``,
-``_construct``), so the mode machinery lives in exactly one place and
-error messages match the tree walk byte for byte.
+``_mselect_value``, ``_cast_value``, ``_invoke``, ``_construct``) and
+the kernel (:mod:`repro.core.checks`), so the mode machinery lives in
+exactly one place and error messages match the tree walk byte for byte.
 
 See ``docs/VM.md`` for the instruction-set reference and
 :mod:`repro.lang.vm` for the dispatch loop.

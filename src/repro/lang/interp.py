@@ -54,15 +54,14 @@ Hot-path engineering (all behaviour-transparent; see
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from dataclasses import fields as field_list
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.core.checks import check_bound, check_dfall
+from repro.core.checks import (NO_DEFAULT, RunStats, check_dfall,
+                               eliminate, snapshot)
 from repro.core.errors import (BadCastError, EnergyException,
                                EntRuntimeError, FuelExhausted, StuckError)
 from repro.core.modes import BOTTOM, TOP, Mode, ModeLattice
-from repro.obs.events import AttributorEvent, MCaseElimEvent, mode_name
 from repro.obs.prof import NULL_PROFILER, site_id
 from repro.obs.tracer import NULL_TRACER, attach_platform
 from repro.lang import ast_nodes as ast
@@ -74,8 +73,7 @@ from repro.lang.typechecker import CheckedProgram
 from repro.lang.types import DYN, ClassInfo, MethodInfo, ModeAtom, ObjectType
 from repro.lang.values import MCaseV, ObjectV
 
-__all__ = ["Interpreter", "InterpOptions", "InterpStats", "NullPlatform",
-            "run_source"]
+__all__ = ["Interpreter", "InterpOptions", "NullPlatform", "run_source"]
 
 
 class NullPlatform:
@@ -159,41 +157,6 @@ class InterpOptions:
                              f"expected one of: full, transient")
 
 
-@dataclass
-class InterpStats:
-    steps: int = 0
-    messages: int = 0
-    dfall_checks: int = 0
-    #: Dfall checks skipped because the planner proved them safe.
-    #: ``dfall_checks`` counts only *executed* checks; the sum of the
-    #: two is invariant under elision (the transparency tests rely on
-    #: this).
-    dfall_elided: int = 0
-    snapshots: int = 0
-    copies: int = 0
-    lazy_tags: int = 0
-    bound_checks: int = 0
-    #: Snapshot bound checks skipped by the planner (same split as
-    #: ``dfall_elided``).
-    bound_checks_elided: int = 0
-    energy_exceptions: int = 0
-    mcase_elims: int = 0
-    objects_created: int = 0
-    #: Checks executed as O(1) shallow tag comparisons under
-    #: ``checks="transient"`` (always 0 in full mode).  Shallow checks
-    #: are also counted in ``dfall_checks``/``bound_checks``: a shallow
-    #: check is still an executed check, so the profiler's site counters
-    #: and the static-vs-observed oracle are mode-independent.
-    shallow_checks: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in field_list(self)}
-
-    def reset(self) -> None:
-        for f in field_list(self):
-            setattr(self, f.name, f.default)
-
-
 #: Sentinel distinguishing "the body fell off the end" from an explicit
 #: ``return`` of any value (including ``None``) — attributor error
 #: messages depend on the difference.
@@ -271,6 +234,16 @@ class _Frame:
         return False
 
 
+def _attribute(interp: "Interpreter", value: ObjectV,
+               owner: ClassInfo) -> Mode:
+    """The kernel's ``attribute``: ``owner``'s attributor on ``value``."""
+    return interp._run_attributor_body(
+        owner.decl.attributor,
+        _Frame(this_obj=value, mode_env=value.bindings[owner.name],
+               current_mode=BOTTOM),
+        value.class_info.name)
+
+
 def _java_div(a, b):
     if b == 0:
         raise EntRuntimeError("division by zero")
@@ -320,7 +293,7 @@ class Interpreter:
         # Set before engine wiring: the VM reads ``profiler.enabled``
         # when deciding its fast-path gates.
         self.profiler = profiler if profiler is not None else NULL_PROFILER
-        self.stats = InterpStats()
+        self.stats = RunStats()
         self.output: List[str] = []
         self.rng = random.Random(seed)
         #: Optional instrumentation: called as
@@ -408,12 +381,16 @@ class Interpreter:
         in Python's ``RecursionError``.  It is converted here, once,
         into an :class:`EntRuntimeError`: not an ``EnergyException``,
         so no ENT ``try``/``catch`` can swallow it, and no per-call
-        depth counter on the hot paths.
+        depth counter on the hot paths.  So is ``OverflowError``: ENT's
+        ``int`` is unbounded, so a float conversion can overflow.
         """
         try:
             return self._boot(args)
         except RecursionError:
             raise EntRuntimeError("call depth exceeded") from None
+        except OverflowError as exc:
+            raise EntRuntimeError(
+                f"numeric overflow: {exc.args[-1]}") from None
         finally:
             # Fold the profile however the run ended, construction of
             # Main included (a no-op when disabled).
@@ -472,7 +449,12 @@ class Interpreter:
             return value.name
         if isinstance(value, list):
             return "[" + ", ".join(self.render(v) for v in value) + "]"
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # an int past Python's digit limit
+            raise EntRuntimeError(
+                f"integer too large to print ({value.bit_length()} "
+                f"bits)") from None
 
     def values_equal(self, a: object, b: object) -> bool:
         if isinstance(a, bool) or isinstance(b, bool):
@@ -531,7 +513,7 @@ class Interpreter:
             # A concrete-mode construction fixes the tag for life: it
             # is the blame provenance for transient check failures on
             # this object (the "cast" arm of the blame map).
-            obj.provenance = site_id("new", span)
+            obj.provenance = ("new", span)
         # Field defaults and initializers, superclass-first, each under
         # the bindings of the class that declares it.
         init_frame = _Frame(this_obj=obj, mode_env=bindings[info.name],
@@ -989,8 +971,8 @@ class Interpreter:
             if owner is not None:
                 self._elim_owner = None
             if not want_mcase:
-                return self._elim_with_mode(
-                    value,
+                return eliminate(
+                    self, "interp", value,
                     owner if owner is not None else frame.current_mode)
         return value
 
@@ -1020,8 +1002,8 @@ class Interpreter:
                         value = fields[name]
                         if value.__class__ is MCaseV:
                             owner = this_obj.effective_mode
-                            return self._elim_with_mode(
-                                value,
+                            return eliminate(
+                                self, "interp", value,
                                 owner if owner is not None
                                 else frame.current_mode)
                         return value
@@ -1030,8 +1012,8 @@ class Interpreter:
                 owner = self._elim_owner
                 if owner is not None:
                     self._elim_owner = None
-                return self._elim_with_mode(
-                    value,
+                return eliminate(
+                    self, "interp", value,
                     owner if owner is not None else frame.current_mode)
             return value
         return self._eval(expr, frame)
@@ -1061,18 +1043,6 @@ class Interpreter:
         self.profiler.bump(_STMT_LABELS[stmt.__class__],
                            frame.current_mode)
         return Interpreter._exec_stmt(self, stmt, frame)
-
-    def _elim_with_mode(self, mcase: MCaseV,
-                        mode: Optional[Mode]) -> object:
-        """Implicit mode-case elimination at ``mode`` (the mode of the
-        object owning the field the value was read from, else the
-        current closure mode)."""
-        self.stats.mcase_elims += 1
-        if self.tracer.enabled:
-            self.tracer.emit(MCaseElimEvent(
-                ts=self.tracer.now(), mode=mode_name(mode),
-                source="interp"))
-        return mcase.select(mode)
 
     def _eval_literal(self, expr, frame: _Frame, want_mcase) -> object:
         return expr.value
@@ -1265,81 +1235,48 @@ class Interpreter:
                         frame: _Frame, elide_bound: bool = False,
                         span=None) -> object:
         """Snapshot an already-evaluated value against ``(lo, hi)`` bound
-        atoms (shared with the VM and the JIT).
-
-        Under ``--checks transient`` a re-snapshot of an already-tagged
-        object is *shallow*: the tag was fixed by the first (deep)
-        snapshot and can never change again, so the attributor run and
-        the copy are skipped and the bound check reads the tag."""
+        atoms (shared with the VM and the JIT) through the kernel's
+        :func:`~repro.core.checks.snapshot`, and store its tag."""
         if not isinstance(value, ObjectV):
             raise StuckError(f"cannot snapshot {value!r}")
-        shallow = self._transient and value.is_snapshot
-        if not shallow:
-            owner = self.table.attributor(value.class_info.name)
-            if owner is None:
-                raise StuckError(
-                    f"class {value.class_info.name} has no attributor")
-        self.stats.snapshots += 1
-        traced = self.tracer.enabled
-        previous_mode = mode = value.effective_mode
-        if not shallow:
-            attr_frame = _Frame(this_obj=value,
-                                mode_env=value.bindings[owner.name],
-                                current_mode=BOTTOM)
-            mode = self._run_attributor_body(owner.decl.attributor,
-                                             attr_frame,
-                                             value.class_info.name)
-            if traced:
-                self.tracer.emit(AttributorEvent(
-                    ts=self.tracer.now(), cls=value.class_info.name,
-                    mode=mode.name, source="interp"))
-            if self.options.baseline:
-                # Overhead baseline: no tagging bookkeeping, no checks.
-                if value.class_info.params[0].concrete is None:
-                    value.retag(mode, self.table)
-                return value
+        name = value.class_info.name
+        owner = self.table.attributor(name)
+        if owner is None:
+            raise StuckError(f"class {name} has no attributor")
+        # An unresolvable bound variable degrades to the loosest bound.
         lower = self._resolve_atom(bounds[0], frame)
         upper = self._resolve_atom(bounds[1], frame)
-        # An unresolvable bound variable degrades to the loosest bound.
-        lower = lower if lower is not None else BOTTOM
-        upper = upper if upper is not None else TOP
+        opts = self.options
         # A bound the planner proved (docs/ANALYSIS.md) is counted as
         # elided, not checked.
-        check_bound(self, value, value.class_info.name, mode, lower, upper,
-                    span, frame.current_mode,
-                    fresh=self.options.lazy_copy and not value.is_snapshot,
-                    source="interp", silent=self.options.silent,
-                    shallow=shallow, transient=self._transient,
-                    provenance=value.provenance, hook=self.on_snapshot,
-                    elided=elide_bound and self._elide_on)
-        if shallow:
+        mode, copy = snapshot(
+            self, value, value, name, _attribute, owner,
+            lower if lower is not None else BOTTOM,
+            upper if upper is not None else TOP, span, frame.current_mode,
+            "interp", opts.silent, opts.baseline, opts.lazy_copy,
+            self._transient, self.on_snapshot,
+            elide_bound and self._elide_on)
+        if mode is None:
             return value
-        if traced and mode is not previous_mode:
-            self.tracer.mode_transition(
-                f"object:{value.class_info.name}", previous_mode, mode)
-        if self.options.lazy_copy and not value.is_snapshot:
-            self.stats.lazy_tags += 1
-            if span is not None:
-                value.provenance = site_id("snapshot_bound", span)
-            return value.tag_in_place(mode, self.table)
-        self.stats.copies += 1
-        copy = value.shallow_copy(mode, self.table)
-        if span is not None:
-            copy.provenance = site_id("snapshot_bound", span)
-        return copy
+        if copy is not None:
+            value = value.shallow_copy(mode, self.table)
+            value.provenance = copy
+        elif (not opts.baseline
+              or value.class_info.params[0].concrete is None):
+            # The overhead baseline re-modes only dynamic classes.
+            value.retag(mode, self.table)
+        return value
 
     def _eval_mcase(self, expr: ast.MCaseExpr, frame: _Frame,
                     want_mcase) -> MCaseV:
         branches: Dict[Mode, object] = {}
-        default = MCaseV._MISSING
+        default = NO_DEFAULT
         for branch in expr.branches:
             value = self._eval(branch.expr, frame)
             if branch.mode_name is None:
                 default = value
             else:
                 branches[Mode(branch.mode_name)] = value
-        if default is MCaseV._MISSING:
-            return MCaseV(branches)
         return MCaseV(branches, default)
 
     def _eval_mselect(self, expr: ast.MSelect, frame: _Frame,
@@ -1354,7 +1291,8 @@ class Interpreter:
         bound atom (shared with the VM and the JIT)."""
         if not isinstance(value, MCaseV):
             raise StuckError(f"mselect on non-mcase value {value!r}")
-        return self._elim_with_mode(value, self._resolve_atom(atom, frame))
+        return eliminate(self, "interp", value,
+                         self._resolve_atom(atom, frame))
 
     def _eval_binary(self, expr: ast.Binary, frame: _Frame,
                      want_mcase) -> object:

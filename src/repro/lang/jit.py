@@ -71,6 +71,9 @@ matches the VM exactly, and the divergence bound holds unchanged.
 
 from __future__ import annotations
 
+from functools import partial
+
+from repro.core.checks import eliminate
 from repro.core.errors import StuckError
 from repro.core.modes import TOP, Mode
 from repro.lang.bytecode import (
@@ -332,7 +335,7 @@ class _Emitter:
                 ("_java_mod", interp_mod._java_mod),
                 ("_SKIP_ELIM", _SKIP_ELIM),
                 ("_LOOP_EXIT", LOOP_EXIT),
-                ("_elim", interp._elim_with_mode),
+                ("_elim", partial(eliminate, interp, "interp")),
                 ("_binop", interp._binary_op),
                 ("_veq", interp.values_equal),
                 ("_truth", interp._truth),

@@ -148,7 +148,13 @@ class Lexer:
                 if "." in text or "e" in text or "E" in text:
                     append(Token(TokenKind.FLOAT, text, span, float(text)))
                 else:
-                    append(Token(TokenKind.INT, text, span, int(text)))
+                    try:
+                        value = int(text)
+                    except ValueError:  # past Python's digit limit
+                        raise EntSyntaxError(
+                            f"integer literal too large ({len(text)} "
+                            f"digits)", span) from None
+                    append(Token(TokenKind.INT, text, span, value))
         append(Token(TokenKind.EOF, "",
                      SourceSpan(line, pos - line_start + 1,
                                 filename=filename)))

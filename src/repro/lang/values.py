@@ -9,8 +9,9 @@ Two value kinds are ENT-specific:
   section 5 describes: a mode tag for dynamic objects, a "snapshotted"
   bit driving the lazy-copy optimization, and — for generic objects —
   its mode arguments and the mode bindings they give each class of its
-  ancestry.
-* :class:`MCaseV` — a mode-case value ``mcase⟨T⟩{m : v}``.
+  ancestry.  It is its own tag for :func:`repro.core.checks.snapshot`.
+* :class:`MCaseV` — a mode-case value ``mcase⟨T⟩{m : v}``, eliminated by
+  :func:`repro.core.checks.eliminate`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Optional, Tuple
 
+from repro.core.checks import NO_DEFAULT
 from repro.core.errors import EntRuntimeError, StuckError
 from repro.core.modes import Mode
 from repro.lang.types import Bindings, ClassInfo, ClassTable
@@ -56,16 +58,19 @@ class ObjectV:
         #: snapshot (including an in-place lazy tag); the next snapshot
         #: of a lazily tagged object must physically copy.
         self.is_snapshot = is_snapshot
-        #: Blame provenance: the site ID (``kind@line:column``) of the
-        #: snapshot or concrete-mode construction that fixed this
-        #: object's mode tag, or None.  Transient-mode check failures
-        #: report it so a shallow failure names the originating site.
-        self.provenance: Optional[str] = None
+        #: Blame provenance: ``(kind, span)`` of the snapshot or
+        #: concrete-mode construction that fixed this object's mode
+        #: tag, or None.  Transient-mode check failures name it, so a
+        #: shallow failure names the originating site.
+        self.provenance: Optional[tuple] = None
 
     @property
     def effective_mode(self) -> Optional[Mode]:
         """The object's concrete mode, or None for dynamic ``?``."""
         return self.args[0]
+
+    #: ``mode``, as the kernel reads a tag (``ObjectTag.mode``).
+    mode = effective_mode
 
     def retag(self, mode: Mode, table: ClassTable) -> None:
         """Give the object the mode ``mode``: its first argument, and
@@ -85,13 +90,6 @@ class ObjectV:
                        dict(self.fields), is_snapshot=True)
         copy.retag(mode, table)
         return copy
-
-    def tag_in_place(self, mode: Mode, table: ClassTable) -> "ObjectV":
-        """Lazy-copy optimization: the first snapshot of a dynamic object
-        tags the existing storage instead of copying (section 5)."""
-        self.retag(mode, table)
-        self.is_snapshot = True
-        return self
 
     def get_field(self, name: str) -> object:
         try:
@@ -118,36 +116,19 @@ class MCaseV:
     """A mode-case value: a tagged union over modes.
 
     ``branches`` maps each declared mode to its (already evaluated)
-    value; ``default`` holds the value of an optional ``default:`` branch.
+    value; ``default`` holds the value of an optional ``default:``
+    branch, or :data:`~repro.core.checks.NO_DEFAULT`.
     """
 
-    __slots__ = ("branches", "default", "has_default")
-
-    _MISSING = object()
+    __slots__ = ("branches", "default")
 
     def __init__(self, branches: Dict[Mode, object],
-                 default: object = _MISSING) -> None:
+                 default: object = NO_DEFAULT) -> None:
         self.branches = branches
-        self.has_default = default is not MCaseV._MISSING
-        self.default = None if not self.has_default else default
-
-    def select(self, mode: Optional[Mode]) -> object:
-        """Eliminate against ``mode`` (the paper's ``e ◃ η``)."""
-        if mode is None:
-            raise EntRuntimeError(
-                "cannot eliminate a mode case against a dynamic mode; "
-                "snapshot the enclosing object first")
-        if mode in self.branches:
-            return self.branches[mode]
-        if self.has_default:
-            return self.default
-        names = ", ".join(sorted(m.name for m in self.branches))
-        raise EntRuntimeError(
-            f"mode case has no branch for mode {mode.name} "
-            f"(branches: {names})")
+        self.default = default
 
     def __repr__(self) -> str:
         parts = [f"{m.name}: {v!r}" for m, v in self.branches.items()]
-        if self.has_default:
+        if self.default is not NO_DEFAULT:
             parts.append(f"default: {self.default!r}")
         return "mcase{" + "; ".join(parts) + "}"

@@ -29,7 +29,8 @@ mode-case value consults — and the check depth is
 
 Everything non-hot delegates to the interpreter's shared helpers
 (``_snapshot_value``, ``_mselect_value``, ``_construct``, ``_invoke``,
-``_binary_op``, the check kernel, …) and ``call_non_object``, so
+``_binary_op``, …), the check kernel (``eliminate`` directly) and
+``call_non_object``, so
 semantics, stats and error messages stay identical across engines.
 The fast path is disabled while a tracer or profiler is attached
 (``_fast_ok``): those runs take the general ``_invoke`` path, which
@@ -44,6 +45,7 @@ point — so the differential suite compares stats minus ``steps``.
 
 from __future__ import annotations
 
+from repro.core.checks import NO_DEFAULT, eliminate
 from repro.core.errors import (EnergyException, EntRuntimeError,
                                FuelExhausted, StuckError)
 from repro.core.modes import TOP, Mode
@@ -243,7 +245,8 @@ class VM:
                 if (v.__class__ is MCaseV
                         and (i >= nparams or not wants[i])
                         and elim_modes[i] is not _SKIP_ELIM):
-                    argv[i] = interp._elim_with_mode(v, elim_modes[i])
+                    argv[i] = eliminate(interp, "interp", v,
+                                        elim_modes[i])
         if not is_object:
             return call_non_object(interp, receiver, site.name, argv)
         if len(argv) != nparams:
@@ -254,7 +257,8 @@ class VM:
                                self_call=self_call, span=site.span,
                                elide_dfall=site.elide_dfall)
         if value.__class__ is MCaseV and not site.raw_result:
-            value = interp._elim_with_mode(value, frame.current_mode)
+            value = eliminate(interp, "interp", value,
+                              frame.current_mode)
         return value
 
     # ------------------------------------------------------------------
@@ -385,8 +389,9 @@ class VM:
                                         e = elims[i]
                                         if e is None:
                                             continue
-                                        argv[i] = interp._elim_with_mode(
-                                            v, regs[e] if e >= 0
+                                        argv[i] = eliminate(
+                                            interp, "interp", v,
+                                            regs[e] if e >= 0
                                             else current_mode)
                             if len(argv) != nparams:
                                 # After the eliminations: the walk
@@ -466,8 +471,8 @@ class VM:
                                     elide_dfall=site.elide_dfall)
                             if (value.__class__ is MCaseV
                                     and not site.raw_result):
-                                value = interp._elim_with_mode(
-                                    value, current_mode)
+                                value = eliminate(
+                                    interp, "interp", value, current_mode)
                             regs[inst[1]] = value
                         else:
                             argv = [regs[r] for r in site.arg_regs]
@@ -478,8 +483,9 @@ class VM:
                                         e = elims[i]
                                         if e is None:
                                             continue
-                                        argv[i] = interp._elim_with_mode(
-                                            v, regs[e] if e >= 0
+                                        argv[i] = eliminate(
+                                            interp, "interp", v,
+                                            regs[e] if e >= 0
                                             else current_mode)
                             regs[inst[1]] = call_non_object(
                                 interp, receiver, site.name, argv)
@@ -515,8 +521,9 @@ class VM:
                                 f"unknown variable {name!r}") from None
                         if v.__class__ is MCaseV:
                             owner = this_obj.effective_mode
-                            v = interp._elim_with_mode(
-                                v, owner if owner is not None
+                            v = eliminate(
+                                interp, "interp", v,
+                                owner if owner is not None
                                 else current_mode)
                         b = regs[inst[2]]
                         t = type(v)
@@ -537,8 +544,9 @@ class VM:
                                 f"unknown variable {name!r}") from None
                         if v.__class__ is MCaseV:
                             owner = this_obj.effective_mode
-                            return interp._elim_with_mode(
-                                v, owner if owner is not None
+                            return eliminate(
+                                interp, "interp", v,
+                                owner if owner is not None
                                 else current_mode)
                         return v
                     elif op == OP_RETURN:
@@ -700,24 +708,22 @@ class VM:
                                         raise StuckError(
                                             f"unknown variable {name!r}")
                         elif v.__class__ is MCaseV and inst[3] == MC_ELIM:
-                            v = interp._elim_with_mode(v, current_mode)
+                            v = eliminate(interp, "interp", v, current_mode)
                         regs[inst[1]] = v
                     elif op == OP_MCASE_DISPATCH:
                         v = regs[inst[2]]
                         if v.__class__ is MCaseV:
-                            v = interp._elim_with_mode(v, current_mode)
+                            v = eliminate(interp, "interp", v, current_mode)
                         regs[inst[1]] = v
                     elif op == OP_MCASE_BUILD:
                         branches = {}
-                        default = _MCASE_MISSING
+                        default = NO_DEFAULT
                         for mode, reg in inst[2]:
                             if mode is None:
                                 default = regs[reg]
                             else:
                                 branches[mode] = regs[reg]
-                        regs[inst[1]] = (MCaseV(branches)
-                                         if default is _MCASE_MISSING
-                                         else MCaseV(branches, default))
+                        regs[inst[1]] = MCaseV(branches, default)
                     elif op == OP_MSELECT:
                         regs[inst[1]] = interp._mselect_value(
                             regs[inst[2]], inst[3], frame)
@@ -883,7 +889,7 @@ class JITVM(VM):
         self._hot_loop = jit.HOT_LOOP_THRESHOLD
         self._deopt_limit = jit.DEOPT_LIMIT
         self._max_versions = jit.MAX_VERSIONS
-        #: Engine-level observability (kept OFF InterpStats: stats
+        #: Engine-level observability (kept OFF RunStats: stats
         #: dicts are compared across engines by the differential suite,
         #: and tiering is engine-private by design).
         self.jit_compiles = 0
@@ -1013,7 +1019,7 @@ def _mcase_read(interp, value, owner, mcase, current_mode, regs):
     if owner is None:
         owner = current_mode
     if mcase == MC_ELIM:
-        return interp._elim_with_mode(value, owner)
+        return eliminate(interp, "interp", value, owner)
     regs[mcase] = owner
     return value
 
@@ -1033,4 +1039,3 @@ def _bind_interp_names():
 
 
 _bind_interp_names()
-_MCASE_MISSING = MCaseV._MISSING

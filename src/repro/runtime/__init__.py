@@ -1,7 +1,7 @@
 """Embedded ENT runtime for plain Python programs, plus the Ext utility."""
 
 from repro.runtime.embedded import (STANDARD_MODES, THERMAL_MODES,
-                                    EntRuntime, ModeCase, RuntimeStats)
+                                    EntRuntime, ModeCase)
 from repro.runtime.ext import Ext
 from repro.runtime.lint import LintFinding, lint_file, lint_source
 from repro.runtime.tagging import ObjectTag, get_tag, mode_of
@@ -12,7 +12,6 @@ __all__ = [
     "LintFinding",
     "ModeCase",
     "ObjectTag",
-    "RuntimeStats",
     "STANDARD_MODES",
     "THERMAL_MODES",
     "get_tag",

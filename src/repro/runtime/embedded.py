@@ -7,9 +7,10 @@ checking host-language (Python) code would need a type-checker plugin —
 exactly the friction the reproduction notes anticipate.  This module
 therefore provides ENT's *dynamic* half as an embedded API: modes,
 attributors, snapshot (with bounds and the EnergyException), mode cases
-and the waterfall invariant, checked at run time by the interpreter's
-own check kernel (:mod:`repro.core.checks`).  The paper's 15
-benchmarks are written against this API.
+and the waterfall invariant, run by the interpreter's own kernel
+(:mod:`repro.core.checks`); this adapter only runs attributors and
+stores each object's tag.  The paper's 15 benchmarks are written
+against this API.
 
 Example::
 
@@ -31,28 +32,27 @@ Example::
 Dynamic classes must define an ``attributor`` method returning a mode
 (name or :class:`Mode`).  ``ModeCase`` is a descriptor: reading it from
 an instance eliminates on the instance's mode (the paper's implicit
-mode-case elimination).
+mode-case elimination); a failed one raises ``EntRuntimeError``, as in
+the ENT engines, which no ``except EnergyException`` swallows.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass
-from dataclasses import fields as dataclass_fields
 from typing import Dict, Optional, Union
 
-from repro.core.checks import check_bound, check_dfall
+from repro.core.checks import (NO_DEFAULT, RunStats, check_dfall,
+                               eliminate, snapshot)
 from repro.core.errors import EnergyException, EntError
 from repro.core.modes import BOTTOM, TOP, Mode, ModeLattice
-from repro.obs.events import AttributorEvent, MCaseElimEvent, mode_name
 from repro.obs.prof import NULL_PROFILER
 from repro.obs.tracer import NULL_TRACER, attach_platform
 from repro.runtime.ext import Ext
-from repro.runtime.tagging import TAG_ATTR, ObjectTag, get_tag
+from repro.runtime.tagging import TAG_ATTR, ObjectTag, mode_of
 
-__all__ = ["EntRuntime", "ModeCase", "RuntimeStats", "STANDARD_MODES",
-           "THERMAL_MODES", "STANDARD_LATTICE", "THERMAL_LATTICE"]
+__all__ = ["EntRuntime", "ModeCase", "STANDARD_MODES", "THERMAL_MODES",
+           "STANDARD_LATTICE", "THERMAL_LATTICE"]
 
 #: The battery-mode chain used across the paper's benchmarks.
 STANDARD_MODES = ("energy_saver", "managed", "full_throttle")
@@ -67,32 +67,6 @@ STANDARD_LATTICE = ModeLattice.linear(list(STANDARD_MODES))
 THERMAL_LATTICE = ModeLattice.linear(list(THERMAL_MODES))
 
 ModeLike = Union[Mode, str]
-
-
-@dataclass
-class RuntimeStats:
-    """Counters mirroring :class:`repro.lang.interp.InterpStats`."""
-
-    messages: int = 0
-    dfall_checks: int = 0
-    #: Always 0: every dfall check reads the lattice's upward closure
-    #: (``ModeLattice.up``), so there is no verdict memo to hit.  Kept
-    #: because the benchmark harness (``entbench``) reads it.
-    dfall_memo_hits: int = 0
-    snapshots: int = 0
-    copies: int = 0
-    lazy_tags: int = 0
-    bound_checks: int = 0
-    energy_exceptions: int = 0
-    mcase_elims: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {f.name: getattr(self, f.name)
-                for f in dataclass_fields(self)}
-
-    def reset(self) -> None:
-        # The generated __init__ sets every field to its default.
-        self.__init__()
 
 
 class EntRuntime:
@@ -114,7 +88,7 @@ class EntRuntime:
         self.silent = silent
         self.baseline = baseline
         self.lazy_copy = lazy_copy
-        self.stats = RuntimeStats()
+        self.stats = RunStats()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Check sites in the embedded API have no source spans, so the
         # profiler keys them symbolically (``dfall@Class.method``) —
@@ -175,8 +149,7 @@ class EntRuntime:
         if isinstance(obj_or_mode, (Mode, str)):
             mode = self.mode(obj_or_mode)
         else:
-            tag = getattr(obj_or_mode, TAG_ATTR, None)
-            mode = tag.mode if tag is not None else None
+            mode = mode_of(obj_or_mode)
             if mode is None:
                 raise EnergyException(
                     "cannot boot from an un-snapshotted dynamic object")
@@ -236,7 +209,7 @@ class EntRuntime:
 
         @functools.wraps(original_init)
         def init(obj, *args, **kwargs):
-            setattr(obj, TAG_ATTR, ObjectTag(mode=fixed, dynamic=dynamic))
+            setattr(obj, TAG_ATTR, ObjectTag(fixed, dynamic))
             original_init(obj, *args, **kwargs)
 
         cls.__init__ = init
@@ -338,60 +311,21 @@ class EntRuntime:
             raise EntError(
                 f"snapshot requires an instance of a dynamic ENT class, "
                 f"got {type(obj).__name__}")
-        self.stats.snapshots += 1
-        traced = self.tracer.enabled
-        previous_mode = tag.mode
-        mode = self._run_attributor(obj)
-        if traced:
-            self.tracer.emit(AttributorEvent(
-                ts=self.tracer.now(), cls=type(obj).__name__,
-                mode=mode.name))
-        if self.baseline:
+        cls = type(obj).__name__
+        mode, copied = snapshot(
+            self, obj, tag, cls, _attribute, None,
+            self.mode(lower) if lower is not None else BOTTOM,
+            self.mode(upper) if upper is not None else TOP, cls,
+            self._mode_stack[-1], "embedded", self.silent, self.baseline,
+            self.lazy_copy)
+        if copied is None:
             tag.mode = mode
             return obj
-        lo = self.mode(lower) if lower is not None else BOTTOM
-        hi = self.mode(upper) if upper is not None else TOP
-        up = self.lattice.up
-        if (mode in up[lo] and hi in up[mode] and not traced
-                and not self.profiler.enabled):
-            # A passing, unobserved check only counts.
-            self.stats.bound_checks += 1
-        else:
-            cls = type(obj).__name__
-            check_bound(self, obj, cls, mode, lo, hi, cls,
-                        self.current_mode,
-                        fresh=self.lazy_copy and not tag.is_snapshot,
-                        source="embedded", silent=self.silent)
-        if traced and mode is not previous_mode:
-            self.tracer.mode_transition(
-                f"object:{type(obj).__name__}", previous_mode, mode)
-        if self.lazy_copy and not tag.is_snapshot:
-            self.stats.lazy_tags += 1
-            tag.mode = mode
-            tag.is_snapshot = True
-            return obj
-        self.stats.copies += 1
         clone = copy.copy(obj)
-        setattr(clone, TAG_ATTR,
-                ObjectTag(mode=mode, dynamic=True, is_snapshot=True))
+        setattr(clone, TAG_ATTR, ObjectTag(mode, True, True, copied))
         return clone
 
-    def _run_attributor(self, obj) -> Mode:
-        result = obj.attributor()
-        if isinstance(result, str):
-            mode = self._modes_by_name.get(result)
-            if mode is not None:
-                return mode
-            result = Mode(result)
-        if not isinstance(result, Mode) or result not in self.lattice:
-            raise EntError(
-                f"attributor of {type(obj).__name__} returned "
-                f"{result!r}, which is not a declared mode")
-        return result
-
-    def mode_of(self, obj) -> Optional[Mode]:
-        tag = get_tag(obj)
-        return tag.mode if tag is not None else None
+    mode_of = staticmethod(mode_of)
 
     # ------------------------------------------------------------------
     # Per-device state (fleet-scale sharding)
@@ -412,10 +346,25 @@ class EntRuntime:
     # Mode cases
 
     def mcase(self, branches: Dict[str, object],
-              default: object = None, has_default: bool = False):
-        """Build a :class:`ModeCase` bound to this runtime."""
-        return ModeCase(self, branches, default=default,
-                        has_default=has_default)
+              default: object = NO_DEFAULT) -> "ModeCase":
+        """Build a :class:`ModeCase` bound to this runtime; without a
+        ``default`` the branches must cover every declared mode."""
+        return ModeCase(self, branches, default)
+
+
+def _attribute(rt: EntRuntime, obj, attributor: None) -> Mode:
+    """The kernel's ``attribute``: the mode ``obj.attributor()`` names."""
+    result = obj.attributor()
+    if isinstance(result, str):
+        mode = rt._modes_by_name.get(result)
+        if mode is not None:
+            return mode
+        result = Mode(result)
+    if not isinstance(result, Mode) or result not in rt.lattice:
+        raise EntError(
+            f"attributor of {type(obj).__name__} returned "
+            f"{result!r}, which is not a declared mode")
+    return result
 
 
 class _Booted:
@@ -468,13 +417,12 @@ class ModeCase:
     """
 
     def __init__(self, runtime: EntRuntime, branches: Dict[str, object],
-                 default: object = None, has_default: bool = False) -> None:
+                 default: object = NO_DEFAULT) -> None:
         self.runtime = runtime
         self.branches: Dict[Mode, object] = {
             runtime.mode(name): value for name, value in branches.items()}
-        self.has_default = has_default
         self.default = default
-        if not has_default:
+        if default is NO_DEFAULT:
             missing = runtime.lattice.declared_modes - set(self.branches)
             if missing:
                 names = ", ".join(sorted(m.name for m in missing))
@@ -484,33 +432,20 @@ class ModeCase:
 
     def select(self, mode: Optional[Mode]):
         """Explicit elimination (the paper's ``e ◃ η``)."""
-        self.runtime.stats.mcase_elims += 1
-        tracer = self.runtime.tracer
-        if tracer.enabled:
-            tracer.emit(MCaseElimEvent(ts=tracer.now(),
-                                       mode=mode_name(mode)))
-        if mode is None:
-            raise EnergyException(
-                "cannot eliminate a mode case against a dynamic mode; "
-                "snapshot the enclosing object first")
-        if mode in self.branches:
-            return self.branches[mode]
-        if self.has_default:
-            return self.default
-        raise EnergyException(
-            f"mode case has no branch for mode {mode.name}")
+        return eliminate(self.runtime, "embedded", self, mode)
 
     def for_object(self, obj):
         tag = getattr(obj, TAG_ATTR, None)
-        return self.select(tag.mode if tag is not None else None)
+        return eliminate(self.runtime, "embedded", self,
+                         tag.mode if tag is not None else None)
 
     def __get__(self, instance, owner=None):
         if instance is None:
             return self
-        tag = get_tag(instance)
+        tag = getattr(instance, TAG_ATTR, None)
         mode = tag.mode if tag is not None else None
         if mode is None and self.runtime.baseline:
             # Baseline build keeps behaviour: fall back to the current
             # closure mode.
             mode = self.runtime.current_mode
-        return self.select(mode)
+        return eliminate(self.runtime, "embedded", self, mode)

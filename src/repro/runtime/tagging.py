@@ -3,8 +3,9 @@
 The ENT compiler tracks two pieces of metadata per dynamic object — its
 mode tag and whether it has been snapshotted (for the lazy-copy
 strategy) — and a mode tag per post-snapshot copy.  The embedded Python
-runtime stores the same metadata in an :class:`ObjectTag` attached to
-each managed instance.
+runtime stores the same metadata, plus the tagging site, in an
+:class:`ObjectTag` attached to each managed instance, which the kernel's
+:func:`repro.core.checks.snapshot` reads and marks.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ class ObjectTag:
     dynamic: bool = False
     #: True for objects produced by (or lazily claimed by) a snapshot.
     is_snapshot: bool = False
+    #: ``(kind, site)`` of the snapshot that fixed the tag, or None;
+    #: written by the kernel, named by transient blame.
+    provenance: Optional[tuple] = None
 
 
 def get_tag(obj: object) -> Optional[ObjectTag]:
@@ -36,7 +40,5 @@ def get_tag(obj: object) -> Optional[ObjectTag]:
 
 def mode_of(obj: object) -> Optional[Mode]:
     """The object's concrete mode, or None (dynamic / unmanaged)."""
-    tag = get_tag(obj)
-    if tag is None:
-        return None
-    return tag.mode
+    tag = getattr(obj, TAG_ATTR, None)
+    return tag.mode if tag is not None else None

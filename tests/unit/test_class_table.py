@@ -104,7 +104,7 @@ def test_bindings_follow_a_retag():
         "Middle": {"X": MID},
         "Top": {"X": MID, "Y": HI},
     }
-    assert obj.tag_in_place(LO, table) is obj
+    obj.retag(LO, table)
     assert _own(obj.bindings) == {
         "Leaf": {"Y": LO},
         "Middle": {"X": LO},

@@ -609,6 +609,50 @@ class Main {
         assert "caught" not in captured.out
         assert captured.err == "error: call depth exceeded\n"
 
+    #: ENT's ``int`` is unbounded: a literal or a value past Python's
+    #: 4,300-digit string limit, and an int or float past the float
+    #: range, each end in ``error:``.
+    HUGE_LITERAL = ("modes { lo <= hi; }\nclass Main { void main() { "
+                    "int x = " + "1" * 4400 + "; Sys.print(x); } }\n")
+    HUGE = {
+        "print": ("int x = 1;\n" + "x = x * 1000000;\n" * 2000
+                  + "Sys.print(x);",
+                  "error: integer too large to print (39864 bits)\n"),
+        "int pow": ("Sys.print(Math.pow(10, 400));",
+                    "error: numeric overflow: int too large to convert "
+                    "to float\n"),
+        "int / float": ("int x = 1;\n" + "x = x * 1000000;\n" * 60
+                        + "Sys.print(x / 2.0);",
+                        "error: numeric overflow: int too large to "
+                        "convert to float\n"),
+        "float pow": ("Sys.print(Math.pow(2.0, 2000.0));",
+                      "error: numeric overflow: Numerical result out of "
+                      "range\n"),
+    }
+
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["tokens"], ["run", "--engine", "walk"],
+        ["run", "--engine", "vm"], ["run", "--engine", "jit"],
+    ], ids=" ".join)
+    def test_huge_integer_literal(self, program, capsys, argv):
+        path = program(self.HUGE_LITERAL)
+        assert main([*argv, path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}:2:36: integer literal too large "
+            f"(4400 digits)\n")
+
+    @pytest.mark.parametrize("shape", HUGE)
+    @pytest.mark.parametrize("engine", ["walk", "vm", "jit"])
+    def test_huge_numbers_at_run_time(self, program, capsys, engine,
+                                      shape):
+        body, message = self.HUGE[shape]
+        path = program("modes { lo <= hi; }\nclass Main { void main() "
+                       "{\n" + body + "\n} }\n")
+        assert main(["run", "--engine", engine, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
 
 class TestBadFlagValues:
     """A bad flag value is a usage error (exit 2) naming the flag, not

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.errors import EnergyException, EntError
+from repro.core.errors import EnergyException, EntError, EntRuntimeError
 from repro.core.modes import Mode
 from repro.runtime import EntRuntime, get_tag, mode_of
 
@@ -240,9 +240,15 @@ class TestModeCases:
         assert site.crawl() == 3
 
     def test_elimination_on_unmoded_rejected(self, rt):
+        """A failed elimination is a run-time error, as in the ENT
+        engines, not the EnergyException programs catch."""
         Site = make_site(rt)
-        with pytest.raises(EnergyException):
+        with pytest.raises(EntRuntimeError) as info:
             _ = Site(10).depth
+        assert not isinstance(info.value, EnergyException)
+        assert str(info.value) == (
+            "cannot eliminate a mode case against a dynamic mode; "
+            "snapshot the enclosing object first")
 
     def test_elimination_inside_a_higher_boot(self, rt):
         """Figure 6's mechanism loop: snapshot, boot, message and
@@ -267,9 +273,13 @@ class TestModeCases:
             rt.mcase({"managed": 1})
 
     def test_default_branch(self, rt):
-        case = rt.mcase({"managed": 2}, default=0, has_default=True)
+        case = rt.mcase({"managed": 2}, default=0)
         assert case.select(Mode("managed")) == 2
         assert case.select(Mode("energy_saver")) == 0
+
+    def test_default_none_is_a_default(self, rt):
+        case = rt.mcase({"managed": 2}, default=None)
+        assert case.select(Mode("full_throttle")) is None
 
     def test_explicit_select(self, rt):
         case = rt.mcase({"energy_saver": 1, "managed": 2,
@@ -307,6 +317,33 @@ class TestBaseline:
         assert rt.stats.bound_checks == 1
         assert rt.stats.dfall_checks >= 1
         assert rt.stats.mcase_elims >= 1
+
+    def test_one_stats_record_with_the_interpreters_counters(self, rt):
+        """Both runtimes keep one ``RunStats``, in the ``--stats`` JSON
+        order; the interpreter-only counters stay 0 here."""
+        from repro.core.checks import RunStats
+        from repro.lang.interp import Interpreter
+        from repro.lang.typechecker import check_program
+
+        Site = make_site(rt)
+        rt.snapshot(Site(100))
+        stats = rt.stats.as_dict()
+        interp = Interpreter(check_program("modes { a <= b; }\n"
+                                           "class Main { void main() { } }"))
+        assert type(rt.stats) is type(interp.stats) is RunStats
+        assert list(stats) == [
+            "steps", "messages", "dfall_checks", "dfall_elided",
+            "snapshots", "copies", "lazy_tags", "bound_checks",
+            "bound_checks_elided", "energy_exceptions", "mcase_elims",
+            "objects_created", "shallow_checks"]
+        assert stats["steps"] == stats["objects_created"] == 0
+        assert stats["dfall_elided"] == stats["bound_checks_elided"] == 0
+        assert stats["snapshots"] == stats["lazy_tags"] == 1
+        # Always 0, read by the benchmark harness, not a field.
+        assert rt.stats.dfall_memo_hits == 0
+        assert "dfall_memo_hits" not in stats
+        rt.reset_device()
+        assert set(rt.stats.as_dict().values()) == {0}
 
 
 class TestThermalRuntime:

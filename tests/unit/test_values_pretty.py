@@ -2,12 +2,17 @@
 
 import pytest
 
+from types import SimpleNamespace
+
+from repro.core.checks import RunStats, eliminate, snapshot
 from repro.core.errors import EntRuntimeError
-from repro.core.modes import Mode
+from repro.core.modes import BOTTOM, TOP, Mode, ModeLattice
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
 from repro.lang.types import ClassInfo, ClassTable, ModeParam
 from repro.lang.values import MCaseV, ObjectV
+from repro.obs.prof import NULL_PROFILER
+from repro.obs.tracer import NULL_TRACER
 
 ES, MG, FT = (Mode("energy_saver"), Mode("managed"), Mode("full_throttle"))
 
@@ -16,6 +21,14 @@ TABLE.add(ClassInfo(name="D", superclass="Object",
                     params=[ModeParam(dynamic=True, var="X")]))
 TABLE.add(ClassInfo(name="C", superclass="Object",
                     params=[ModeParam(concrete=MG)]))
+
+
+def kernel_runtime():
+    """What the check kernel needs of a runtime, and nothing more."""
+    return SimpleNamespace(
+        stats=RunStats(), tracer=NULL_TRACER, profiler=NULL_PROFILER,
+        lattice=ModeLattice.linear(["energy_saver", "managed",
+                                    "full_throttle"]))
 
 
 def make_object(name, args):
@@ -57,12 +70,20 @@ class TestObjectV:
         assert obj.get_field("f") == 1      # map not shared
 
     def test_tag_in_place(self):
+        """A first snapshot tags the object itself: the kernel marks it
+        (an ENT object is its own tag) and the interpreter re-modes it."""
         obj = make_dynamic_object()
-        same = obj.tag_in_place(MG, TABLE)
-        assert same is obj
-        assert obj.effective_mode == MG
+        rt = kernel_runtime()
+        mode, copy = snapshot(rt, obj, obj, "D", lambda *args: MG, None,
+                              BOTTOM, TOP, None, None, "interp", False,
+                              False, True)
+        assert (mode, copy) == (MG, None)
+        obj.retag(mode, TABLE)
+        assert obj.effective_mode == obj.mode == MG
         assert obj.bindings["D"] == {"X": MG}
         assert obj.is_snapshot
+        assert obj.provenance == ("snapshot_bound", None)
+        assert (rt.stats.snapshots, rt.stats.lazy_tags) == (1, 1)
 
     def test_unknown_field(self):
         obj = make_dynamic_object()
@@ -75,28 +96,36 @@ class TestObjectV:
         assert make_dynamic_object().oid != make_dynamic_object().oid
 
 
+def select(case, mode):
+    return eliminate(kernel_runtime(), "interp", case, mode)
+
+
 class TestMCaseV:
+    """Elimination is the kernel's :func:`eliminate`."""
+
     def test_select(self):
         case = MCaseV({ES: 1, MG: 2, FT: 3})
-        assert case.select(MG) == 2
+        assert select(case, MG) == 2
 
     def test_missing_branch(self):
         case = MCaseV({MG: 2})
-        with pytest.raises(EntRuntimeError):
-            case.select(FT)
+        with pytest.raises(EntRuntimeError, match=(
+                r"^mode case has no branch for mode full_throttle "
+                r"\(branches: managed\)$")):
+            select(case, FT)
 
     def test_default(self):
         case = MCaseV({MG: 2}, default=0)
-        assert case.select(FT) == 0
+        assert select(case, FT) == 0
 
     def test_none_default_distinct_from_missing(self):
         case = MCaseV({MG: 2}, default=None)
-        assert case.select(FT) is None
+        assert select(case, FT) is None
 
     def test_dynamic_elimination_rejected(self):
         case = MCaseV({MG: 2})
         with pytest.raises(EntRuntimeError):
-            case.select(None)
+            select(case, None)
 
 
 PROGRAMS = [
