@@ -79,18 +79,6 @@ TRACE_CAPACITY = 65536
 # Pinning: token-level attributor rewrite
 
 
-def _line_offsets(source: str) -> List[int]:
-    offsets = [0]
-    for idx, ch in enumerate(source):
-        if ch == "\n":
-            offsets.append(idx + 1)
-    return offsets
-
-
-def _offset(offsets: List[int], line: int, column: int) -> int:
-    return offsets[line - 1] + (column - 1)
-
-
 def pin_classes(source: str, assignment: Dict[str, Optional[str]],
                 filename: str = "<advise>") -> str:
     """Rewrite ``source`` so each pinned class's *class-level*
@@ -108,8 +96,9 @@ def pin_classes(source: str, assignment: Dict[str, Optional[str]],
             if mode is not None}
     if not pins:
         return source
-    tokens = tokenize(source, filename)
-    offsets = _line_offsets(source)
+    stream = tokenize(source, filename)
+    kinds, texts, offsets = stream.kinds, stream.texts, stream.offsets
+    count = len(kinds)
     replacements: List[Tuple[int, int, str]] = []
     seen: Dict[str, bool] = {cls: False for cls in pins}
 
@@ -118,9 +107,8 @@ def pin_classes(source: str, assignment: Dict[str, Optional[str]],
     class_depth = -1
     prev_kind: Optional[TokenKind] = None
     i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        kind = tok.kind
+    while i < count:
+        kind = kinds[i]
         if kind == TokenKind.LBRACE:
             depth += 1
         elif kind == TokenKind.RBRACE:
@@ -128,9 +116,8 @@ def pin_classes(source: str, assignment: Dict[str, Optional[str]],
             if current_class is not None and depth < class_depth:
                 current_class = None
         elif kind == TokenKind.KW_CLASS and depth == 0:
-            if i + 1 < len(tokens) \
-                    and tokens[i + 1].kind == TokenKind.IDENT:
-                current_class = tokens[i + 1].text
+            if i + 1 < count and kinds[i + 1] == TokenKind.IDENT:
+                current_class = texts[i + 1]
                 class_depth = 1
         elif (kind == TokenKind.KW_ATTRIBUTOR
               and current_class in pins
@@ -140,32 +127,27 @@ def pin_classes(source: str, assignment: Dict[str, Optional[str]],
             # Find the attributor body: the next "{" through its
             # matching "}".
             j = i + 1
-            while j < len(tokens) \
-                    and tokens[j].kind != TokenKind.LBRACE:
+            while j < count and kinds[j] != TokenKind.LBRACE:
                 j += 1
-            if j == len(tokens):
+            if j == count:
                 raise EntError(
                     f"malformed attributor in class {current_class}")
             body_depth = 0
             k = j
-            while k < len(tokens):
-                if tokens[k].kind == TokenKind.LBRACE:
+            while k < count:
+                if kinds[k] == TokenKind.LBRACE:
                     body_depth += 1
-                elif tokens[k].kind == TokenKind.RBRACE:
+                elif kinds[k] == TokenKind.RBRACE:
                     body_depth -= 1
                     if body_depth == 0:
                         break
                 k += 1
-            if k == len(tokens):
+            if k == count:
                 raise EntError(
                     f"unterminated attributor in class {current_class}")
-            start = _offset(offsets, tok.span.line, tok.span.column)
-            close = tokens[k]
-            end = _offset(offsets, close.span.line,
-                          close.span.column) + len(close.text)
             mode = pins[current_class]
-            replacements.append(
-                (start, end, f"attributor {{ return {mode}; }}"))
+            replacements.append((offsets[i], offsets[k] + len(texts[k]),
+                                 f"attributor {{ return {mode}; }}"))
             seen[current_class] = True
             i = k + 1
             prev_kind = TokenKind.RBRACE

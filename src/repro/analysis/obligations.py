@@ -390,11 +390,6 @@ class ProgramAnalyzer:
     # ------------------------------------------------------------------
     # Class/method metadata (hulls, guard profiles, override sets)
 
-    def _subclasses(self, class_name: str) -> List[ClassInfo]:
-        return [info for info in self.table.classes()
-                if info.name != "Object"
-                and self.table.is_subclass(info.name, class_name)]
-
     def _class_hull(self,
                     class_name: str) -> Optional[FrozenSet[Mode]]:
         """All modes any attributor reachable from a snapshot of static
@@ -407,7 +402,7 @@ class ProgramAnalyzer:
         hull: Set[Mode] = set()
         result: Optional[FrozenSet[Mode]] = None
         complete = True
-        for info in self._subclasses(class_name):
+        for info in self.table.subclasses(class_name):
             owner = self.table.attributor(info.name)
             if owner is None:
                 complete = False
@@ -427,7 +422,7 @@ class ProgramAnalyzer:
         """The method implementations any dynamic dispatch from a
         static receiver type ``class_name`` can reach."""
         seen: Dict[int, MethodInfo] = {}
-        for info in self._subclasses(class_name):
+        for info in self.table.subclasses(class_name):
             minfo = self.table.method(info.name, method)
             if minfo is not None:
                 seen[id(minfo)] = minfo
@@ -802,7 +797,7 @@ class ProgramAnalyzer:
         # be any subclass: an edge per distinct reachable attributor.
         weight = self._edge_weight()
         targets: Set[str] = set()
-        for info in self._subclasses(class_name):
+        for info in self.table.subclasses(class_name):
             owner = self.table.attributor(info.name)
             if owner is not None:
                 targets.add(owner.name)

@@ -9,45 +9,74 @@ failed casts).  All exceptions raised by this package derive from
 
 from __future__ import annotations
 
-from typing import Optional
+import re
+from bisect import bisect_right
+from typing import List, Optional
+
+_NEWLINE = re.compile("\n")
 
 
 class EntError(Exception):
     """Base class for every error raised by the ENT reproduction."""
 
 
-class SourceSpan:
-    """A half-open region of source text, for error reporting.
+class LineTable:
+    """One source file's name and the offset at which each of its lines
+    starts (only ``\\n`` ends a line): what turns a :class:`SourceSpan`'s
+    offset into a line and a column.  The lexer builds one per file."""
 
-    A plain ``__slots__`` class rather than a dataclass: the lexer mints
-    one span per token, so construction cost is on the pipeline hot path.
+    __slots__ = ("filename", "starts")
+
+    def __init__(self, source: str, filename: str) -> None:
+        self.filename = filename
+        self.starts: List[int] = [0] + [
+            match.end() for match in _NEWLINE.finditer(source)]
+
+
+class SourceSpan:
+    """A point in one source file, for error reporting: an offset into
+    the file's :class:`LineTable`.
+
+    The lexer and the parser make spans only for AST nodes and errors,
+    never one per token, and ``line`` and ``column`` (1-based) are
+    computed only when read, by a bisection over the line starts.  An
+    AST node keeps its one span object: the profiler and the JIT key
+    on ``id(span)``.  ``end_line`` and ``end_column`` are always
+    ``None``; ``repro analyze --json`` reports them as ``null``.
     """
 
-    __slots__ = ("line", "column", "end_line", "end_column", "filename")
+    __slots__ = ("offset", "lines")
 
-    def __init__(self, line: int, column: int,
-                 end_line: Optional[int] = None,
-                 end_column: Optional[int] = None,
-                 filename: str = "<ent>") -> None:
-        self.line = line
-        self.column = column
-        self.end_line = end_line
-        self.end_column = end_column
-        self.filename = filename
+    end_line: Optional[int] = None
+    end_column: Optional[int] = None
+
+    def __init__(self, offset: int, lines: LineTable) -> None:
+        self.offset = offset
+        self.lines = lines
+
+    @property
+    def line(self) -> int:
+        return bisect_right(self.lines.starts, self.offset)
+
+    @property
+    def column(self) -> int:
+        starts = self.lines.starts
+        return self.offset - starts[bisect_right(starts, self.offset) - 1] + 1
+
+    @property
+    def filename(self) -> str:
+        return self.lines.filename
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SourceSpan):
             return NotImplemented
         return (self.line == other.line
                 and self.column == other.column
-                and self.end_line == other.end_line
-                and self.end_column == other.end_column
                 and self.filename == other.filename)
 
     def __repr__(self) -> str:
         return (f"SourceSpan(line={self.line!r}, column={self.column!r}, "
-                f"end_line={self.end_line!r}, "
-                f"end_column={self.end_column!r}, "
+                f"end_line=None, end_column=None, "
                 f"filename={self.filename!r})")
 
     def __str__(self) -> str:

@@ -5,21 +5,22 @@ floating literals, double-quoted strings with the usual escapes, and the
 operator set listed in :mod:`repro.lang.tokens`.
 
 The scanner is a single master regular expression applied in a tight
-loop — one match per token or trivia run — rather than a per-character
-state machine.  Line/column bookkeeping happens only when a matched chunk
-actually contains a newline, which makes lexing the cheapest stage of the
-pipeline instead of the one that dominated typechecking wall-clock.
-String literals take a slow path so escape validation and the error spans
-stay exactly as before.
+loop, one match per token: each match skips the whitespace and comments
+in front of a token, then takes the token.  A token is stored as four
+list entries (kind, text, offset, value) of a
+:class:`~repro.lang.tokens.TokenStream`, with no per-token object; its
+line and column come from the file's line table only when a span is
+read.  String literals take a slow path so escape validation and the
+error spans stay exactly as before.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
-from repro.core.errors import EntSyntaxError, SourceSpan
-from repro.lang.tokens import KEYWORDS, Token, TokenKind
+from repro.core.errors import EntSyntaxError, LineTable, SourceSpan
+from repro.lang.tokens import KEYWORDS, TokenKind, TokenStream
 
 _ESCAPES = {
     "n": "\n",
@@ -63,138 +64,124 @@ _OPERATOR_KINDS = {
     "!": TokenKind.NOT,
 }
 
-#: One alternation per lexical category.  Trivia (whitespace/comments)
-#: uses unnamed groups so ``lastgroup`` is ``None`` for it.  The number
-#: pattern only commits to a fraction/exponent when the characters after
-#: ``.``/``e`` make it one, mirroring the old hand-rolled scanner (so
-#: ``1.foo`` lexes as INT DOT IDENT and ``2e`` as INT IDENT).
+#: Trivia (whitespace and comments, no groups), then exactly one token
+#: alternative.  The number pattern only commits to a fraction/exponent
+#: when the characters after ``.``/``e`` make it one (so ``1.foo``
+#: lexes as INT DOT IDENT and ``2e`` as INT IDENT).  The last two
+#: alternatives, any one character and the end of input, make the
+#: token part match wherever the trivia stops, so the engine never
+#: backtracks into a comment to find a token inside it (``x // tail``
+#: must not end in a token ``l``).
 _MASTER = re.compile(
-    r"""[ \t\r\n]+
-      | //[^\n]*
-      | /\*(?:[^*]|\*(?!/))*\*/
-      | (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-      | (?P<word>(?:[^\W\d]|\$)[\w$]*)
-      | (?P<op><=|>=|==|!=|&&|\|\||[{}()\[\];,.:@?=+\-*/%<>!])
+    r"""(?:[ \t\r\n]+
+         | //[^\n]*
+         | /\*(?:[^*]|\*(?!/))*\*/
+        )*
+        (?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+         | (?P<word>(?:[^\W\d]|\$)[\w$]*)
+         | (?P<op><=|>=|==|!=|&&|\|\||[{}()\[\];,.:@?=+\-*/%<>!])
+         | (?P<other>.)
+         | \Z
+        )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
+# Group indices in _MASTER (4 is ``other``); ``lastindex`` is None at
+# the end of input.
+_NUM, _WORD, _OP = 1, 2, 3
 
-class Lexer:
-    """Tokenizes ENT source text."""
 
-    def __init__(self, source: str, filename: str = "<ent>") -> None:
-        self._source = source
-        self._filename = filename
-
-    # ------------------------------------------------------------------
-
-    def tokenize(self) -> List[Token]:
-        """Produce the full token stream, ending with an EOF token."""
-        source = self._source
-        filename = self._filename
-        tokens: List[Token] = []
-        append = tokens.append
-        match = _MASTER.match
-        keyword = KEYWORDS.get
-        operators = _OPERATOR_KINDS
-        size = len(source)
-        pos = 0
-        line = 1
-        line_start = 0  # offset of the first character of `line`
-        while pos < size:
-            m = match(source, pos)
-            if m is None:
-                span = SourceSpan(line, pos - line_start + 1,
-                                  filename=filename)
-                ch = source[pos]
-                if ch == '"':
-                    token, pos = self._lex_string(pos, line, line_start,
-                                                  span)
-                    append(token)
-                    continue
-                raise EntSyntaxError(f"unexpected character {ch!r}", span)
-            start = pos
-            pos = m.end()
-            # Group indices: 1 = num, 2 = word, 3 = op; None = trivia
-            # (the trivia alternatives carry no capturing groups).
-            group = m.lastindex
-            if group is None:
-                # Whitespace or a comment; the only chunks that may span
-                # lines, so this is the only newline bookkeeping needed.
-                # Offset-based rfind/count avoid slicing the trivia run.
-                newline = source.rfind("\n", start, pos)
-                if newline >= 0:
-                    line += source.count("\n", start, pos)
-                    line_start = newline + 1
-                continue
-            text = source[start:pos]
-            span = SourceSpan(line, start - line_start + 1,
-                              filename=filename)
-            if group == 2:  # word
-                if text == "_":
-                    append(Token(TokenKind.UNDERSCORE, text, span))
-                else:
-                    append(Token(keyword(text, TokenKind.IDENT), text,
-                                 span))
-            elif group == 3:  # operator
-                if text == "/" and source.startswith("*", pos):
-                    # A '/' directly followed by '*' only survives the
-                    # master pattern when the block comment never closes.
-                    raise EntSyntaxError("unterminated block comment",
-                                         span)
-                append(Token(operators[text], text, span))
-            else:  # number
-                if "." in text or "e" in text or "E" in text:
-                    append(Token(TokenKind.FLOAT, text, span, float(text)))
-                else:
-                    try:
-                        value = int(text)
-                    except ValueError:  # past Python's digit limit
-                        raise EntSyntaxError(
-                            f"integer literal too large ({len(text)} "
-                            f"digits)", span) from None
-                    append(Token(TokenKind.INT, text, span, value))
-        append(Token(TokenKind.EOF, "",
-                     SourceSpan(line, pos - line_start + 1,
-                                filename=filename)))
-        return tokens
-
-    def __iter__(self) -> Iterator[Token]:
-        return iter(self.tokenize())
-
-    # ------------------------------------------------------------------
-
-    def _lex_string(self, pos: int, line: int, line_start: int,
-                    span: SourceSpan) -> Tuple[Token, int]:
-        """Scan a string literal starting at the opening quote."""
-        source = self._source
-        size = len(source)
-        pos += 1  # opening quote
-        chars: List[str] = []
-        while True:
-            if pos >= size or source[pos] == "\n":
-                raise EntSyntaxError("unterminated string literal", span)
-            ch = source[pos]
-            if ch == '"':
-                pos += 1
-                break
-            if ch == "\\":
-                escape = source[pos + 1] if pos + 1 < size else ""
-                if escape not in _ESCAPES:
-                    raise EntSyntaxError(
-                        f"invalid escape sequence \\{escape}",
-                        SourceSpan(line, pos - line_start + 1,
-                                   filename=self._filename))
-                chars.append(_ESCAPES[escape])
-                pos += 2
+def tokenize(source: str, filename: str = "<ent>") -> TokenStream:
+    """Lex ``source`` into a :class:`TokenStream` ending with an EOF
+    token; raises :class:`EntSyntaxError` on malformed input."""
+    lines = LineTable(source, filename)
+    kinds: List[TokenKind] = []
+    texts: List[str] = []
+    offsets: List[int] = []
+    values: List[object] = []
+    add_kind = kinds.append
+    add_text = texts.append
+    add_offset = offsets.append
+    add_value = values.append
+    match = _MASTER.match
+    keyword = KEYWORDS.get
+    operators = _OPERATOR_KINDS
+    ident = TokenKind.IDENT
+    pos = 0
+    while True:
+        m = match(source, pos)
+        group = m.lastindex
+        if group is None:  # end of input
+            break
+        start, pos = m.span(group)
+        text = m[group]
+        if group == _WORD:
+            add_kind(TokenKind.UNDERSCORE if text == "_"
+                     else keyword(text, ident))
+            add_value(None)
+        elif group == _OP:
+            if text == "/" and source.startswith("*", pos):
+                # A '/' directly followed by '*' only survives the
+                # trivia pattern when the block comment never closes.
+                raise EntSyntaxError("unterminated block comment",
+                                     SourceSpan(start, lines))
+            add_kind(operators[text])
+            add_value(None)
+        elif group == _NUM:
+            if "." in text or "e" in text or "E" in text:
+                add_kind(TokenKind.FLOAT)
+                add_value(float(text))
             else:
-                chars.append(ch)
-                pos += 1
-        value = "".join(chars)
-        return Token(TokenKind.STRING, f'"{value}"', span, value), pos
+                try:
+                    value = int(text)
+                except ValueError:  # past Python's digit limit
+                    raise EntSyntaxError(
+                        f"integer literal too large ({len(text)} digits)",
+                        SourceSpan(start, lines)) from None
+                add_kind(TokenKind.INT)
+                add_value(value)
+        elif text == '"':
+            text, value, pos = _lex_string(source, start, lines)
+            add_kind(TokenKind.STRING)
+            add_value(value)
+        else:
+            raise EntSyntaxError(f"unexpected character {text!r}",
+                                 SourceSpan(start, lines))
+        add_text(text)
+        add_offset(start)
+    add_kind(TokenKind.EOF)
+    add_text("")
+    add_offset(len(source))
+    add_value(None)
+    return TokenStream(kinds, texts, offsets, values, lines)
 
 
-def tokenize(source: str, filename: str = "<ent>") -> List[Token]:
-    """Convenience wrapper: tokenize ``source`` into a list of tokens."""
-    return Lexer(source, filename).tokenize()
+def _lex_string(source: str, start: int,
+                lines: LineTable) -> Tuple[str, str, int]:
+    """Scan the string literal whose opening quote is at ``start``:
+    its token text, its decoded value and the offset just past it."""
+    size = len(source)
+    pos = start + 1  # opening quote
+    chars: List[str] = []
+    while True:
+        if pos >= size or source[pos] == "\n":
+            raise EntSyntaxError("unterminated string literal",
+                                 SourceSpan(start, lines))
+        ch = source[pos]
+        if ch == '"':
+            pos += 1
+            break
+        if ch == "\\":
+            escape = source[pos + 1] if pos + 1 < size else ""
+            if escape not in _ESCAPES:
+                raise EntSyntaxError(
+                    f"invalid escape sequence \\{escape}",
+                    SourceSpan(pos, lines))
+            chars.append(_ESCAPES[escape])
+            pos += 2
+        else:
+            chars.append(ch)
+            pos += 1
+    value = "".join(chars)
+    return f'"{value}"', value, pos

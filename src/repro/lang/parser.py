@@ -24,16 +24,20 @@ level above its operand, so long operator and member chains count too.
 Past the cap the parser raises ``EntSyntaxError`` at the offending
 token instead of leaving the tree-recursive passes to exhaust Python's
 recursion limit.
+
+The parser walks the lexer's parallel token lists by position and
+makes a :class:`~repro.core.errors.SourceSpan` only for an AST node or
+an error.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.core.errors import EntSyntaxError
+from repro.core.errors import EntSyntaxError, SourceSpan
 from repro.lang import ast_nodes as ast
 from repro.lang.lexer import tokenize
-from repro.lang.tokens import Token, TokenKind
+from repro.lang.tokens import TokenKind, TokenStream
 
 _PRIM_TYPE_TOKENS = {
     TokenKind.KW_INT: "int",
@@ -60,10 +64,20 @@ _PRIMARY_START = {
     TokenKind.LBRACKET, TokenKind.NOT, TokenKind.MINUS,
 }
 
+#: Literal tokens, each a primary expression on its own.
+_LITERALS = {
+    TokenKind.INT, TokenKind.FLOAT, TokenKind.STRING, TokenKind.KW_TRUE,
+    TokenKind.KW_FALSE, TokenKind.KW_NULL, TokenKind.KW_THIS,
+}
+
 
 class Parser:
-    def __init__(self, tokens: List[Token]) -> None:
-        self._tokens = tokens
+    def __init__(self, tokens: TokenStream) -> None:
+        self._kinds = tokens.kinds
+        self._texts = tokens.texts
+        self._values = tokens.values
+        self._offsets = tokens.offsets
+        self._lines = tokens.lines
         self._pos = 0
         #: Current nesting depth (see :data:`MAX_NESTING`).  A parse
         #: error abandons the parser, so levels are closed without a
@@ -78,64 +92,67 @@ class Parser:
     # ------------------------------------------------------------------
     # Token plumbing
 
-    # The token list always ends with EOF and _advance never moves past
-    # it, so _pos stays in range and lookahead-0 needs no bounds check.
+    # The token lists always end with EOF and no step moves past it, so
+    # _pos stays in range and lookahead-0 needs no bounds check.  The
+    # plumbing returns positions; kinds and texts are read from the
+    # lists, and a span is made only for an AST node or an error.
 
-    def _peek(self, offset: int = 0) -> Token:
-        if offset:
-            try:
-                return self._tokens[self._pos + offset]
-            except IndexError:
-                return self._tokens[-1]
-        return self._tokens[self._pos]
+    def _span(self, pos: int) -> SourceSpan:
+        return SourceSpan(self._offsets[pos], self._lines)
+
+    def _kind_ahead(self, offset: int) -> TokenKind:
+        """The kind ``offset`` tokens ahead (EOF past the end)."""
+        try:
+            return self._kinds[self._pos + offset]
+        except IndexError:
+            return TokenKind.EOF
 
     def _at(self, kind: TokenKind, offset: int = 0) -> bool:
         if offset:
-            return self._peek(offset).kind is kind
-        return self._tokens[self._pos].kind is kind
+            return self._kind_ahead(offset) is kind
+        return self._kinds[self._pos] is kind
 
-    def _advance(self) -> Token:
-        token = self._tokens[self._pos]
-        if token.kind is not TokenKind.EOF:
-            self._pos += 1
-        return token
+    def _advance(self) -> int:
+        pos = self._pos
+        if self._kinds[pos] is not TokenKind.EOF:
+            self._pos = pos + 1
+        return pos
 
-    def _expect(self, kind: TokenKind, context: str = "") -> Token:
-        token = self._tokens[self._pos]
-        if token.kind is not kind:
+    def _expect(self, kind: TokenKind, context: str = "") -> int:
+        pos = self._pos
+        if self._kinds[pos] is not kind:
             where = f" in {context}" if context else ""
             raise EntSyntaxError(
-                f"expected {kind.value!r}{where}, found {token.text!r}",
-                token.span)
+                f"expected {kind.value!r}{where}, found "
+                f"{self._texts[pos]!r}", self._span(pos))
         if kind is not TokenKind.EOF:
-            self._pos += 1
-        return token
+            self._pos = pos + 1
+        return pos
 
     def _nest(self) -> None:
         """Open one nesting level at the current token."""
         depth = self._depth + 1
         if depth > MAX_NESTING:
-            raise self._too_deep(self._tokens[self._pos])
+            raise self._too_deep(self._pos)
         self._depth = depth
         if depth > self._peak:
             self._peak = depth
 
-    @staticmethod
-    def _too_deep(token: Token) -> EntSyntaxError:
+    def _too_deep(self, pos: int) -> EntSyntaxError:
         return EntSyntaxError(
-            f"nesting deeper than {MAX_NESTING} levels at {token.text!r}",
-            token.span)
+            f"nesting deeper than {MAX_NESTING} levels at "
+            f"{self._texts[pos]!r}", self._span(pos))
 
-    def _accept(self, kind: TokenKind) -> Optional[Token]:
-        token = self._tokens[self._pos]
-        if token.kind is kind:
+    def _accept(self, kind: TokenKind) -> bool:
+        pos = self._pos
+        if self._kinds[pos] is kind:
             if kind is not TokenKind.EOF:
-                self._pos += 1
-            return token
-        return None
+                self._pos = pos + 1
+            return True
+        return False
 
-    def _expect_ident(self, context: str = "") -> Token:
-        return self._expect(TokenKind.IDENT, context)
+    def _expect_ident(self, context: str = "") -> str:
+        return self._texts[self._expect(TokenKind.IDENT, context)]
 
     # ------------------------------------------------------------------
     # Program structure
@@ -148,20 +165,19 @@ class Parser:
             elif self._at(TokenKind.KW_CLASS):
                 program.classes.append(self._parse_class_decl())
             else:
-                token = self._peek()
                 raise EntSyntaxError(
                     f"expected 'modes' or 'class' at top level, found "
-                    f"{token.text!r}", token.span)
+                    f"{self._texts[self._pos]!r}", self._span(self._pos))
         return program
 
     def _parse_modes_decl(self) -> ast.ModesDecl:
         start = self._expect(TokenKind.KW_MODES)
         self._expect(TokenKind.LBRACE, "modes declaration")
-        decl = ast.ModesDecl(span=start.span)
+        decl = ast.ModesDecl(span=self._span(start))
         while not self._at(TokenKind.RBRACE):
-            chain = [self._expect_ident("modes declaration").text]
+            chain = [self._expect_ident("modes declaration")]
             while self._accept(TokenKind.LE):
-                chain.append(self._expect_ident("modes declaration").text)
+                chain.append(self._expect_ident("modes declaration"))
             if len(chain) == 1:
                 decl.singletons.append(chain[0])
             else:
@@ -172,14 +188,14 @@ class Parser:
 
     def _parse_class_decl(self) -> ast.ClassDecl:
         start = self._expect(TokenKind.KW_CLASS)
-        name = self._expect_ident("class declaration").text
-        cls = ast.ClassDecl(name=name, span=start.span)
+        name = self._expect_ident("class declaration")
+        cls = ast.ClassDecl(name=name, span=self._span(start))
         if self._at(TokenKind.AT):
             params = self._parse_mode_params()
             cls.mode_param = params[0]
             cls.extra_params = params[1:]
         if self._accept(TokenKind.KW_EXTENDS):
-            cls.superclass = self._expect_ident("extends clause").text
+            cls.superclass = self._expect_ident("extends clause")
             if self._at(TokenKind.AT):
                 cls.super_mode_args = self._parse_mode_args()
         self._expect(TokenKind.LBRACE, "class body")
@@ -203,15 +219,15 @@ class Parser:
         return params
 
     def _parse_mode_param(self) -> ast.ModeParamNode:
-        span = self._peek().span
-        dynamic = self._accept(TokenKind.QUESTION) is not None
+        span = self._span(self._pos)
+        dynamic = self._accept(TokenKind.QUESTION)
         if dynamic and not self._at(TokenKind.IDENT):
             return ast.ModeParamNode(dynamic=True, span=span)
-        first = self._expect_ident("mode parameter").text
+        first = self._expect_ident("mode parameter")
         if self._accept(TokenKind.LE):
-            second = self._expect_ident("mode parameter bound").text
+            second = self._expect_ident("mode parameter bound")
             if self._accept(TokenKind.LE):
-                third = self._expect_ident("mode parameter bound").text
+                third = self._expect_ident("mode parameter bound")
                 # lo <= X <= hi
                 return ast.ModeParamNode(dynamic=dynamic, var=second,
                                          lower=first, upper=third, span=span)
@@ -232,10 +248,10 @@ class Parser:
         return args
 
     def _parse_mode_arg(self) -> ast.ModeArgNode:
-        span = self._peek().span
+        span = self._span(self._pos)
         if self._accept(TokenKind.QUESTION):
             return ast.ModeArgNode(dynamic=True, span=span)
-        name = self._expect_ident("mode argument").text
+        name = self._expect_ident("mode argument")
         return ast.ModeArgNode(name=name, span=span)
 
     # ------------------------------------------------------------------
@@ -245,15 +261,16 @@ class Parser:
         if self._at(TokenKind.KW_ATTRIBUTOR):
             if cls.attributor is not None:
                 raise EntSyntaxError("duplicate class attributor",
-                                     self._peek().span)
+                                     self._span(self._pos))
             cls.attributor = self._parse_attributor()
             return
         # Constructor: ClassName '(' ...
-        if (self._at(TokenKind.IDENT) and self._peek().text == cls.name
+        if (self._at(TokenKind.IDENT)
+                and self._texts[self._pos] == cls.name
                 and self._at(TokenKind.LPAREN, 1)):
             if cls.constructor is not None:
                 raise EntSyntaxError("duplicate constructor",
-                                     self._peek().span)
+                                     self._span(self._pos))
             cls.constructor = self._parse_constructor()
             return
         mode_param: Optional[ast.ModeParamNode] = None
@@ -265,7 +282,7 @@ class Parser:
                     "parameter", params[1].span)
             mode_param = params[0]
         declared = self._parse_type()
-        name = self._expect_ident("member declaration").text
+        name = self._expect_ident("member declaration")
         if self._at(TokenKind.LPAREN):
             cls.methods.append(self._parse_method_rest(
                 mode_param, declared, name))
@@ -284,13 +301,14 @@ class Parser:
     def _parse_attributor(self) -> ast.AttributorDecl:
         start = self._expect(TokenKind.KW_ATTRIBUTOR)
         body = self._parse_block()
-        return ast.AttributorDecl(body=body, span=start.span)
+        return ast.AttributorDecl(body=body, span=self._span(start))
 
     def _parse_constructor(self) -> ast.ConstructorDecl:
-        start = self._expect_ident()
+        start = self._expect(TokenKind.IDENT)
         params = self._parse_params()
         body = self._parse_block()
-        return ast.ConstructorDecl(params=params, body=body, span=start.span)
+        return ast.ConstructorDecl(params=params, body=body,
+                                   span=self._span(start))
 
     def _parse_method_rest(self, mode_param: Optional[ast.ModeParamNode],
                            return_type: ast.TypeNode,
@@ -311,7 +329,7 @@ class Parser:
         if not self._at(TokenKind.RPAREN):
             while True:
                 declared = self._parse_type()
-                pname = self._expect_ident("parameter").text
+                pname = self._expect_ident("parameter")
                 params.append(ast.ParamDecl(declared=declared, name=pname,
                                             span=declared.span))
                 if not self._accept(TokenKind.COMMA):
@@ -323,23 +341,24 @@ class Parser:
     # Types
 
     def _parse_type(self) -> ast.TypeNode:
-        token = self._peek()
-        if token.kind in _PRIM_TYPE_TOKENS:
-            self._advance()
-            return ast.PrimTypeNode(name=_PRIM_TYPE_TOKENS[token.kind],
-                                    span=token.span)
-        if token.kind is TokenKind.KW_MCASE:
-            self._advance()
+        pos = self._pos
+        kind = self._kinds[pos]
+        prim = _PRIM_TYPE_TOKENS.get(kind)
+        if prim is not None:
+            self._pos = pos + 1
+            return ast.PrimTypeNode(name=prim, span=self._span(pos))
+        if kind is TokenKind.KW_MCASE:
+            self._pos = pos + 1
             self._expect(TokenKind.LT, "mcase type")
             element = self._parse_type()
             self._expect(TokenKind.GT, "mcase type")
-            return ast.MCaseTypeNode(element=element, span=token.span)
-        name = self._expect_ident("type").text
+            return ast.MCaseTypeNode(element=element, span=self._span(pos))
+        name = self._expect_ident("type")
         mode_args = None
         if self._at(TokenKind.AT):
             mode_args = self._parse_mode_args()
         return ast.ClassTypeNode(name=name, mode_args=mode_args,
-                                 span=token.span)
+                                 span=self._span(pos))
 
     # ------------------------------------------------------------------
     # Statements
@@ -347,64 +366,41 @@ class Parser:
     def _parse_block(self) -> ast.Block:
         start = self._expect(TokenKind.LBRACE, "block")
         stmts: List[ast.Stmt] = []
-        while not self._at(TokenKind.RBRACE):
+        kinds = self._kinds
+        while kinds[self._pos] is not TokenKind.RBRACE:
             stmts.append(self._parse_stmt())
-        self._expect(TokenKind.RBRACE, "block")
-        return ast.Block(stmts=stmts, span=start.span)
+        self._pos += 1
+        return ast.Block(stmts=stmts, span=self._span(start))
 
     def _parse_stmt(self) -> ast.Stmt:
         self._nest()
-        stmt = self._parse_stmt_nested()
+        keyword = _KEYWORD_STMTS.get(self._kinds[self._pos])
+        if keyword is not None:
+            stmt = keyword(self)
+        elif self._is_local_decl_start():
+            stmt = self._parse_local_decl()
+        else:
+            stmt = self._parse_expr_stmt()
         self._depth -= 1
         return stmt
 
-    def _parse_stmt_nested(self) -> ast.Stmt:
-        token = self._peek()
-        kind = token.kind
-        if kind is TokenKind.LBRACE:
-            return self._parse_block()
-        if kind is TokenKind.KW_IF:
-            return self._parse_if()
-        if kind is TokenKind.KW_WHILE:
-            return self._parse_while()
-        if kind is TokenKind.KW_FOREACH:
-            return self._parse_foreach()
-        if kind is TokenKind.KW_RETURN:
-            self._advance()
-            expr = None
-            if not self._at(TokenKind.SEMI):
-                expr = self._parse_expr()
-            self._expect(TokenKind.SEMI, "return statement")
-            return ast.Return(expr=expr, span=token.span)
-        if kind is TokenKind.KW_BREAK:
-            self._advance()
-            self._expect(TokenKind.SEMI, "break statement")
-            return ast.Break(span=token.span)
-        if kind is TokenKind.KW_CONTINUE:
-            self._advance()
-            self._expect(TokenKind.SEMI, "continue statement")
-            return ast.Continue(span=token.span)
-        if kind is TokenKind.KW_TRY:
-            return self._parse_try()
-        if kind is TokenKind.KW_THROW:
-            self._advance()
-            expr = self._parse_expr()
-            self._expect(TokenKind.SEMI, "throw statement")
-            return ast.Throw(expr=expr, span=token.span)
-        if self._is_local_decl_start():
-            return self._parse_local_decl()
+    def _parse_expr_stmt(self) -> ast.Stmt:
+        """An expression statement or an assignment."""
+        start = self._pos
         expr = self._parse_expr()
         if self._accept(TokenKind.ASSIGN):
             if not isinstance(expr, (ast.Var, ast.FieldAccess)):
-                raise EntSyntaxError("invalid assignment target", token.span)
+                raise EntSyntaxError("invalid assignment target",
+                                     self._span(start))
             value = self._parse_expr()
             self._expect(TokenKind.SEMI, "assignment")
-            return ast.Assign(target=expr, value=value, span=token.span)
+            return ast.Assign(target=expr, value=value,
+                              span=self._span(start))
         self._expect(TokenKind.SEMI, "expression statement")
-        return ast.ExprStmt(expr=expr, span=token.span)
+        return ast.ExprStmt(expr=expr, span=self._span(start))
 
     def _is_local_decl_start(self) -> bool:
-        kind = self._peek().kind
+        kind = self._kinds[self._pos]
         if kind in _PRIM_TYPE_TOKENS or kind is TokenKind.KW_MCASE:
             return True
         if kind is not TokenKind.IDENT:
@@ -416,13 +412,37 @@ class Parser:
 
     def _parse_local_decl(self) -> ast.Stmt:
         declared = self._parse_type()
-        name = self._expect_ident("local declaration").text
+        name = self._expect_ident("local declaration")
         init = None
         if self._accept(TokenKind.ASSIGN):
             init = self._parse_expr()
         self._expect(TokenKind.SEMI, "local declaration")
         return ast.LocalVarDecl(declared=declared, name=name, init=init,
                                 span=declared.span)
+
+    def _parse_return(self) -> ast.Stmt:
+        start = self._advance()
+        expr = None
+        if not self._at(TokenKind.SEMI):
+            expr = self._parse_expr()
+        self._expect(TokenKind.SEMI, "return statement")
+        return ast.Return(expr=expr, span=self._span(start))
+
+    def _parse_break(self) -> ast.Stmt:
+        start = self._advance()
+        self._expect(TokenKind.SEMI, "break statement")
+        return ast.Break(span=self._span(start))
+
+    def _parse_continue(self) -> ast.Stmt:
+        start = self._advance()
+        self._expect(TokenKind.SEMI, "continue statement")
+        return ast.Continue(span=self._span(start))
+
+    def _parse_throw(self) -> ast.Stmt:
+        start = self._advance()
+        expr = self._parse_expr()
+        self._expect(TokenKind.SEMI, "throw statement")
+        return ast.Throw(expr=expr, span=self._span(start))
 
     def _parse_if(self) -> ast.Stmt:
         start = self._expect(TokenKind.KW_IF)
@@ -434,7 +454,7 @@ class Parser:
         if self._accept(TokenKind.KW_ELSE):
             otherwise = self._parse_stmt()
         return ast.If(cond=cond, then=then, otherwise=otherwise,
-                      span=start.span)
+                      span=self._span(start))
 
     def _parse_while(self) -> ast.Stmt:
         start = self._expect(TokenKind.KW_WHILE)
@@ -442,31 +462,32 @@ class Parser:
         cond = self._parse_expr()
         self._expect(TokenKind.RPAREN, "while condition")
         body = self._parse_stmt()
-        return ast.While(cond=cond, body=body, span=start.span)
+        return ast.While(cond=cond, body=body, span=self._span(start))
 
     def _parse_foreach(self) -> ast.Stmt:
         start = self._expect(TokenKind.KW_FOREACH)
         self._expect(TokenKind.LPAREN, "foreach header")
         var_type = self._parse_type()
-        var_name = self._expect_ident("foreach variable").text
+        var_name = self._expect_ident("foreach variable")
         self._expect(TokenKind.COLON, "foreach header")
         iterable = self._parse_expr()
         self._expect(TokenKind.RPAREN, "foreach header")
         body = self._parse_stmt()
         return ast.Foreach(var_type=var_type, var_name=var_name,
-                           iterable=iterable, body=body, span=start.span)
+                           iterable=iterable, body=body,
+                           span=self._span(start))
 
     def _parse_try(self) -> ast.Stmt:
         start = self._expect(TokenKind.KW_TRY)
         body = self._parse_block()
         self._expect(TokenKind.KW_CATCH, "try statement")
         self._expect(TokenKind.LPAREN, "catch clause")
-        exc_class = self._expect_ident("catch clause").text
-        exc_var = self._expect_ident("catch clause").text
+        exc_class = self._expect_ident("catch clause")
+        exc_var = self._expect_ident("catch clause")
         self._expect(TokenKind.RPAREN, "catch clause")
         handler = self._parse_block()
         return ast.TryCatch(body=body, exc_class=exc_class, exc_var=exc_var,
-                            handler=handler, span=start.span)
+                            handler=handler, span=self._span(start))
 
     # ------------------------------------------------------------------
     # Expressions (operator precedence)
@@ -495,37 +516,37 @@ class Parser:
         :data:`MAX_NESTING`, checked at every operator."""
         self._nest()
         prec_table = self._BIN_PREC
-        tokens = self._tokens
+        kinds = self._kinds
         depth = self._depth
         outer = self._peak
         self._peak = depth
         operands = [self._parse_unary()]
         tallest = self._peak  # deepest level any operand reaches
         ops = 0
-        pending: List[Token] = []
+        pending: List[int] = []  # operator positions
         while True:
-            token = tokens[self._pos]
-            kind = token.kind
+            pos = self._pos
+            kind = kinds[pos]
             prec = prec_table.get(kind)
             if prec is None:
                 break
             ops += 1
             if tallest + ops > MAX_NESTING:
-                raise self._too_deep(token)
-            while pending and prec_table[pending[-1].kind] >= prec:
+                raise self._too_deep(pos)
+            while pending and prec_table[kinds[pending[-1]]] >= prec:
                 self._reduce(operands, pending.pop())
-            self._pos += 1
+            self._pos = pos + 1
             if kind is TokenKind.KW_INSTANCEOF:
-                cname = self._expect_ident("instanceof").text
+                cname = self._expect_ident("instanceof")
                 operands[-1] = ast.InstanceOf(expr=operands[-1],
                                               class_name=cname,
-                                              span=token.span)
+                                              span=self._span(pos))
             else:
-                pending.append(token)
+                pending.append(pos)
                 self._peak = depth
                 operands.append(self._parse_unary())
                 if self._peak + ops > MAX_NESTING:
-                    raise self._too_deep(token)
+                    raise self._too_deep(pos)
                 if self._peak > tallest:
                     tallest = self._peak
         while pending:
@@ -535,30 +556,32 @@ class Parser:
         self._peak = reach if reach > outer else outer
         return operands[0]
 
-    @staticmethod
-    def _reduce(operands: List[ast.Expr], op: Token) -> None:
-        """Replace the top two operands with their ``op`` node."""
+    def _reduce(self, operands: List[ast.Expr], op: int) -> None:
+        """Replace the top two operands with the node of the operator
+        at position ``op``."""
         right = operands.pop()
-        operands[-1] = ast.Binary(op=op.text, left=operands[-1],
-                                  right=right, span=op.span)
+        operands[-1] = ast.Binary(op=self._texts[op], left=operands[-1],
+                                  right=right,
+                                  span=SourceSpan(self._offsets[op],
+                                                  self._lines))
 
     def _parse_unary(self) -> ast.Expr:
-        token = self._tokens[self._pos]
-        kind = token.kind
+        pos = self._pos
+        kind = self._kinds[pos]
         if kind is TokenKind.MINUS or kind is TokenKind.NOT:
             self._nest()
-            self._advance()
-            expr = ast.Unary(op=token.text, expr=self._parse_unary(),
-                             span=token.span)
+            self._pos = pos + 1
+            expr = ast.Unary(op=self._texts[pos], expr=self._parse_unary(),
+                             span=self._span(pos))
         elif kind is TokenKind.KW_SNAPSHOT:
             return self._parse_snapshot()
         elif kind is TokenKind.LPAREN and self._is_cast_start():
             self._nest()
-            self._advance()
+            self._pos = pos + 1
             target = self._parse_type()
             self._expect(TokenKind.RPAREN, "cast")
             expr = ast.Cast(target=target, expr=self._parse_unary(),
-                            span=token.span)
+                            span=self._span(pos))
         else:
             return self._parse_postfix()
         self._depth -= 1
@@ -567,7 +590,7 @@ class Parser:
     def _is_cast_start(self) -> bool:
         """Is the upcoming ``( ... )`` a cast rather than grouping?"""
         assert self._at(TokenKind.LPAREN)
-        kind1 = self._peek(1).kind
+        kind1 = self._kind_ahead(1)
         if kind1 in _PRIM_TYPE_TOKENS or kind1 is TokenKind.KW_MCASE:
             return True
         if kind1 is not TokenKind.IDENT:
@@ -577,7 +600,7 @@ class Parser:
             return True
         # ( Ident ) <primary-start>
         if self._at(TokenKind.RPAREN, 2):
-            return self._peek(3).kind in _PRIMARY_START and not self._at(
+            return self._kind_ahead(3) in _PRIMARY_START and not self._at(
                 TokenKind.LPAREN, 3) and not self._at(TokenKind.MINUS, 3)
         return False
 
@@ -591,28 +614,28 @@ class Parser:
             upper = self._parse_snapshot_bound()
             self._expect(TokenKind.RBRACKET, "snapshot bounds")
         return ast.Snapshot(expr=expr, lower=lower, upper=upper,
-                            span=start.span)
+                            span=self._span(start))
 
     def _parse_snapshot_bound(self) -> ast.SnapshotBound:
-        token = self._peek()
+        span = self._span(self._pos)
         if self._accept(TokenKind.UNDERSCORE):
-            return ast.SnapshotBound(span=token.span)
-        name = self._expect_ident("snapshot bound").text
-        return ast.SnapshotBound(name=name, span=token.span)
+            return ast.SnapshotBound(span=span)
+        name = self._expect_ident("snapshot bound")
+        return ast.SnapshotBound(name=name, span=span)
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
-        tokens = self._tokens
-        while tokens[self._pos].kind is TokenKind.DOT:
+        kinds = self._kinds
+        while kinds[self._pos] is TokenKind.DOT:
             # Each member node sits one level above the chain so far;
             # call arguments open their own expression level.
             reach = self._peak + 1
             if reach > MAX_NESTING:
-                raise self._too_deep(tokens[self._pos])
+                raise self._too_deep(self._pos)
             self._peak = reach
             self._pos += 1
-            name = self._expect_ident("member access").text
-            if tokens[self._pos].kind is TokenKind.LPAREN:
+            name = self._expect_ident("member access")
+            if kinds[self._pos] is TokenKind.LPAREN:
                 args = self._parse_args()
                 expr = ast.MethodCall(receiver=expr, name=name, args=args,
                                       span=expr.span)
@@ -632,29 +655,31 @@ class Parser:
         return args
 
     def _parse_primary(self) -> ast.Expr:
-        token = self._tokens[self._pos]
-        kind = token.kind
-        if kind is TokenKind.INT:
-            self._pos += 1
-            return ast.IntLit(value=int(token.value), span=token.span)
-        if kind is TokenKind.FLOAT:
-            self._pos += 1
-            return ast.FloatLit(value=float(token.value), span=token.span)
-        if kind is TokenKind.STRING:
-            self._pos += 1
-            return ast.StringLit(value=str(token.value), span=token.span)
-        if kind is TokenKind.KW_TRUE:
-            self._pos += 1
-            return ast.BoolLit(value=True, span=token.span)
-        if kind is TokenKind.KW_FALSE:
-            self._pos += 1
-            return ast.BoolLit(value=False, span=token.span)
-        if kind is TokenKind.KW_NULL:
-            self._pos += 1
-            return ast.NullLit(span=token.span)
-        if kind is TokenKind.KW_THIS:
-            self._pos += 1
-            return ast.This(span=token.span)
+        pos = self._pos
+        kind = self._kinds[pos]
+        # The hottest rule: it makes its span inline, not via _span.
+        if kind is TokenKind.IDENT:
+            self._pos = pos + 1
+            span = SourceSpan(self._offsets[pos], self._lines)
+            if self._kinds[pos + 1] is TokenKind.LPAREN:
+                args = self._parse_args()
+                return ast.MethodCall(receiver=None, name=self._texts[pos],
+                                      args=args, span=span)
+            return ast.Var(name=self._texts[pos], span=span)
+        if kind in _LITERALS:
+            self._pos = pos + 1
+            span = SourceSpan(self._offsets[pos], self._lines)
+            if kind is TokenKind.INT:
+                return ast.IntLit(value=self._values[pos], span=span)
+            if kind is TokenKind.KW_THIS:
+                return ast.This(span=span)
+            if kind is TokenKind.STRING:
+                return ast.StringLit(value=self._values[pos], span=span)
+            if kind is TokenKind.FLOAT:
+                return ast.FloatLit(value=self._values[pos], span=span)
+            if kind is TokenKind.KW_NULL:
+                return ast.NullLit(span=span)
+            return ast.BoolLit(value=kind is TokenKind.KW_TRUE, span=span)
         if kind is TokenKind.KW_NEW:
             return self._parse_new()
         if kind is TokenKind.KW_MCASE:
@@ -664,29 +689,23 @@ class Parser:
         if kind is TokenKind.LBRACKET:
             return self._parse_list_literal()
         if kind is TokenKind.LPAREN:
-            self._advance()
+            self._pos = pos + 1
             expr = self._parse_expr()
             self._expect(TokenKind.RPAREN, "parenthesized expression")
             return expr
-        if kind is TokenKind.IDENT:
-            self._pos += 1
-            if self._tokens[self._pos].kind is TokenKind.LPAREN:
-                args = self._parse_args()
-                return ast.MethodCall(receiver=None, name=token.text,
-                                      args=args, span=token.span)
-            return ast.Var(name=token.text, span=token.span)
-        raise EntSyntaxError(f"unexpected token {token.text!r} in expression",
-                             token.span)
+        raise EntSyntaxError(
+            f"unexpected token {self._texts[pos]!r} in expression",
+            self._span(pos))
 
     def _parse_new(self) -> ast.Expr:
         start = self._expect(TokenKind.KW_NEW)
-        name = self._expect_ident("new expression").text
+        name = self._expect_ident("new expression")
         mode_args = None
         if self._at(TokenKind.AT):
             mode_args = self._parse_mode_args()
         args = self._parse_args()
         return ast.New(class_name=name, mode_args=mode_args, args=args,
-                       span=start.span)
+                       span=self._span(start))
 
     def _parse_mcase_expr(self) -> ast.Expr:
         start = self._expect(TokenKind.KW_MCASE)
@@ -697,28 +716,29 @@ class Parser:
         self._expect(TokenKind.LBRACE, "mcase expression")
         branches: List[ast.MCaseBranch] = []
         while not self._at(TokenKind.RBRACE):
-            btoken = self._peek()
+            span = self._span(self._pos)
             if self._accept(TokenKind.KW_DEFAULT):
                 mode_name: Optional[str] = None
             else:
-                mode_name = self._expect_ident("mcase branch").text
+                mode_name = self._expect_ident("mcase branch")
             self._expect(TokenKind.COLON, "mcase branch")
             expr = self._parse_expr()
             self._expect(TokenKind.SEMI, "mcase branch")
             branches.append(ast.MCaseBranch(mode_name=mode_name, expr=expr,
-                                            span=btoken.span))
+                                            span=span))
         self._expect(TokenKind.RBRACE, "mcase expression")
         return ast.MCaseExpr(element=element, branches=branches,
-                             span=start.span)
+                             span=self._span(start))
 
     def _parse_mselect(self) -> ast.Expr:
         start = self._expect(TokenKind.KW_MSELECT)
         self._expect(TokenKind.LPAREN, "mselect")
         expr = self._parse_expr()
         self._expect(TokenKind.COMMA, "mselect")
-        mode_name = self._expect_ident("mselect").text
+        mode_name = self._expect_ident("mselect")
         self._expect(TokenKind.RPAREN, "mselect")
-        return ast.MSelect(expr=expr, mode_name=mode_name, span=start.span)
+        return ast.MSelect(expr=expr, mode_name=mode_name,
+                           span=self._span(start))
 
     def _parse_list_literal(self) -> ast.Expr:
         start = self._expect(TokenKind.LBRACKET)
@@ -729,7 +749,21 @@ class Parser:
                 if not self._accept(TokenKind.COMMA):
                     break
         self._expect(TokenKind.RBRACKET, "list literal")
-        return ast.ListLit(elements=elements, span=start.span)
+        return ast.ListLit(elements=elements, span=self._span(start))
+
+
+#: Statements that a keyword (or ``{``) opens, by that token's kind.
+_KEYWORD_STMTS = {
+    TokenKind.LBRACE: Parser._parse_block,
+    TokenKind.KW_IF: Parser._parse_if,
+    TokenKind.KW_WHILE: Parser._parse_while,
+    TokenKind.KW_FOREACH: Parser._parse_foreach,
+    TokenKind.KW_RETURN: Parser._parse_return,
+    TokenKind.KW_BREAK: Parser._parse_break,
+    TokenKind.KW_CONTINUE: Parser._parse_continue,
+    TokenKind.KW_TRY: Parser._parse_try,
+    TokenKind.KW_THROW: Parser._parse_throw,
+}
 
 
 def parse_program(source: str, filename: str = "<ent>") -> ast.Program:

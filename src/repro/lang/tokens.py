@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Iterator, List, Optional, Union
 
-from repro.core.errors import SourceSpan
+from repro.core.errors import LineTable, SourceSpan
 
 
 class TokenKind(enum.Enum):
+    """A token's kind.  Members hash by identity, as modes do
+    (:class:`repro.core.modes.Mode`): the parser's kind-keyed tables
+    then probe without a Python-level ``Enum.__hash__`` call."""
+
+    __hash__ = object.__hash__
+
     # Literals and identifiers
     IDENT = "IDENT"
     INT = "INT"
@@ -116,8 +122,8 @@ KEYWORDS = {
 
 
 class Token:
-    """One lexed token.  A ``__slots__`` class (not a dataclass) because
-    the lexer constructs thousands of these per compile."""
+    """A view of one lexed token, made on demand by :class:`TokenStream`;
+    the stream itself stores no ``Token`` objects."""
 
     __slots__ = ("kind", "text", "span", "value")
 
@@ -127,6 +133,11 @@ class Token:
         self.text = text
         self.span = span
         self.value = value  # decoded literal value, if any
+
+    @property
+    def offset(self) -> int:
+        """Where the token starts in the source."""
+        return self.span.offset
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Token):
@@ -140,3 +151,38 @@ class Token:
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.text!r})@{self.span}"
+
+
+class TokenStream:
+    """A lexed file, ending with an EOF token, as parallel lists:
+    ``kinds[i]``, ``texts[i]``, ``offsets[i]`` (where the token starts
+    in the source) and ``values[i]`` (the decoded literal, or None)
+    describe token ``i``, and ``lines`` is the file's line table.
+
+    The parser reads the lists by position.  ``len()``, indexing,
+    slicing and iteration yield :class:`Token` views, made on demand."""
+
+    __slots__ = ("kinds", "texts", "offsets", "values", "lines")
+
+    def __init__(self, kinds: List[TokenKind], texts: List[str],
+                 offsets: List[int], values: List[object],
+                 lines: LineTable) -> None:
+        self.kinds = kinds
+        self.texts = texts
+        self.offsets = offsets
+        self.values = values
+        self.lines = lines
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index: Union[int, slice]):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self.kinds))[index]]
+        return Token(self.kinds[index], self.texts[index],
+                     SourceSpan(self.offsets[index], self.lines),
+                     self.values[index])
+
+    def __iter__(self) -> Iterator[Token]:
+        for index in range(len(self.kinds)):
+            yield self[index]

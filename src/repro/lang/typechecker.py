@@ -786,26 +786,29 @@ class TypeChecker:
 
     def _check_expr_raw(self, expr: ast.Expr, scope: _Scope,
                         expected: Optional[Type]) -> Type:
+        # The node classes are disjoint; the commonest are tested first.
+        if isinstance(expr, ast.Var):
+            return self._check_var(expr, scope)
         if isinstance(expr, ast.IntLit):
             return ty.INT
-        if isinstance(expr, ast.FloatLit):
-            return ty.DOUBLE
+        if isinstance(expr, ast.Binary):
+            return self._check_binary(expr, scope)
+        if isinstance(expr, ast.MethodCall):
+            return self._check_call(expr, scope)
+        if isinstance(expr, ast.FieldAccess):
+            return self._check_field_access(expr, scope)
+        if isinstance(expr, ast.New):
+            return self._check_new(expr, scope)
         if isinstance(expr, ast.StringLit):
             return ty.STRING
+        if isinstance(expr, ast.This):
+            return scope.this_type
+        if isinstance(expr, ast.FloatLit):
+            return ty.DOUBLE
         if isinstance(expr, ast.BoolLit):
             return ty.BOOLEAN
         if isinstance(expr, ast.NullLit):
             return ty.NULL
-        if isinstance(expr, ast.This):
-            return scope.this_type
-        if isinstance(expr, ast.Var):
-            return self._check_var(expr, scope)
-        if isinstance(expr, ast.FieldAccess):
-            return self._check_field_access(expr, scope)
-        if isinstance(expr, ast.MethodCall):
-            return self._check_call(expr, scope)
-        if isinstance(expr, ast.New):
-            return self._check_new(expr, scope)
         if isinstance(expr, ast.Cast):
             return self._check_cast(expr, scope)
         if isinstance(expr, ast.Snapshot):
@@ -814,8 +817,6 @@ class TypeChecker:
             return self._check_mcase(expr, scope, expected)
         if isinstance(expr, ast.MSelect):
             return self._check_mselect(expr, scope)
-        if isinstance(expr, ast.Binary):
-            return self._check_binary(expr, scope)
         if isinstance(expr, ast.Unary):
             return self._check_unary(expr, scope)
         if isinstance(expr, ast.ListLit):
@@ -1251,6 +1252,14 @@ class TypeChecker:
                 f"mselect requires an mcase value, got {inner}", expr.span)
         atom = self._resolve_mode_atom(expr.mode_name, scope.mode_vars,
                                        expr.span)
+        param = scope.mode_vars.get(expr.mode_name)
+        if scope.in_attributor and param is not None and param.dynamic:
+            # Inside an attributor the object is not yet tagged: its
+            # dynamic mode variable has no value, as for an implicit
+            # elimination (``_enclosing_mode_for_elim``).
+            raise EntTypeError(
+                "cannot eliminate a mode case against a dynamic mode; "
+                "snapshot the enclosing object first", expr.span)
         expr.resolved_mode = atom
         return inner.element
 

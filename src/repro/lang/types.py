@@ -309,6 +309,7 @@ class ClassTable:
         self._bindings_cache: Dict[Tuple[str, Tuple[Optional[Mode], ...]],
                                    Bindings] = {}
         self._ancestor_names: Dict[str, FrozenSet[str]] = {}
+        self._subclasses: Optional[Dict[str, List[ClassInfo]]] = None
         self._inst_cache: Dict[Tuple[str, Tuple[ModeAtom, ...]],
                                Dict[str, ModeAtom]] = {}
 
@@ -438,6 +439,20 @@ class ClassTable:
             names = frozenset(info.name for info in self.ancestry(sub))
             self._ancestor_names[sub] = names
         return sup in names
+
+    def subclasses(self, name: str) -> List[ClassInfo]:
+        """Every class except ``Object`` whose ancestry includes
+        ``name`` (``name`` itself among them), in declaration order.
+        One pass over all ancestries answers every class.  Shared:
+        treat it as read-only."""
+        table = self._subclasses
+        if table is None:
+            table = self._subclasses = {}
+            for info in self._classes.values():
+                if info.name != "Object":
+                    for ancestor in self.ancestry(info.name):
+                        table.setdefault(ancestor.name, []).append(info)
+        return table.get(name, [])
 
     def lookup_field(self, typ: ObjectType,
                      name: str) -> Tuple[FieldInfo, Type]:

@@ -196,14 +196,16 @@ def _snapshot_twice(rt):
     rt.snapshot(agent, "energy_saver", "full_throttle")
 
 
-def _dynamic_elim_in_attributor(rt):
+def _dynamic_elim_in_constructor(rt):
     @rt.dynamic
     class Agent:
         level = rt.mcase({"energy_saver": 1, "managed": 2,
                           "full_throttle": 3})
 
-        def attributor(self):
+        def __init__(self):
             self.level  # eliminated at the agent's mode, still ``?``
+
+        def attributor(self):
             return "managed"
 
     rt.snapshot(Agent())
@@ -255,8 +257,8 @@ KERNEL_SCENARIOS = {
         MODES + """
 class Agent@mode<?X> {
     mcase<int> level = mcase{ energy_saver: 1; managed: 2; full_throttle: 3; };
-    attributor { int v = mselect(level, X); return managed; }
-    Agent() { }
+    attributor { return managed; }
+    Agent() { int v = mselect(level, X); }
 }
 class Main {
     void main() {
@@ -265,7 +267,7 @@ class Main {
     }
 }
 """,
-        _dynamic_elim_in_attributor, {},
+        _dynamic_elim_in_constructor, {},
         (EntRuntimeError,
          "cannot eliminate a mode case against a dynamic mode; "
          "snapshot the enclosing object first")),

@@ -4,6 +4,7 @@ internal/external distinction, and method-level mode characterization."""
 
 import pytest
 
+from repro.cli import main
 from repro.core.errors import EntTypeError, WaterfallError
 from repro.lang.typechecker import check_program
 
@@ -346,6 +347,60 @@ class TestMCase:
         check_fails("""
         class Main { void main() { int x = mselect(3, managed); } }
         """, "mselect requires")
+
+
+#: A dynamic class whose attributor eliminates its own mode case:
+#: ``{elim}`` is filled with one elimination statement.
+ATTRIBUTOR_ELIM = MODES + """class Agent@mode<?X> {
+    mcase<int> level = mcase{ energy_saver: 1; managed: 2; full_throttle: 3; };
+    attributor { {elim} return managed; }
+    Agent() { }
+}
+class Main {
+    void main() {
+        Agent da = new Agent@mode<?>();
+        Agent a = snapshot da;
+    }
+}
+"""
+
+DYNAMIC_ELIM = ("cannot eliminate a mode case against a dynamic mode; "
+                "snapshot the enclosing object first")
+
+
+class TestEliminationInAttributors:
+    """An attributor runs before its object has a mode, so no
+    elimination there may read the dynamic mode variable: the explicit
+    ``mselect(level, X)`` is rejected at check time, at the
+    ``mselect``, as the implicit read ``int v = level;`` is."""
+
+    @pytest.mark.parametrize("elim, column", [
+        ("int v = mselect(level, X);", 26),
+        ("int v = level;", 26),
+    ])
+    def test_rejected_at_the_elimination(self, elim, column):
+        source = ATTRIBUTOR_ELIM.replace("{elim}", elim)
+        with pytest.raises(EntTypeError) as info:
+            check_program(source, "agent.ent")
+        assert str(info.value) == f"agent.ent:4:{column}: {DYNAMIC_ELIM}"
+
+    def test_static_mode_variable_allowed(self):
+        check_program(ATTRIBUTOR_ELIM.replace(
+            "{elim}", "int v = mselect(level, managed);"))
+        check_program(ATTRIBUTOR_ELIM.replace(
+            "Agent@mode<?X>", "Agent@mode<?X, Y>").replace(
+            "Agent@mode<?>", "Agent@mode<?, managed>").replace(
+            "{elim}", "int v = mselect(level, Y);"))
+
+    @pytest.mark.parametrize("engine", ["walk", "vm", "jit"])
+    def test_run_stops_at_check(self, engine, tmp_path, capsys):
+        path = tmp_path / "agent.ent"
+        path.write_text(ATTRIBUTOR_ELIM.replace(
+            "{elim}", "int v = mselect(level, X);"))
+        assert main(["run", str(path), "--engine", engine]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}:4:26: {DYNAMIC_ELIM}\n"
 
 
 class TestMainModeParameters:
