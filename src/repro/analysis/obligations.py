@@ -278,8 +278,6 @@ class ProgramAnalyzer:
         self._ctx = "<toplevel>"
         self._sender = ModeFact.unknown_concrete()
         self._returns: Optional[List[Optional[ModeFact]]] = None
-        self._hull_cache: Dict[str, Optional[FrozenSet[Mode]]] = {}
-        self._profile_cache: Dict[Tuple[str, str], GuardProfile] = {}
         self._analyzed = False
         #: Stack of enclosing-loop trip bounds within the current body.
         self._loop_stack: List[Bound] = []
@@ -396,26 +394,16 @@ class ProgramAnalyzer:
         class ``class_name`` can return — over the class *and every
         subclass* (the actual object may be any of them) — or ``None``
         when some attributor is not a literal-return one."""
-        cached = self._hull_cache.get(class_name, _MISSING)
-        if cached is not _MISSING:
-            return cached
         hull: Set[Mode] = set()
-        result: Optional[FrozenSet[Mode]] = None
-        complete = True
         for info in self.table.subclasses(class_name):
             owner = self.table.attributor(info.name)
             if owner is None:
-                complete = False
-                break
+                return None
             modes = attributor_modes(owner.decl.attributor)
             if modes is None:
-                complete = False
-                break
+                return None
             hull.update(modes)
-        if complete and hull:
-            result = frozenset(hull)
-        self._hull_cache[class_name] = result
-        return result
+        return frozenset(hull) if hull else None
 
     def _override_minfos(self, class_name: str,
                          method: str) -> List[MethodInfo]:
@@ -438,10 +426,6 @@ class ProgramAnalyzer:
         * ``"varies"`` — differs across subclasses, or involves a
           method attributor / generic mode parameter somewhere.
         """
-        key = (class_name, method)
-        cached = self._profile_cache.get(key)
-        if cached is not None:
-            return cached
         result: Optional[GuardProfile] = None
         for minfo in self._override_minfos(class_name, method):
             mp = minfo.mode_param
@@ -450,16 +434,12 @@ class ProgramAnalyzer:
             elif mp.concrete is not None and not minfo.has_attributor:
                 this = ("concrete", mp.concrete)
             else:
-                result = "varies"
-                break
+                return "varies"
             if result is None:
                 result = this
             elif result != this:
-                result = "varies"
-                break
-        result = result if result is not None else "varies"
-        self._profile_cache[key] = result
-        return result
+                return "varies"
+        return result if result is not None else "varies"
 
     def _call_result_fact(self, class_name: str,
                           method: str) -> Optional[ModeFact]:
@@ -1041,9 +1021,3 @@ def _atom_name(atom) -> str:
         return atom.name
     return str(atom)
 
-
-class _Missing:
-    pass
-
-
-_MISSING = _Missing()

@@ -149,8 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "vm (register bytecode) or jit (VM + trace-JIT "
                           "tier, fastest on hot code) — see docs/VM.md")
     run.add_argument("--no-inline-caches", action="store_true",
-                     help="disable the run-time caches (method tables, "
-                          "call-site ICs); semantics are identical — see "
+                     help="disable the VM's and the JIT's call-site "
+                          "inline caches; semantics are identical — see "
                           "docs/PERFORMANCE.md")
     run.add_argument("--checks", choices=["full", "transient"],
                      default="full",
@@ -744,8 +744,7 @@ def _cmd_disasm(args) -> int:
             chunks.append(render(vm.code_for_method(minfo)))
             if method.attributor is not None:
                 chunks.append(render(vm._lower(
-                    method.attributor.body, minfo.param_names,
-                    interp._wants_for(minfo))))
+                    method.attributor.body, minfo.param_names, minfo.wants)))
     print("\n\n".join(chunks))
     return 0
 

@@ -10,12 +10,11 @@ We represent a variable by its name (a plain string) and a constant by a
 :class:`~repro.core.modes.Mode`; a constraint is an ordered pair.  The
 lattice supplies the ground facts between constants.
 
-Sets are immutable, which makes them ideal cache subjects: the adjacency
-index, reachability closures, and entailment answers are memoized per
-instance, and :meth:`extend`/:meth:`substitute` route through an interning
-constructor so equal sets share one instance (and therefore one warm
-cache) per lattice.  ``ConstraintSet.MEMOIZE`` switches every cache off
-for the cache-transparency test suite; see docs/PERFORMANCE.md.
+Sets are immutable.  Each builds its forward adjacency index on its
+first search and answers every query by a fresh search over it:
+:meth:`~ConstraintSet.entails_one` answers all but a handful of the
+typechecker's queries by its early exits, so a memo of search results
+would almost never hit (docs/PERFORMANCE.md, "Memo audit").
 """
 
 from __future__ import annotations
@@ -47,14 +46,7 @@ class ConstraintSet:
     * :meth:`entails` — does it derive every constraint of another set?
     """
 
-    __slots__ = ("_constraints", "lattice", "_fwd", "_rev", "_vars",
-                 "_reach", "_back", "_entailed")
-
-    #: Class-wide switch for every derived-result cache (reachability,
-    #: entailment memos, interning).  The adjacency index itself is pure
-    #: representation and stays on either way.  Flip to ``False`` only in
-    #: cache-transparency tests; answers must not change.
-    MEMOIZE = True
+    __slots__ = ("_constraints", "lattice", "_fwd")
 
     def __init__(self, lattice: ModeLattice,
                  constraints: Iterable[Constraint] = (),
@@ -62,7 +54,7 @@ class ConstraintSet:
         self.lattice = lattice
         if _validated is not None:
             # Internal fast path: atoms were validated by the instance
-            # the set was derived from (extend/substitute/interning).
+            # the set was derived from (extend/substitute).
             self._constraints = _validated
         else:
             normalized: Set[Constraint] = set()
@@ -72,11 +64,6 @@ class ConstraintSet:
                 normalized.add((lhs, rhs))
             self._constraints = frozenset(normalized)
         self._fwd: Optional[Dict[Atom, Tuple[Atom, ...]]] = None
-        self._rev: Optional[Dict[Atom, Tuple[Atom, ...]]] = None
-        self._vars: Optional[FrozenSet[str]] = None
-        self._reach: Dict[Atom, FrozenSet[Atom]] = {}
-        self._back: Dict[Atom, FrozenSet[Atom]] = {}
-        self._entailed: Dict[Constraint, bool] = {}
 
     def _check_atom(self, atom: Atom) -> None:
         if isinstance(atom, Mode):
@@ -84,32 +71,6 @@ class ConstraintSet:
         elif not isinstance(atom, str) or not atom:
             raise TypeError(f"constraint atom must be Mode or variable "
                             f"name, got {atom!r}")
-
-    # ------------------------------------------------------------------
-    # Derivation (interned fast constructor)
-
-    @classmethod
-    def _make(cls, lattice: ModeLattice,
-              validated: FrozenSet[Constraint]) -> "ConstraintSet":
-        """Build from already-validated constraints, interning per lattice.
-
-        Interning means repeatedly deriving the same set (each method body
-        re-extends its class's base constraints, every generic call site
-        re-substitutes the same mode arguments) lands on one instance whose
-        reachability/entailment caches are already warm.
-        """
-        if not ConstraintSet.MEMOIZE:
-            return cls(lattice, _validated=validated)
-        try:
-            table = lattice._constraint_set_intern  # type: ignore[attr-defined]
-        except AttributeError:
-            table = {}
-            lattice._constraint_set_intern = table  # type: ignore[attr-defined]
-        existing = table.get(validated)
-        if existing is None:
-            existing = cls(lattice, _validated=validated)
-            table[validated] = existing
-        return existing
 
     # ------------------------------------------------------------------
 
@@ -129,21 +90,14 @@ class ConstraintSet:
             self._check_atom(rhs)
             extra_list.append((lhs, rhs))
         combined = self._constraints.union(extra_list)
-        if ConstraintSet.MEMOIZE and combined == self._constraints:
+        if combined == self._constraints:
             return self
-        return self._make(self.lattice, combined)
+        return ConstraintSet(self.lattice, _validated=combined)
 
     def variables(self) -> FrozenSet[str]:
         """All mode type variables mentioned by the constraints."""
-        if self._vars is None:
-            out: Set[str] = set()
-            for lhs, rhs in self._constraints:
-                if _is_var(lhs):
-                    out.add(lhs)
-                if _is_var(rhs):
-                    out.add(rhs)
-            self._vars = frozenset(out)
-        return self._vars
+        return frozenset(atom for constraint in self._constraints
+                         for atom in constraint if _is_var(atom))
 
     def substitute(self, mapping: Dict[str, Atom]) -> "ConstraintSet":
         """Point-wise substitution of variables (the paper's ``{iota/iota'}``).
@@ -163,7 +117,7 @@ class ConstraintSet:
 
         pairs = frozenset((subst(lhs), subst(rhs))
                           for lhs, rhs in self._constraints)
-        return self._make(self.lattice, pairs)
+        return ConstraintSet(self.lattice, _validated=pairs)
 
     # ------------------------------------------------------------------
     # Entailment
@@ -172,12 +126,9 @@ class ConstraintSet:
         """Forward adjacency of the explicit constraints (lazy, cached)."""
         if self._fwd is None:
             fwd: Dict[Atom, List[Atom]] = {}
-            rev: Dict[Atom, List[Atom]] = {}
             for lhs, rhs in self._constraints:
                 fwd.setdefault(lhs, []).append(rhs)
-                rev.setdefault(rhs, []).append(lhs)
             self._fwd = {a: tuple(s) for a, s in fwd.items()}
-            self._rev = {a: tuple(s) for a, s in rev.items()}
         return self._fwd
 
     def _successors(self, atom: Atom) -> Set[Atom]:
@@ -195,23 +146,8 @@ class ConstraintSet:
             out.add(TOP)
         return out
 
-    def _predecessors(self, atom: Atom) -> Set[Atom]:
-        """Atoms one step below ``atom`` — the transpose of _successors."""
-        self._index()
-        assert self._rev is not None
-        out: Set[Atom] = set(self._rev.get(atom, ()))
-        if isinstance(atom, Mode):
-            out.update(self.lattice.down_set(atom))
-            if atom == TOP:
-                out.update(self.variables())
-        else:
-            out.add(BOTTOM)
-        return out
-
-    def _reachable(self, start: Atom) -> FrozenSet[Atom]:
-        cached = self._reach.get(start)
-        if cached is not None:
-            return cached
+    def _reachable(self, start: Atom) -> Set[Atom]:
+        """Everything ``start`` reaches under K ∪ D."""
         seen: Set[Atom] = {start}
         frontier = [start]
         while frontier:
@@ -220,28 +156,7 @@ class ConstraintSet:
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
-        result = frozenset(seen)
-        if ConstraintSet.MEMOIZE:
-            self._reach[start] = result
-        return result
-
-    def _reachable_back(self, start: Atom) -> FrozenSet[Atom]:
-        """Everything that reaches ``start`` under K ∪ D."""
-        cached = self._back.get(start)
-        if cached is not None:
-            return cached
-        seen: Set[Atom] = {start}
-        frontier = [start]
-        while frontier:
-            atom = frontier.pop()
-            for prev in self._predecessors(atom):
-                if prev not in seen:
-                    seen.add(prev)
-                    frontier.append(prev)
-        result = frozenset(seen)
-        if ConstraintSet.MEMOIZE:
-            self._back[start] = result
-        return result
+        return seen
 
     def entails_one(self, lhs: Atom, rhs: Atom) -> bool:
         """Does ``K ∪ D`` derive ``lhs <= rhs``?"""
@@ -254,22 +169,11 @@ class ConstraintSet:
         if isinstance(lhs, Mode) and isinstance(rhs, Mode):
             if self.lattice.leq(lhs, rhs):
                 return True
-        key = (lhs, rhs)
-        cached = self._entailed.get(key)
-        if cached is not None:
-            return cached
+        # lhs <= BOTTOM squeezes lhs to the bottom: below everything.
+        # TOP <= rhs (rhs squeezed to the top) needs no search of its
+        # own: every atom reaches TOP, so lhs reaches all TOP reaches.
         reach = self._reachable(lhs)
-        if rhs in reach:
-            answer = True
-        elif BOTTOM in reach:
-            # lhs <= BOTTOM squeezes lhs to the bottom: below everything.
-            answer = True
-        else:
-            # TOP <= rhs squeezes rhs to the top: above everything.
-            answer = rhs in self._reachable(TOP)
-        if ConstraintSet.MEMOIZE:
-            self._entailed[key] = answer
-        return answer
+        return rhs in reach or BOTTOM in reach
 
     def entails(self, other: "ConstraintSet") -> bool:
         """``K |= K'``: every constraint of ``other`` is derivable here."""
@@ -292,27 +196,6 @@ class ConstraintSet:
                 if isinstance(b, Mode) and not self.lattice.leq(a, b):
                     return False
         return True
-
-    def solve_range(self, var: str) -> Tuple[Mode, Mode]:
-        """The tightest constant interval ``[lo, hi]`` containing ``var``.
-
-        Used to check bounded snapshots statically and to report helpful
-        error messages.  Conservative: joins all constant lower bounds and
-        meets all constant upper bounds reachable through the constraint
-        graph.  Lower bounds come from one backward reachability pass —
-        the constants that reach ``var`` — rather than a forward search
-        from every constant in the set.
-        """
-        lo, hi = BOTTOM, TOP
-        meet = self.lattice.meet
-        join = self.lattice.join
-        for atom in self._reachable(var):
-            if isinstance(atom, Mode):
-                hi = meet(hi, atom)
-        for atom in self._reachable_back(var):
-            if isinstance(atom, Mode):
-                lo = join(lo, atom)
-        return lo, hi
 
     # ------------------------------------------------------------------
 

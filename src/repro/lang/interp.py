@@ -36,12 +36,11 @@ Hot-path engineering (all behaviour-transparent; see
 * variable reads branch on the typechecker's ``resolved_kind``
   annotation instead of re-discovering what a name means on every
   evaluation;
-* method and attributor lookup and an object's mode bindings come from
-  the class table's memos (:class:`~repro.lang.types.ClassTable`), the
-  same inheritance model the typechecker uses; the per-class field
-  template sits behind ``InterpOptions.inline_caches`` — a toggle whose
-  only purpose is letting the transparency test suite assert that
-  outputs, stats and exceptions are identical either way;
+* method and attributor lookup, an object's field list and its mode
+  bindings come from the class table's memos
+  (:class:`~repro.lang.types.ClassTable`), the same inheritance model
+  the typechecker uses, and which arguments stay un-eliminated mode
+  cases from the method's signature (``MethodInfo.wants``);
 * every dfall verdict and bound check is one probe of the mode
   lattice's precomputed upward closure (``ModeLattice.up``), in the
   kernel and in the inline passing-check probes alike;
@@ -122,11 +121,10 @@ class InterpOptions:
     baseline: bool = False
     lazy_copy: bool = True
     fuel: Optional[int] = None
-    #: Enable the run-time caches (flattened method tables, construction
-    #: templates, per-call-site inline caches).
-    #: Semantics are identical with the flag off; it exists so the
-    #: transparency tests can compare cached and uncached runs
-    #: bit-for-bit.
+    #: Enable the VM's and the JIT's per-call-site inline caches (the
+    #: walk engine keeps none).  Semantics are identical with the flag
+    #: off; it exists so the transparency tests can compare cached and
+    #: uncached runs bit-for-bit.
     inline_caches: bool = True
     #: Honour the ``elide_dfall`` / ``elide_bound`` annotations written
     #: by :mod:`repro.analysis` (the elision planner).  A no-op unless
@@ -306,18 +304,6 @@ class Interpreter:
         #: Mode constants by name — static lattice data, always on.
         self._mode_by_name: Dict[str, Mode] = {
             m.name: m for m in self.lattice.modes}
-        #: class name -> (field defaults,
-        #: ((name, init, wants_mcase, owner), …)).
-        self._field_templates: Dict[str, tuple] = {}
-        #: id(MethodInfo) -> per-parameter wants-mcase tuple (static
-        #: typed data, like ``_mode_by_name``; always on).
-        self._param_wants: Dict[int, tuple] = {}
-        #: Strong references backing the id()-keyed cache above:
-        #: a collected key's id can be reused by a different object,
-        #: which would alias cache entries.  Every key's object is
-        #: pinned on insert (zero cost on the hit path); the VM keeps
-        #: the same invariant for its own code caches.
-        self._cache_pins: List[object] = []
         #: Effective mode of the object a just-read mcase field belongs
         #: to; consumed by ``_eval`` for implicit elimination.
         self._elim_owner: Optional[Mode] = None
@@ -480,25 +466,6 @@ class Interpreter:
             return False
         return None
 
-    def _field_template(self, info: ClassInfo) -> tuple:
-        """Per-class field defaults and initializer list, computed once.
-        The defaults dict is copied into each new object (its values are
-        immutable primitives/None); the initializer tuple is read-only."""
-        entry = self._field_templates.get(info.name)
-        if entry is None:
-            defaults: Dict[str, object] = {}
-            inits = []
-            for finfo in self.table.all_fields(info.name):
-                defaults[finfo.name] = self._default_value(finfo.declared)
-                if finfo.decl is not None and finfo.decl.init is not None:
-                    inits.append((finfo.name, finfo.decl.init,
-                                  isinstance(finfo.declared,
-                                             ty.MCaseType),
-                                  finfo.owner))
-            entry = (defaults, tuple(inits))
-            self._field_templates[info.name] = entry
-        return entry
-
     def _construct(self, info: ClassInfo, atoms, arg_values: List[object],
                    frame: _Frame, span) -> ObjectV:
         args = tuple(param.concrete if param.concrete is not None
@@ -519,22 +486,15 @@ class Interpreter:
         init_frame = _Frame(this_obj=obj, mode_env=bindings[info.name],
                             current_mode=frame.current_mode)
         init_frame.push()
-        if self.options.inline_caches:
-            defaults, inits = self._field_template(info)
-            obj.fields.update(defaults)
-            for fname, init_expr, wants, owner in inits:
-                init_frame.mode_env = bindings[owner]
-                obj.fields[fname] = self._execute_expr(
-                    init_expr, init_frame, want_mcase=wants)
-        else:
-            for finfo in self.table.all_fields(info.name):
-                obj.fields[finfo.name] = self._default_value(finfo.declared)
-            for finfo in self.table.all_fields(info.name):
-                if finfo.decl is not None and finfo.decl.init is not None:
-                    wants = isinstance(finfo.declared, ty.MCaseType)
-                    init_frame.mode_env = bindings[finfo.owner]
-                    obj.fields[finfo.name] = self._execute_expr(
-                        finfo.decl.init, init_frame, want_mcase=wants)
+        fields = self.table.all_fields(info.name)
+        for finfo in fields:
+            obj.fields[finfo.name] = self._default_value(finfo.declared)
+        for finfo in fields:
+            if finfo.decl is not None and finfo.decl.init is not None:
+                wants = isinstance(finfo.declared, ty.MCaseType)
+                init_frame.mode_env = bindings[finfo.owner]
+                obj.fields[finfo.name] = self._execute_expr(
+                    finfo.decl.init, init_frame, want_mcase=wants)
         # Constructor body.
         ctor = info.decl.constructor if info.decl is not None else None
         if ctor is None:
@@ -613,8 +573,7 @@ class Interpreter:
         assert minfo.decl is not None
         try:
             value = self._call_body(minfo.decl.body, minfo.param_names,
-                                    body_frame, args,
-                                    self._wants_for(minfo))
+                                    body_frame, args, minfo.wants)
         finally:
             if traced:
                 self.tracer.mode_transition("closure", closure,
@@ -666,17 +625,6 @@ class Interpreter:
             return signal.value
         return _NO_RETURN
 
-    def _wants_for(self, minfo: MethodInfo) -> tuple:
-        """Per-parameter "is mcase-typed" tuple (mcase parameters
-        receive their arguments un-eliminated)."""
-        wants = self._param_wants.get(id(minfo))
-        if wants is None:
-            wants = tuple(isinstance(p, ty.MCaseType)
-                          for p in minfo.param_types)
-            self._param_wants[id(minfo)] = wants
-            self._cache_pins.append(minfo)
-        return wants
-
     def _check_dfall(self, guard: Optional[Mode],
                      sender: Optional[Mode], self_call: bool,
                      receiver: ObjectV, minfo: MethodInfo, span,
@@ -706,8 +654,7 @@ class Interpreter:
                             current_mode=BOTTOM)
         return self._run_attributor_body(minfo.decl.attributor, attr_frame,
                                          f"{minfo.owner}.{minfo.name}",
-                                         minfo.param_names, args,
-                                         self._wants_for(minfo))
+                                         minfo.param_names, args, minfo.wants)
 
     def _run_attributor_body(self, attributor: ast.AttributorDecl,
                              frame: _Frame, what: str,
@@ -1124,7 +1071,7 @@ class Interpreter:
                 raise StuckError(
                     f"no method {expr.name!r} on class "
                     f"{receiver.class_info.name}")
-            wants = self._wants_for(minfo)
+            wants = minfo.wants
             nwants = len(wants)
             args = []
             append = args.append

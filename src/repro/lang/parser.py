@@ -122,9 +122,10 @@ class Parser:
         pos = self._pos
         if self._kinds[pos] is not kind:
             where = f" in {context}" if context else ""
-            raise EntSyntaxError(
-                f"expected {kind.value!r}{where}, found "
-                f"{self._texts[pos]!r}", self._span(pos))
+            what = ("end of input" if self._kinds[pos] is TokenKind.EOF
+                    else repr(self._texts[pos]))
+            raise EntSyntaxError(f"expected {kind.value!r}{where}, found "
+                                 f"{what}", self._span(pos))
         if kind is not TokenKind.EOF:
             self._pos = pos + 1
         return pos
@@ -693,9 +694,10 @@ class Parser:
             expr = self._parse_expr()
             self._expect(TokenKind.RPAREN, "parenthesized expression")
             return expr
-        raise EntSyntaxError(
-            f"unexpected token {self._texts[pos]!r} in expression",
-            self._span(pos))
+        what = ("end of input" if kind is TokenKind.EOF
+                else f"token {self._texts[pos]!r}")
+        raise EntSyntaxError(f"unexpected {what} in expression",
+                             self._span(pos))
 
     def _parse_new(self) -> ast.Expr:
         start = self._expect(TokenKind.KW_NEW)

@@ -320,7 +320,9 @@ class TypeChecker:
                           param_types=param_types, param_names=param_names,
                           return_type=return_type, mode_param=mode_param,
                           has_attributor=mdecl.attributor is not None,
-                          decl=mdecl)
+                          decl=mdecl,
+                          wants=tuple(isinstance(p, ty.MCaseType)
+                                      for p in param_types))
 
     # ------------------------------------------------------------------
     # Type resolution
@@ -895,7 +897,6 @@ class TypeChecker:
                 f"{receiver_type.class_name}.{expr.name} expects "
                 f"{len(minfo.param_types)} argument(s), got "
                 f"{len(expr.args)}", expr.span)
-        mapping = dict(mapping)
         arg_types: List[Type] = []
         method_var = (minfo.mode_param.var
                       if minfo.mode_param is not None else None)

@@ -213,7 +213,8 @@ class MethodInfo:
     ``mode_param`` is the method-level mode characterization, if any
     (concrete override, generic variable, or dynamic with attributor).
     Types mention the owning class's mode variables and, for generic
-    methods, the method's own variable.
+    methods, the method's own variable.  ``wants`` flags each parameter
+    that is mode-case typed: its argument is passed un-eliminated.
     """
 
     name: str
@@ -224,6 +225,7 @@ class MethodInfo:
     mode_param: Optional[ModeParam] = None
     has_attributor: bool = False
     decl: Optional[ast.MethodDecl] = None
+    wants: Tuple[bool, ...] = ()
 
 
 @dataclass
@@ -281,12 +283,15 @@ class ClassTable:
     fields (``fields``) and the mode bindings each ancestor of an
     object sees (the ``c⟨ι⟩`` chain).
 
-    Lookup results are memoized: the table only ever grows (via
-    :meth:`add`, which drops every cache), classes are immutable once
-    registered, and the substituted types/mappings handed out are treated
-    as read-only by all callers, so a cached answer can be shared freely.
-    :meth:`method` and :meth:`all_fields` read resolved members, so they
-    answer only once the typechecker has resolved every signature.
+    The per-class answers (ancestry, flattened method table, attributor,
+    field list, bindings, supertype chain) are memoized: the table only
+    ever grows (via :meth:`add`, which drops every memo), classes are
+    immutable once registered, and the memoized answers are shared, so
+    callers treat them as read-only.  :meth:`lookup_field`,
+    :meth:`lookup_method` and :meth:`instantiate` substitute afresh on
+    every call and hand out new objects.  :meth:`method` and
+    :meth:`all_fields` read resolved members, so they answer only once
+    the typechecker has resolved every signature.
     """
 
     def __init__(self) -> None:
@@ -299,10 +304,6 @@ class ClassTable:
     def _reset_caches(self) -> None:
         self._ancestry_cache: Dict[str, Tuple[ClassInfo, ...]] = {}
         self._chain_cache: Dict[ObjectType, Tuple[ObjectType, ...]] = {}
-        self._method_cache: Dict[Tuple[ObjectType, str],
-                                 Tuple["MethodInfo", Dict[str, ModeAtom]]] = {}
-        self._field_cache: Dict[Tuple[ObjectType, str],
-                                Tuple["FieldInfo", "Type"]] = {}
         self._fields_list_cache: Dict[str, Tuple["FieldInfo", ...]] = {}
         self._methods_cache: Dict[str, Dict[str, MethodInfo]] = {}
         self._attributor_class_cache: Dict[str, Optional[ClassInfo]] = {}
@@ -310,8 +311,6 @@ class ClassTable:
                                    Bindings] = {}
         self._ancestor_names: Dict[str, FrozenSet[str]] = {}
         self._subclasses: Optional[Dict[str, List[ClassInfo]]] = None
-        self._inst_cache: Dict[Tuple[str, Tuple[ModeAtom, ...]],
-                               Dict[str, ModeAtom]] = {}
 
     def add(self, info: ClassInfo) -> None:
         if info.name in self._classes:
@@ -367,7 +366,7 @@ class ClassTable:
         ancestry = self.ancestry(name)
         steps = [(ancestry[0], args)]
         for info, super_info in zip(ancestry, ancestry[1:]):
-            mapping = self._param_mapping(info, args)
+            mapping = self.instantiate(info, args)
             super_args = tuple(_subst_atom(a, mapping)
                                for a in info.super_args)
             if not super_args:
@@ -389,8 +388,10 @@ class ClassTable:
             self._chain_cache[typ] = cached
         return cached
 
-    def _param_mapping(self, info: ClassInfo,
-                       args: Tuple[ModeAtom, ...]) -> Dict[str, ModeAtom]:
+    def instantiate(self, info: ClassInfo,
+                    args: Tuple[ModeAtom, ...]) -> Dict[str, ModeAtom]:
+        """The substitution mapping ``info``'s mode variables to
+        ``args`` (a new mapping on every call)."""
         if len(args) != len(info.params):
             raise EntTypeError(
                 f"class {info.name} expects {len(info.params)} mode "
@@ -400,20 +401,6 @@ class ClassTable:
             if param.var is not None:
                 mapping[param.var] = arg
         return mapping
-
-    def instantiate(self, info: ClassInfo,
-                    args: Tuple[ModeAtom, ...]) -> Dict[str, ModeAtom]:
-        """Public wrapper for parameter substitution maps.
-
-        The returned mapping is shared with the cache: treat it as
-        read-only (copy before mutating, as ``_check_user_call`` does).
-        """
-        key = (info.name, args)
-        cached = self._inst_cache.get(key)
-        if cached is None:
-            cached = self._param_mapping(info, args)
-            self._inst_cache[key] = cached
-        return cached
 
     def bindings(self, name: str,
                  args: Tuple[Optional[Mode], ...]) -> Bindings:
@@ -459,18 +446,12 @@ class ClassTable:
         """The paper's ``fields(T)``: find a field walking up the chain,
         returning its info and its declared type with this instantiation's
         mode arguments substituted in."""
-        key = (typ, name)
-        cached = self._field_cache.get(key)
-        if cached is not None:
-            return cached
         for step in self.supertype_chain(typ):
             info = self.get(step.class_name)
             if name in info.fields:
                 finfo = info.fields[name]
-                mapping = self._param_mapping(info, step.mode_args)
-                result = (finfo, finfo.declared.substitute(mapping))
-                self._field_cache[key] = result
-                return result
+                mapping = self.instantiate(info, step.mode_args)
+                return finfo, finfo.declared.substitute(mapping)
         raise EntTypeError(
             f"no field {name!r} in class {typ.class_name}")
 
@@ -478,22 +459,14 @@ class ClassTable:
                       name: str) -> Tuple[MethodInfo, Dict[str, ModeAtom]]:
         """The paper's ``mtype``: find a method walking up the chain.
 
-        Returns the method info together with the substitution mapping the
-        *owning* class's mode variables to this instantiation's atoms.
-        The mapping is shared with the cache: callers must copy before
-        mutating it.
+        Returns the method info together with a new substitution mapping
+        the *owning* class's mode variables to this instantiation's atoms.
         """
-        key = (typ, name)
-        cached = self._method_cache.get(key)
-        if cached is not None:
-            return cached
         for step in self.supertype_chain(typ):
             info = self.get(step.class_name)
             if name in info.methods:
-                mapping = self._param_mapping(info, step.mode_args)
-                result = (info.methods[name], mapping)
-                self._method_cache[key] = result
-                return result
+                return (info.methods[name],
+                        self.instantiate(info, step.mode_args))
         raise EntTypeError(
             f"no method {name!r} in class {typ.class_name}")
 

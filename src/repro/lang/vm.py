@@ -182,9 +182,7 @@ class VM:
         return self._run(code, code.template.copy(), frame)
 
     def code_for_method(self, minfo) -> VMCode:
-        interp = self.interp
-        return self._lower(minfo.decl.body, minfo.param_names,
-                           interp._wants_for(minfo))
+        return self._lower(minfo.decl.body, minfo.param_names, minfo.wants)
 
     # ------------------------------------------------------------------
     # Inline caches
@@ -198,7 +196,7 @@ class VM:
             raise StuckError(
                 f"no method {site.name!r} on class "
                 f"{receiver.class_info.name}")
-        wants = interp._wants_for(minfo)
+        wants = minfo.wants
         code = None
         if (self._fast_ok and minfo.mode_param is None
                 and minfo.decl is not None):

@@ -1,26 +1,25 @@
 """Cache-transparency tests for the hot-path caches.
 
-Every cache added for performance — the engines' inline caches
-(``InterpOptions.inline_caches``) and the constraint-set memo
-(``ConstraintSet.MEMOIZE``) — must be invisible to observable
-behaviour: outputs, every ``InterpStats`` counter, and raised
+The VM's and the JIT's call-site inline caches
+(``InterpOptions.inline_caches``) must be invisible to observable
+behaviour: outputs, every ``RunStats`` counter, and raised
 ``EnergyException``s are bit-identical with caches on and off, on every
-engine.  The embedded runtime's dfall checks keep no state between
-runs either.  See docs/PERFORMANCE.md.
+engine.  Constraint entailment keeps no memo; it must agree with a
+brute-force closure.  The embedded runtime's dfall checks keep no state
+between runs either.  See docs/PERFORMANCE.md.
 """
 
 import pathlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.constraints import ConstraintSet
 from repro.core.errors import EnergyException, FuelExhausted
-from repro.core.modes import Mode, ModeLattice
+from repro.core.modes import BOTTOM, TOP, Mode, ModeLattice
 from repro.lang.engines import ENGINES
-from repro.lang.interp import (Interpreter, InterpOptions, NullPlatform,
-                               run_source)
+from repro.lang.interp import Interpreter, InterpOptions, NullPlatform
 from repro.lang.typechecker import check_program
 from repro.runtime import EntRuntime
 
@@ -73,64 +72,70 @@ def test_random_programs_identical_with_and_without_caches(
 
 
 # ---------------------------------------------------------------------------
-# ConstraintSet.MEMOIZE
-
-
-def _without_memo():
-    class _Ctx:
-        def __enter__(self):
-            self._saved = ConstraintSet.MEMOIZE
-            ConstraintSet.MEMOIZE = False
-
-        def __exit__(self, *exc):
-            ConstraintSet.MEMOIZE = self._saved
-
-    return _Ctx()
+# Constraint entailment against a naive reference
 
 
 _atoms = st.sampled_from(["low", "mid", "high", "X", "Y", "Z"])
+_CHAIN = [BOTTOM, Mode("low"), Mode("mid"), Mode("high"), TOP]
+
+
+def _naive_entails(constraints, lhs, rhs):
+    """``K ∪ D`` derives ``lhs <= rhs``, by brute force: close the
+    explicit constraints, the declared chain ``D`` and ``⊥ <= x <= ⊤``
+    for every variable ``x`` reflexively and transitively, then look
+    for ``lhs <= rhs``, ``lhs <= ⊥`` or ``⊤ <= rhs``."""
+    variables = {a for pair in constraints for a in pair
+                 if isinstance(a, str)} | {
+                     a for a in (lhs, rhs) if isinstance(a, str)}
+    atoms = set(_CHAIN) | variables
+    closure = set(constraints) | set(zip(_CHAIN, _CHAIN[1:]))
+    closure |= {(BOTTOM, x) for x in variables}
+    closure |= {(x, TOP) for x in variables}
+    closure |= {(a, a) for a in atoms}
+    grown = True
+    while grown:
+        derived = {(a, d) for a, b in closure for c, d in closure
+                   if b == c}
+        grown = not derived <= closure
+        closure |= derived
+    return ((lhs, rhs) in closure or (lhs, BOTTOM) in closure
+            or (TOP, rhs) in closure)
+
+
+def _agrees_with_naive(pairs, query):
+    lattice = ModeLattice.linear(["low", "mid", "high"])
+    modes = {mode.name: mode for mode in _CHAIN}
+
+    def atom(name):
+        return modes.get(name, name)
+
+    constraints = [(atom(a), atom(b)) for a, b in pairs]
+    q = (atom(query[0]), atom(query[1]))
+    assert (ConstraintSet(lattice, constraints).entails_one(*q)
+            == _naive_entails(constraints, *q))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(_atoms, _atoms), max_size=6),
        st.tuples(_atoms, _atoms))
 def test_entailment_identical_without_memo(pairs, query):
-    lattice = ModeLattice.linear(["low", "mid", "high"])
-
-    def atom(name):
-        return Mode(name) if name in ("low", "mid", "high") else name
-
-    constraints = [(atom(a), atom(b)) for a, b in pairs]
-    q = (atom(query[0]), atom(query[1]))
-    memoized = ConstraintSet(lattice, constraints).entails_one(*q)
-    with _without_memo():
-        plain = ConstraintSet(lattice, constraints).entails_one(*q)
-    assert memoized == plain
+    """``entails_one`` answers as the brute-force closure does."""
+    _agrees_with_naive(pairs, query)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(_atoms, _atoms), max_size=6),
-       st.sampled_from(["X", "Y", "Z"]))
-def test_solve_range_identical_without_memo(pairs, var):
-    lattice = ModeLattice.linear(["low", "mid", "high"])
-
-    def atom(name):
-        return Mode(name) if name in ("low", "mid", "high") else name
-
-    constraints = [(atom(a), atom(b)) for a, b in pairs]
-    memoized = ConstraintSet(lattice, constraints).solve_range(var)
-    with _without_memo():
-        plain = ConstraintSet(lattice, constraints).solve_range(var)
-    assert memoized == plain
+_extreme_atoms = st.sampled_from(["low", "mid", "high", "X", "Y", "Z",
+                                  BOTTOM.name, TOP.name])
 
 
-def test_typechecking_and_run_identical_without_memo():
-    source = (ROOT / "examples" / "ent" / "coadapt.ent").read_text()
-    with_memo = run_source(source)
-    with _without_memo():
-        without = run_source(source)
-    assert with_memo.output == without.output
-    assert with_memo.stats.as_dict() == without.stats.as_dict()
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_extreme_atoms, _extreme_atoms), max_size=6),
+       st.tuples(_extreme_atoms, _extreme_atoms))
+# An atom squeezed below ⊥ is below a variable K never mentions.
+@example(pairs=[("low", BOTTOM.name)], query=("low", "X"))
+def test_entailment_through_bottom_and_top_matches_naive(pairs, query):
+    """With ``⊥`` and ``⊤`` in the constraints, entailment answers as
+    the closure does."""
+    _agrees_with_naive(pairs, query)
 
 
 # ---------------------------------------------------------------------------

@@ -102,19 +102,3 @@ class TestConsistency:
         # full_throttle <= X <= energy_saver is unsatisfiable.
         k = ConstraintSet(lattice, [(FT, "X"), ("X", ES)])
         assert not k.consistent()
-
-    def test_solve_range(self, lattice):
-        k = ConstraintSet(lattice, [(MG, "X"), ("X", FT)])
-        lo, hi = k.solve_range("X")
-        assert lo == MG
-        assert hi == FT
-
-    def test_solve_range_unconstrained(self, lattice):
-        k = ConstraintSet(lattice)
-        lo, hi = k.solve_range("X")
-        assert lo == BOTTOM and hi == TOP
-
-    def test_solve_range_through_chain(self, lattice):
-        k = ConstraintSet(lattice, [(MG, "X"), ("X", "Y"), ("Y", FT)])
-        lo, hi = k.solve_range("Y")
-        assert lo == MG and hi == FT

@@ -1,10 +1,9 @@
 """Regression tests for the latent engine bugs swept alongside the
 trace-JIT tier:
 
-* ``id()``-keyed code caches (``VM._codes``/``_expr_codes``, the
-  interpreter's ``_param_wants``) could alias after the garbage
-  collector reused an address — a dead AST node's code could run for
-  a brand-new node with the same ``id``.
+* ``id()``-keyed code caches (``VM._codes``/``_expr_codes``) could
+  alias after the garbage collector reused an address — a dead AST
+  node's code could run for a brand-new node with the same ``id``.
   The fix pins every cached key's node with a strong reference; these
   tests assert the pin invariant directly and hammer the build-run-drop
   cycle that used to recycle addresses.
@@ -86,15 +85,6 @@ def test_vm_code_caches_pin_their_keys(engine):
     assert vm._codes, "the run should have lowered at least one body"
     assert set(vm._codes.keys()) <= pinned
     assert {key[0] for key in vm._expr_codes.keys()} <= pinned
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_interpreter_caches_pin_their_keys(engine):
-    interp = _interp(_COUNTING, engine)
-    interp.run()
-    pinned = {id(obj) for obj in interp._cache_pins}
-    assert interp._param_wants, "the run should have sent a message"
-    assert set(interp._param_wants.keys()) <= pinned
 
 
 # ----------------------------------------------------------------------

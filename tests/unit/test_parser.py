@@ -276,6 +276,26 @@ class TestExpressions:
         assert parse_expression("2.5").value == 2.5
 
 
+class TestEndOfInput:
+    """An error at the end of the input says so, instead of quoting the
+    end-of-input token's empty text; other tokens stay quoted."""
+
+    @pytest.mark.parametrize("source,message", [
+        ("class Main { void main() { Sys.print(1); } ",
+         "expected 'IDENT' in type, found end of input"),
+        ("class Main { void main() { Sys.print(",
+         "unexpected end of input in expression"),
+        ("class Main { int f( }",
+         "expected 'IDENT' in type, found '}'"),
+        ("class Main { void main() { int x = ; } }",
+         "unexpected token ';' in expression"),
+    ])
+    def test_message(self, source, message):
+        with pytest.raises(EntSyntaxError) as exc_info:
+            parse_program(source)
+        assert str(exc_info.value).endswith(message)
+
+
 def nested(shape, depth):
     """A program whose ``main`` nests ``shape`` ``depth`` levels deep
     and prints 1 (for ``unary``, when ``depth`` is even).  The ``chain``
