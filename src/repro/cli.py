@@ -736,15 +736,15 @@ def _cmd_disasm(args) -> int:
         if cls.constructor is not None:
             ctor = cls.constructor
             chunks.append(render(vm._lower(
-                ctor.body, [p.name for p in ctor.params], ())))
+                ctor.body, [p.name for p in ctor.params])))
         if cls.attributor is not None:
-            chunks.append(render(vm._lower(cls.attributor.body, [], ())))
+            chunks.append(render(vm._lower(cls.attributor.body, [])))
         for method in cls.methods:
             minfo = info.methods[method.name]
             chunks.append(render(vm.code_for_method(minfo)))
             if method.attributor is not None:
                 chunks.append(render(vm._lower(
-                    method.attributor.body, minfo.param_names, minfo.wants)))
+                    method.attributor.body, minfo.param_names)))
     print("\n\n".join(chunks))
     return 0
 

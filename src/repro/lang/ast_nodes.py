@@ -94,6 +94,12 @@ class ModeParamNode:
 class Expr:
     span: Optional[SourceSpan] = field(default=None, kw_only=True)
 
+    # Set by the typechecker (T-ElimCase, implicit form) on a mode-case-
+    # typed expression used where a non-mcase is expected: every engine
+    # eliminates the node's value there, and nowhere else.  Class-level
+    # default for getattr-free hot-path reads, like ``Var.resolved_kind``.
+    implicit_elim = False
+
 
 @dataclass
 class IntLit(Expr):
@@ -283,11 +289,6 @@ class LocalVarDecl(Stmt):
 class Assign(Stmt):
     target: Expr = field(default_factory=Var)  # Var or FieldAccess
     value: Expr = field(default_factory=NullLit)
-
-    # Set by the typechecker when the target's declared type is an
-    # mcase type (the RHS must then evaluate un-eliminated); class-level
-    # default for getattr-free hot-path reads, like ``Var.resolved_kind``.
-    wants_mcase = False
 
 
 @dataclass

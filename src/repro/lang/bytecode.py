@@ -22,9 +22,12 @@ register file:
   check depth is not in the bytecode at all: under ``--checks
   transient`` the VM and JIT read ``Interpreter._transient`` and
   collapse residual checks to O(1) probes of the mode lattice's
-  precomputed upward closure (``ModeLattice.up``).  Field and
-  variable reads carry a mode-case operand (``MC_ELIM``, ``MC_RAW`` or
-  an owner-mode register) saying what they do with a mode-case value.
+  precomputed upward closure (``ModeLattice.up``).  Implicit
+  mode-case elimination happens exactly at the nodes the typechecker
+  marked ``implicit_elim``: a field or variable read carries it as its
+  mode-case operand (``MC_ELIM`` eliminates at the owner's mode,
+  ``MC_RAW`` keeps a mode case raw); a local read, a call result and
+  an ``mcase`` literal lower to ``MCASE_DISPATCH`` at the frame's mode.
 * **Superinstructions** — fused compare-and-branch (``JF_LT`` & co),
   ``INC`` for the canonical ``i = i + 1``, ``FIELD_ADD`` for
   ``this.f = this.f + x``, ``RET_FIELD`` for ``return this.f``, and
@@ -42,7 +45,7 @@ See ``docs/VM.md`` for the instruction-set reference and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.errors import SourceSpan, StuckError
 from repro.core.modes import BOTTOM, TOP, Mode
@@ -115,10 +118,8 @@ OP_PROFILE = 54        # (label,)  profiler bump (instrument() only)
 
 #: The mode-case operand of ``GETF_THIS``, ``GETF`` and ``VAR_DYN``:
 #: what the read does with an un-eliminated ``MCaseV``.  ``MC_ELIM``
-#: eliminates it at its owner's mode; ``MC_RAW`` keeps it raw (a
-#: mode-case-typed context); a register ``r >= 0`` keeps it raw and
-#: captures the owner's mode into ``r`` for the send that eliminates
-#: it (see :attr:`CallSite.arg_elims`).
+#: (the node is ``implicit_elim``) eliminates it at its owner's mode;
+#: ``MC_RAW`` keeps it raw.
 MC_ELIM = -1
 MC_RAW = None
 
@@ -195,15 +196,6 @@ _JF_MAP = {"<": OP_JF_LT, "<=": OP_JF_LE, ">": OP_JF_GT,
 _BINOP_MAP = {"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV,
               "%": OP_MOD, "<": OP_LT, "<=": OP_LE, ">": OP_GT,
               ">=": OP_GE, "==": OP_EQ, "!=": OP_NE}
-
-#: Node classes whose values can never be an un-eliminated MCaseV; their
-#: ``raw`` lowering equals
-#: the standard one and call arguments need no elimination descriptor.
-_NEVER_MCASE = frozenset({
-    ast.IntLit, ast.FloatLit, ast.StringLit, ast.BoolLit, ast.NullLit,
-    ast.This, ast.New, ast.Snapshot, ast.Binary, ast.Unary, ast.ListLit,
-    ast.InstanceOf,
-})
 
 
 class VMCode:
@@ -286,32 +278,20 @@ def loop_back_edges(instrs) -> Dict[int, int]:
 
 class CallSite:
     """Per-call-site metadata carried by ``CALL``: the argument
-    registers, their deferred mode-case elimination descriptors, the
-    planner's verdict on the send's dfall check (``elide_dfall``), and
-    the polymorphic inline cache (receiver class name -> ``(minfo,
-    wants, leaf code or None, transparent)``)."""
+    registers, the planner's verdict on the send's dfall check
+    (``elide_dfall``), and the polymorphic inline cache (receiver class
+    name -> ``(minfo, leaf code or None, transparent)``)."""
 
-    __slots__ = ("name", "span", "arg_regs", "arg_elims", "any_elim",
-                 "elide_dfall", "recv_is_this", "raw_result", "ic",
-                 "heat")
+    __slots__ = ("name", "span", "arg_regs", "elide_dfall",
+                 "recv_is_this", "ic", "heat")
 
-    def __init__(self, name, span, arg_regs, arg_elims, elide_dfall,
-                 recv_is_this, raw_result) -> None:
+    def __init__(self, name, span, arg_regs, elide_dfall,
+                 recv_is_this) -> None:
         self.name = name
         self.span = span
         self.arg_regs = arg_regs
-        #: Per-argument elimination descriptor: ``None`` — the value can
-        #: never be an mcase; ``-1`` — eliminate at the caller's current
-        #: mode; ``>= 0`` — a register holding the owner mode of the
-        #: field the value was read from, captured *at read time* (a
-        #: later argument may re-tag the owner before the send).
-        self.arg_elims = arg_elims
-        self.any_elim = any(e is not None for e in arg_elims)
         self.elide_dfall = elide_dfall
         self.recv_is_this = recv_is_this
-        #: True when the call sits in an mcase-wanting context: the
-        #: result is handed back un-eliminated.
-        self.raw_result = raw_result
         self.ic: Dict[str, tuple] = {}
         #: Sends through this site toward the JIT's per-call-site
         #: hotness threshold (engine="jit" only; see repro.lang.jit).
@@ -335,10 +315,6 @@ class _Lowering:
         self.names: Dict[str, int] = {}
         self._saved: List[Dict[str, int]] = []
         self.n_slots = 0
-        #: Slots that may hold an un-eliminated MCaseV (statically
-        #: mcase-typed locals and mcase-typed parameters).  Reads of any
-        #: other slot skip the elimination check entirely.
-        self.mcase_slots = set()
         #: Stack of (break-patch list, continue target, handler depth).
         self.loops: List[list] = []
         self.handler_depth = 0
@@ -435,14 +411,12 @@ class _Lowering:
             f"cannot lower statement {type(stmt).__name__}")
 
     def _stmt_local(self, stmt) -> None:
-        wants = isinstance(getattr(stmt, "resolved_type", None),
-                           ty.MCaseType)
         # A fresh slot, but the *name* binds only after the initializer
         # is lowered: ``int x = x;`` reads the outer x, exactly like the
         # typechecker (and the tree walk) scope it.
         slot = self.alloc()
         if stmt.init is not None:
-            reg = self.expr(stmt.init, raw=wants, dst=slot)
+            reg = self.expr(stmt.init, dst=slot)
             if reg != slot:
                 self.emit(OP_MOVE, slot, reg)
         else:
@@ -450,8 +424,6 @@ class _Lowering:
                 getattr(stmt, "resolved_type", ty.NULL))
             self.emit(OP_MOVE, slot, self.const(default))
         self.names[stmt.name] = slot
-        if wants:
-            self.mcase_slots.add(slot)
 
     def _stmt_assign(self, stmt) -> None:
         target = stmt.target
@@ -460,11 +432,10 @@ class _Lowering:
             name = target.name
             slot = self.names.get(name)
             if slot is not None:
-                if (not stmt.wants_mcase
-                        and slot not in self.mcase_slots
-                        and value.__class__ is ast.Binary
+                if (value.__class__ is ast.Binary
                         and value.op in ("+", "-")
                         and value.left.__class__ is ast.Var
+                        and not value.left.implicit_elim
                         and self.names.get(value.left.name) == slot
                         and value.right.__class__ in (ast.IntLit,
                                                       ast.FloatLit)):
@@ -472,7 +443,7 @@ class _Lowering:
                     delta = lit if value.op == "+" else -lit
                     self.emit(OP_INC, slot, delta, value.op, lit)
                     return
-                reg = self.expr(value, raw=stmt.wants_mcase, dst=slot)
+                reg = self.expr(value, dst=slot)
                 if reg != slot:
                     self.emit(OP_MOVE, slot, reg)
                 return
@@ -481,12 +452,12 @@ class _Lowering:
             if src is not None:
                 self.emit(OP_FIELD_ADD, name, src)
                 return
-            reg = self.expr(value, raw=stmt.wants_mcase)
+            reg = self.expr(value)
             self.emit(OP_SETF_THIS, name, reg)
             return
         assert target.__class__ is ast.FieldAccess
         # Value before receiver, matching the tree walk.
-        val = self.expr(value, raw=stmt.wants_mcase)
+        val = self.expr(value)
         obj = self.expr(target.obj)
         self.emit(OP_SETF, target.name, obj, val)
 
@@ -494,11 +465,11 @@ class _Lowering:
         """``this.f = this.f + operand`` with a pure operand fuses to
         ``FIELD_ADD``; returns the operand register, or None."""
         value = stmt.value
-        if (stmt.wants_mcase or value.__class__ is not ast.Binary
-                or value.op != "+"):
+        if value.__class__ is not ast.Binary or value.op != "+":
             return None
         left = value.left
         if (left.__class__ is not ast.Var or left.name != name
+                or left.implicit_elim
                 or self.names.get(name) is not None
                 or left.resolved_kind != "field"
                 or stmt.target.resolved_kind != "field"):
@@ -506,9 +477,9 @@ class _Lowering:
         right = value.right
         if right.__class__ in (ast.IntLit, ast.FloatLit):
             return self.const(right.value)
-        if right.__class__ is ast.Var:
+        if right.__class__ is ast.Var and not right.implicit_elim:
             slot = self.names.get(right.name)
-            if slot is not None and slot not in self.mcase_slots:
+            if slot is not None:
                 return slot
         return None
 
@@ -560,6 +531,7 @@ class _Lowering:
             self.emit(OP_RETURN_NONE)
             return
         if (expr.__class__ is ast.Var and expr.resolved_kind == "field"
+                and not expr.implicit_elim
                 and self.names.get(expr.name) is None):
             self.emit(OP_RET_FIELD, expr.name)
             return
@@ -662,13 +634,11 @@ class _Lowering:
 
     # -- expressions ---------------------------------------------------
 
-    def expr(self, expr, raw: bool = False,
-             dst: Optional[int] = None) -> int:
+    def expr(self, expr, dst: Optional[int] = None) -> int:
         """Lower ``expr``; returns the register holding its value.
-        ``raw`` suppresses the final mode-case elimination (mcase-typed
-        contexts); ``dst`` is a destination hint honoured by
-        instruction-producing nodes (slot/const operands are returned
-        as-is unless a MOVE is forced)."""
+        ``dst`` is a destination hint honoured by instruction-producing
+        nodes (slot/const operands are returned as-is unless a MOVE is
+        forced)."""
         cls = expr.__class__
         if cls is ast.IntLit or cls is ast.FloatLit \
                 or cls is ast.StringLit or cls is ast.BoolLit:
@@ -676,11 +646,11 @@ class _Lowering:
         if cls is ast.NullLit:
             return self._into(dst, self.const(None))
         if cls is ast.Var:
-            return self._expr_var(expr, raw, dst)
+            return self._expr_var(expr, dst)
         if cls is ast.Binary:
             return self._expr_binary(expr, dst)
         if cls is ast.MethodCall:
-            return self._expr_call(expr, raw, dst)
+            return self._expr_call(expr, dst)
         if cls is ast.This:
             dest = self.temp() if dst is None else dst
             self.emit(OP_LOAD_THIS, dest)
@@ -689,7 +659,7 @@ class _Lowering:
             obj = self.expr(expr.obj)
             dest = self.temp() if dst is None else dst
             self.emit(OP_GETF, dest, expr.name, obj,
-                      MC_RAW if raw else MC_ELIM)
+                      MC_ELIM if expr.implicit_elim else MC_RAW)
             return dest
         if cls is ast.New:
             return self._expr_new(expr, dst)
@@ -717,13 +687,11 @@ class _Lowering:
                 for b in expr.branches)
             built = self.temp()
             self.emit(OP_MCASE_BUILD, built, spec)
-            if raw:
+            if not expr.implicit_elim:
                 return self._into(dst, built)
-            dest = self.temp() if dst is None else dst
-            self.emit(OP_MCASE_DISPATCH, dest, built)
-            return dest
+            return self._dispatch(built, dst)
         if cls is ast.MSelect:
-            src = self.expr(expr.expr, raw=True)
+            src = self.expr(expr.expr)
             atom = getattr(expr, "resolved_mode", expr.mode_name)
             dest = self.temp() if dst is None else dst
             self.emit(OP_MSELECT, dest, src, atom)
@@ -752,20 +720,24 @@ class _Lowering:
         self.emit(OP_MOVE, dst, reg)
         return dst
 
-    def _expr_var(self, expr, raw, dst) -> int:
+    def _dispatch(self, src, dst) -> int:
+        """``MCASE_DISPATCH``: eliminate ``src`` at the frame's mode."""
+        dest = self.temp() if dst is None else dst
+        self.emit(OP_MCASE_DISPATCH, dest, src)
+        return dest
+
+    def _expr_var(self, expr, dst) -> int:
         name = expr.name
         slot = self.names.get(name)
         if slot is not None:
-            if raw or slot not in self.mcase_slots:
-                return self._into(dst, slot)
-            dest = self.temp() if dst is None else dst
-            self.emit(OP_MCASE_DISPATCH, dest, slot)
-            return dest
+            if expr.implicit_elim:
+                return self._dispatch(slot, dst)
+            return self._into(dst, slot)
+        mcase = MC_ELIM if expr.implicit_elim else MC_RAW
         kind = expr.resolved_kind
         if kind == "field":
             dest = self.temp() if dst is None else dst
-            self.emit(OP_GETF_THIS, dest, name,
-                      MC_RAW if raw else MC_ELIM)
+            self.emit(OP_GETF_THIS, dest, name, mcase)
             return dest
         if kind == "mode":
             mode = self.interp._mode_by_name.get(name)
@@ -776,7 +748,7 @@ class _Lowering:
             self.emit(OP_LOAD_NATIVE, dest, name)
             return dest
         dest = self.temp() if dst is None else dst
-        self.emit(OP_VAR_DYN, dest, name, MC_RAW if raw else MC_ELIM)
+        self.emit(OP_VAR_DYN, dest, name, mcase)
         return dest
 
     def _expr_binary(self, expr, dst) -> int:
@@ -818,7 +790,7 @@ class _Lowering:
                   arg_regs)
         return dest
 
-    def _expr_call(self, expr, raw, dst) -> int:
+    def _expr_call(self, expr, dst) -> int:
         receiver = expr.receiver
         # Statically-known native receiver (``Sys.print`` & co, not
         # shadowed by a local): skip the generic send machinery.
@@ -836,81 +808,32 @@ class _Lowering:
         else:
             recv_reg = self.expr(receiver)
             recv_is_this = False
-        pairs = [self._arg(a) for a in expr.args]
         site = CallSite(expr.name, expr.span,
-                        tuple(p[0] for p in pairs),
-                        tuple(p[1] for p in pairs),
-                        expr.elide_dfall, recv_is_this, raw)
-        dest = self.temp() if dst is None else dst
-        self.emit(OP_CALL, dest, site, recv_reg)
-        return dest
-
-    def _arg(self, expr) -> Tuple[int, Optional[int]]:
-        """Lower a call argument *raw* plus its deferred-elimination
-        descriptor (see :attr:`CallSite.arg_elims`).  Whether the value
-        is eliminated depends on the resolved method's parameter type,
-        which is only known at the send."""
-        cls = expr.__class__
-        if cls in _NEVER_MCASE:
-            return self.expr(expr), None
-        if cls is ast.Var:
-            name = expr.name
-            slot = self.names.get(name)
-            if slot is not None:
-                if slot in self.mcase_slots:
-                    return slot, -1
-                return slot, None
-            kind = expr.resolved_kind
-            if kind == "field":
-                dest = self.temp()
-                owner = self.temp()
-                self.emit(OP_GETF_THIS, dest, name, owner)
-                return dest, owner
-            if kind == "mode":
-                mode = self.interp._mode_by_name.get(name)
-                if mode is not None:
-                    return self.const(mode), None
-            elif kind == "native":
-                dest = self.temp()
-                self.emit(OP_LOAD_NATIVE, dest, name)
-                return dest, None
-            dest = self.temp()
-            owner = self.temp()
-            self.emit(OP_VAR_DYN, dest, name, owner)
-            return dest, owner
-        if cls is ast.FieldAccess:
-            obj = self.expr(expr.obj)
-            dest = self.temp()
-            owner = self.temp()
-            self.emit(OP_GETF, dest, expr.name, obj, owner)
-            return dest, owner
-        if cls is ast.MSelect:
-            # mselect results are already eliminated.
-            return self.expr(expr), None
-        # MethodCall / MCaseExpr / Cast: raw value, eliminate (when the
-        # parameter is not mcase-typed) at the caller's current mode.
-        return self.expr(expr, raw=True), -1
+                        tuple(self.expr(a) for a in expr.args),
+                        expr.elide_dfall, recv_is_this)
+        if not expr.implicit_elim:
+            dest = self.temp() if dst is None else dst
+            self.emit(OP_CALL, dest, site, recv_reg)
+            return dest
+        result = self.temp()
+        self.emit(OP_CALL, result, site, recv_reg)
+        return self._dispatch(result, dst)
 
 
-def lower_body(interp, block, param_names, wants=(),
+def lower_body(interp, block, param_names,
                name: Optional[str] = None) -> VMCode:
-    """Lower a method/constructor/attributor body.  ``wants`` marks the
-    mcase-typed parameters (their slots may hold raw MCaseV values)."""
+    """Lower a method/constructor/attributor body."""
     lowering = _Lowering(interp)
-    for index, pname in enumerate(param_names):
-        slot = lowering.alloc()
-        lowering.names[pname] = slot
-        if index < len(wants) and wants[index]:
-            lowering.mcase_slots.add(slot)
+    for pname in param_names:
+        lowering.names[pname] = lowering.alloc()
     lowering.stmt(block)
     return lowering.finish(len(param_names), name, param_names)
 
 
-def lower_expr(interp, expr, want_mcase: bool = False,
-               name: Optional[str] = None) -> VMCode:
+def lower_expr(interp, expr, name: Optional[str] = None) -> VMCode:
     """Lower a standalone expression (field initializers)."""
     lowering = _Lowering(interp)
-    reg = lowering.expr(expr, raw=want_mcase)
+    reg = lowering.expr(expr)
     lowering.emit(OP_RETURN, reg)
     return lowering.finish(0, name, ())
 
@@ -997,17 +920,13 @@ def _split_operands(inst):
 
 def _operand_slots(value, out) -> None:
     """Add the frame slots ``value`` names to ``out``; the same walk
-    as :func:`_render_operand`, plus each call site's elimination
-    descriptors (owner-mode registers the send reads)."""
+    as :func:`_render_operand`."""
     if value.__class__ is int:
         if value >= 0:
             out.add(value)
     elif isinstance(value, CallSite):
         for reg in value.arg_regs:
             _operand_slots(reg, out)
-        for reg in value.arg_elims:
-            if reg is not None:
-                _operand_slots(reg, out)
     elif isinstance(value, tuple):
         for item in value:
             _operand_slots(item, out)
@@ -1019,11 +938,9 @@ def named_slots(instrs) -> List[int]:
     at its exit."""
     out = set()
     for inst in instrs:
-        _target, operands, _literals, policy = _split_operands(inst)
+        _target, operands, _literals, _policy = _split_operands(inst)
         for value in operands:
             _operand_slots(value, out)
-        # A read's owner-mode register (the other policies name none).
-        _operand_slots(policy, out)
     return sorted(out)
 
 
@@ -1048,12 +965,10 @@ def _render_operand(code: VMCode, value) -> str:
 
 def _render_policy(op, value) -> str:
     """A policy operand: ``elide`` or ``check`` for a snapshot; for a
-    read, ``elim``, ``raw`` or ``owner=rN``."""
+    read, ``elim`` or ``raw``."""
     if op == OP_SNAPSHOT:
         return "elide" if value else "check"
-    if value is MC_RAW:
-        return "raw"
-    return "elim" if value == MC_ELIM else f"owner=r{value}"
+    return "raw" if value is MC_RAW else "elim"
 
 
 def _render_new(code: VMCode, meta) -> str:

@@ -39,15 +39,16 @@ Hot-path engineering (all behaviour-transparent; see
 * method and attributor lookup, an object's field list and its mode
   bindings come from the class table's memos
   (:class:`~repro.lang.types.ClassTable`), the same inheritance model
-  the typechecker uses, and which arguments stay un-eliminated mode
-  cases from the method's signature (``MethodInfo.wants``);
+  the typechecker uses;
 * every dfall verdict and bound check is one probe of the mode
   lattice's precomputed upward closure (``ModeLattice.up``), in the
   kernel and in the inline passing-check probes alike;
-* mode-case elimination threads the owning object's mode through the
-  interpreter (``_elim_owner``) instead of stashing it on the shared
-  AST node, so concurrent interpreters over one ``CheckedProgram``
-  cannot interfere and re-entrant runs stay deterministic.
+* implicit mode-case elimination is the typechecker's decision
+  (``implicit_elim``): only the handlers of the node kinds that can be
+  mode-case typed (variable and field reads, calls, ``mcase``
+  literals) test for it, each at the mode it already holds — a field
+  read at its owner's, anything else at the frame's — so no other
+  node pays a mode-case test.
 """
 
 from __future__ import annotations
@@ -304,9 +305,6 @@ class Interpreter:
         #: Mode constants by name — static lattice data, always on.
         self._mode_by_name: Dict[str, Mode] = {
             m.name: m for m in self.lattice.modes}
-        #: Effective mode of the object a just-read mcase field belongs
-        #: to; consumed by ``_eval`` for implicit elimination.
-        self._elim_owner: Optional[Mode] = None
         #: Divergence bound and engine selection, fixed at construction
         #: (one attribute load instead of two on the per-node paths).
         self._fuel = self.options.fuel
@@ -491,10 +489,9 @@ class Interpreter:
             obj.fields[finfo.name] = self._default_value(finfo.declared)
         for finfo in fields:
             if finfo.decl is not None and finfo.decl.init is not None:
-                wants = isinstance(finfo.declared, ty.MCaseType)
                 init_frame.mode_env = bindings[finfo.owner]
                 obj.fields[finfo.name] = self._execute_expr(
-                    finfo.decl.init, init_frame, want_mcase=wants)
+                    finfo.decl.init, init_frame)
         # Constructor body.
         ctor = info.decl.constructor if info.decl is not None else None
         if ctor is None:
@@ -573,7 +570,7 @@ class Interpreter:
         assert minfo.decl is not None
         try:
             value = self._call_body(minfo.decl.body, minfo.param_names,
-                                    body_frame, args, minfo.wants)
+                                    body_frame, args)
         finally:
             if traced:
                 self.tracer.mode_transition("closure", closure,
@@ -609,7 +606,7 @@ class Interpreter:
     # Body execution (engine indirection)
 
     def _call_body_walk(self, block: ast.Block, param_names, frame,
-                        args, wants=()) -> object:
+                        args) -> object:
         """Tree-walk a body; returns the returned value or
         ``_NO_RETURN`` when the body falls off the end."""
         if len(args) != len(param_names):
@@ -654,13 +651,12 @@ class Interpreter:
                             current_mode=BOTTOM)
         return self._run_attributor_body(minfo.decl.attributor, attr_frame,
                                          f"{minfo.owner}.{minfo.name}",
-                                         minfo.param_names, args, minfo.wants)
+                                         minfo.param_names, args)
 
     def _run_attributor_body(self, attributor: ast.AttributorDecl,
                              frame: _Frame, what: str,
-                             param_names=(), args=(), wants=()) -> Mode:
-        value = self._call_body(attributor.body, param_names, frame,
-                                args, wants)
+                             param_names=(), args=()) -> Mode:
+        value = self._call_body(attributor.body, param_names, frame, args)
         if value is _NO_RETURN:
             raise EntRuntimeError(
                 f"attributor of {what} did not return a mode")
@@ -693,14 +689,12 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Statements
 
-    def _execute_expr(self, expr: ast.Expr, frame: _Frame,
-                      want_mcase: bool = False) -> object:
+    def _execute_expr(self, expr: ast.Expr, frame: _Frame) -> object:
         """Field-initializer entry point (the VM lowers it lazily per
         expr; the walk evaluates it)."""
         if self._vm is not None:
-            return self._vm.execute_expr(expr, frame,
-                                         want_mcase=want_mcase)
-        return self._eval(expr, frame, want_mcase=want_mcase)
+            return self._vm.execute_expr(expr, frame)
+        return self._eval(expr, frame)
 
     def _exec_block(self, block: ast.Block, frame: _Frame) -> None:
         scopes = frame.locals
@@ -743,9 +737,7 @@ class Interpreter:
         self._exec_block(stmt, frame)
 
     def _stmt_local(self, stmt: ast.LocalVarDecl, frame: _Frame) -> None:
-        wants = isinstance(getattr(stmt, "resolved_type", None),
-                           ty.MCaseType)
-        value = (self._eval(stmt.init, frame, want_mcase=wants)
+        value = (self._eval(stmt.init, frame)
                  if stmt.init is not None
                  else self._default_value(
                      getattr(stmt, "resolved_type", ty.NULL)))
@@ -775,7 +767,7 @@ class Interpreter:
                 raise FuelExhausted(
                     f"evaluation exceeded {fuel} steps (divergence bound)")
             if cond_is_binary:
-                value = self._eval_binary(cond, frame, False)
+                value = self._eval_binary(cond, frame)
             else:
                 value = self._eval_leaf(cond, frame)
             if value is False:
@@ -833,13 +825,10 @@ class Interpreter:
         raise StuckError(f"condition is not a boolean: {value!r}")
 
     def _exec_assign(self, stmt: ast.Assign, frame: _Frame) -> None:
-        if stmt.wants_mcase:
-            value = self._eval(stmt.value, frame, want_mcase=True)
-        else:
-            node = stmt.value
-            value = (self._eval_binary(node, frame, False)
-                     if node.__class__ is ast.Binary
-                     else self._eval_leaf(node, frame))
+        node = stmt.value
+        value = (self._eval_binary(node, frame)
+                 if node.__class__ is ast.Binary
+                 else self._eval_leaf(node, frame))
         target = stmt.target
         if isinstance(target, ast.Var):
             name = target.name
@@ -887,8 +876,7 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Expressions
 
-    def _eval(self, expr: ast.Expr, frame: _Frame,
-              want_mcase: bool = False) -> object:
+    def _eval(self, expr: ast.Expr, frame: _Frame) -> object:
         stats = self.stats
         stats.steps += 1
         fuel = self._fuel
@@ -896,32 +884,22 @@ class Interpreter:
             raise FuelExhausted(
                 f"evaluation exceeded {fuel} steps (divergence bound)")
         # The hottest node kinds are tested directly before falling back
-        # to the dispatch table; literals can never be mode cases.
+        # to the dispatch table.
         cls = expr.__class__
         if cls is ast.Var:
-            value = self._eval_var(expr, frame, want_mcase)
-        elif cls is ast.IntLit:
+            return self._eval_var(expr, frame)
+        if cls is ast.IntLit:
             return expr.value
-        elif cls is ast.Binary:
-            value = self._eval_binary(expr, frame, want_mcase)
-        elif cls is ast.MethodCall:
-            value = self._eval_call(expr, frame, want_mcase)
-        else:
-            try:
-                handler = _EVAL_DISPATCH[cls]
-            except KeyError:  # pragma: no cover
-                raise StuckError(
-                    f"unknown expression {type(expr).__name__}") from None
-            value = handler(self, expr, frame, want_mcase)
-        if value.__class__ is MCaseV:
-            owner = self._elim_owner
-            if owner is not None:
-                self._elim_owner = None
-            if not want_mcase:
-                return eliminate(
-                    self, "interp", value,
-                    owner if owner is not None else frame.current_mode)
-        return value
+        if cls is ast.Binary:
+            return self._eval_binary(expr, frame)
+        if cls is ast.MethodCall:
+            return self._eval_call(expr, frame)
+        try:
+            handler = _EVAL_DISPATCH[cls]
+        except KeyError:  # pragma: no cover
+            raise StuckError(
+                f"unknown expression {type(expr).__name__}") from None
+        return handler(self, expr, frame)
 
     def _eval_leaf(self, expr: ast.Expr, frame: _Frame) -> object:
         """Operand fast path: literals and resolved variable reads skip
@@ -932,48 +910,39 @@ class Interpreter:
         if cls is ast.IntLit:
             return expr.value
         if cls is ast.Binary:
-            # Binary never evaluates to an mcase (operands eliminate).
-            return self._eval_binary(expr, frame, False)
+            return self._eval_binary(expr, frame)
         if cls is ast.Var:
             name = expr.name
             kind = expr.resolved_kind
             if kind == "local":
                 for scope in reversed(frame.locals):
                     if name in scope:
-                        return scope[name]
+                        value = scope[name]
+                        if value.__class__ is MCaseV and expr.implicit_elim:
+                            return eliminate(self, "interp", value,
+                                             frame.current_mode)
+                        return value
             elif kind == "field":
                 this_obj = frame.this_obj
                 if this_obj is not None:
                     fields = this_obj.fields
                     if name in fields:
                         value = fields[name]
-                        if value.__class__ is MCaseV:
-                            owner = this_obj.effective_mode
-                            return eliminate(
-                                self, "interp", value,
-                                owner if owner is not None
-                                else frame.current_mode)
+                        if value.__class__ is MCaseV and expr.implicit_elim:
+                            return self._eliminate_field(value, this_obj,
+                                                         frame)
                         return value
-            value = self._eval_var(expr, frame, False)
-            if value.__class__ is MCaseV:
-                owner = self._elim_owner
-                if owner is not None:
-                    self._elim_owner = None
-                return eliminate(
-                    self, "interp", value,
-                    owner if owner is not None else frame.current_mode)
-            return value
+            return self._eval_var(expr, frame)
         return self._eval(expr, frame)
 
     # ------------------------------------------------------------------
     # Profiled walk dispatch (installed by ``_install_profiling``; the
     # class methods above stay untouched so unprofiled runs pay nothing)
 
-    def _eval_profiled(self, expr: ast.Expr, frame: _Frame,
-                       want_mcase: bool = False) -> object:
+    def _eval_profiled(self, expr: ast.Expr, frame: _Frame) -> object:
         self.profiler.bump(_NODE_LABELS[expr.__class__],
                            frame.current_mode)
-        return Interpreter._eval(self, expr, frame, want_mcase)
+        return Interpreter._eval(self, expr, frame)
 
     def _eval_leaf_profiled(self, expr: ast.Expr,
                             frame: _Frame) -> object:
@@ -991,31 +960,35 @@ class Interpreter:
                            frame.current_mode)
         return Interpreter._exec_stmt(self, stmt, frame)
 
-    def _eval_literal(self, expr, frame: _Frame, want_mcase) -> object:
+    def _eval_literal(self, expr, frame: _Frame) -> object:
         return expr.value
 
-    def _eval_null(self, expr, frame: _Frame, want_mcase) -> object:
+    def _eval_null(self, expr, frame: _Frame) -> object:
         return None
 
-    def _eval_this(self, expr, frame: _Frame, want_mcase) -> object:
+    def _eval_this(self, expr, frame: _Frame) -> object:
         return frame.this_obj
 
-    def _eval_var(self, expr: ast.Var, frame: _Frame,
-                  want_mcase) -> object:
+    def _eval_var(self, expr: ast.Var, frame: _Frame) -> object:
         name = expr.name
         kind = expr.resolved_kind
         if kind == "local":
             for scope in reversed(frame.locals):
                 if name in scope:
-                    return scope[name]
+                    value = scope[name]
+                    if value.__class__ is MCaseV and expr.implicit_elim:
+                        return eliminate(self, "interp", value,
+                                         frame.current_mode)
+                    return value
         elif kind == "field":
             this_obj = frame.this_obj
             if this_obj is not None:
                 fields = this_obj.fields
                 if name in fields:
                     value = fields[name]
-                    if value.__class__ is MCaseV:
-                        self._elim_owner = this_obj.effective_mode
+                    if value.__class__ is MCaseV and expr.implicit_elim:
+                        return self._eliminate_field(value, this_obj,
+                                                     frame)
                     return value
         elif kind == "mode":
             mode = self._mode_by_name.get(name)
@@ -1023,19 +996,31 @@ class Interpreter:
                 return mode
         elif kind == "native":
             return NativeRef(name)
-        return self._eval_var_generic(name, frame)
+        return self._eval_var_generic(expr, frame)
 
-    def _eval_var_generic(self, name: str, frame: _Frame) -> object:
+    def _eliminate_field(self, value: MCaseV, obj: ObjectV,
+                         frame: _Frame) -> object:
+        """Implicit elimination of a field read: on the mode of the
+        object that *encloses* the field (the frame's when it has
+        none)."""
+        owner = obj.effective_mode
+        return eliminate(self, "interp", value,
+                         owner if owner is not None else frame.current_mode)
+
+    def _eval_var_generic(self, expr: ast.Var, frame: _Frame) -> object:
         """Dynamic resolution order: locals, this-fields, mode constants,
         native classes.  Fallback for un-annotated ASTs."""
+        name = expr.name
         found, value = frame.lookup(name)
         if found:
+            if value.__class__ is MCaseV and expr.implicit_elim:
+                return eliminate(self, "interp", value, frame.current_mode)
             return value
         this_obj = frame.this_obj
         if this_obj is not None and name in this_obj.fields:
             value = this_obj.fields[name]
-            if isinstance(value, MCaseV):
-                self._elim_owner = this_obj.effective_mode
+            if value.__class__ is MCaseV and expr.implicit_elim:
+                return self._eliminate_field(value, this_obj, frame)
             return value
         mode = self._mode_by_name.get(name)
         if mode is not None:
@@ -1045,19 +1030,16 @@ class Interpreter:
         raise StuckError(f"unknown variable {name!r}")
 
     def _eval_field_access(self, expr: ast.FieldAccess,
-                           frame: _Frame, want_mcase) -> object:
+                           frame: _Frame) -> object:
         obj = self._eval(expr.obj, frame)
         if isinstance(obj, ObjectV):
             value = obj.get_field(expr.name)
-            if isinstance(value, MCaseV):
-                # Elimination projects on the mode of the object that
-                # *encloses* the field.
-                self._elim_owner = obj.effective_mode
+            if value.__class__ is MCaseV and expr.implicit_elim:
+                return self._eliminate_field(value, obj, frame)
             return value
         raise StuckError(f"cannot access field {expr.name!r} of {obj!r}")
 
-    def _eval_call(self, expr: ast.MethodCall, frame: _Frame,
-                   want_mcase) -> object:
+    def _eval_call(self, expr: ast.MethodCall, frame: _Frame) -> object:
         if expr.receiver is None:
             receiver: object = frame.this_obj
             self_call = True
@@ -1071,29 +1053,25 @@ class Interpreter:
                 raise StuckError(
                     f"no method {expr.name!r} on class "
                     f"{receiver.class_info.name}")
-            wants = minfo.wants
-            nwants = len(wants)
+            # Every argument evaluates — including over-application
+            # extras beyond the parameter list — so the arity blame in
+            # ``_invoke`` lands on identical stats across engines.
             args = []
             append = args.append
-            # Every argument evaluates — including over-application
-            # extras beyond the parameter list (eliminated, like any
-            # non-mcase-wanting position) — so the arity blame in
-            # ``_invoke`` lands on identical stats across engines.
-            for i, arg_expr in enumerate(expr.args):
-                if arg_expr.__class__ is ast.Binary:
-                    append(self._eval_binary(arg_expr, frame, False))
-                elif i < nwants and wants[i]:
-                    append(self._eval(arg_expr, frame, True))
-                else:
-                    append(self._eval_leaf(arg_expr, frame))
-            return self._invoke(receiver, minfo, args, frame,
-                                self_call=self_call, span=expr.span,
-                                elide_dfall=expr.elide_dfall)
+            for arg in expr.args:
+                append(self._eval_binary(arg, frame)
+                       if arg.__class__ is ast.Binary
+                       else self._eval_leaf(arg, frame))
+            value = self._invoke(receiver, minfo, args, frame,
+                                 self_call=self_call, span=expr.span,
+                                 elide_dfall=expr.elide_dfall)
+            if value.__class__ is MCaseV and expr.implicit_elim:
+                return eliminate(self, "interp", value, frame.current_mode)
+            return value
         args = [self._eval(a, frame) for a in expr.args]
         return call_non_object(self, receiver, expr.name, args)
 
-    def _eval_new(self, expr: ast.New, frame: _Frame,
-                  want_mcase) -> object:
+    def _eval_new(self, expr: ast.New, frame: _Frame) -> object:
         resolved = getattr(expr, "resolved_type", None)
         if resolved == ty.LIST:
             return []
@@ -1106,8 +1084,7 @@ class Interpreter:
         return self._construct(info, resolved.mode_args, arg_values, frame,
                                expr.span)
 
-    def _eval_cast(self, expr: ast.Cast, frame: _Frame,
-                   want_mcase) -> object:
+    def _eval_cast(self, expr: ast.Cast, frame: _Frame) -> object:
         value = self._eval(expr.expr, frame)
         target = getattr(expr, "resolved_target", None)
         if target is None:
@@ -1170,8 +1147,7 @@ class Interpreter:
                 f"{target_mode.name}")
         return value
 
-    def _eval_snapshot(self, expr: ast.Snapshot, frame: _Frame,
-                       want_mcase) -> object:
+    def _eval_snapshot(self, expr: ast.Snapshot, frame: _Frame) -> object:
         value = self._eval(expr.expr, frame)
         bounds = getattr(expr, "resolved_bounds", (BOTTOM, TOP))
         return self._snapshot_value(value, bounds, frame,
@@ -1214,8 +1190,7 @@ class Interpreter:
             value.retag(mode, self.table)
         return value
 
-    def _eval_mcase(self, expr: ast.MCaseExpr, frame: _Frame,
-                    want_mcase) -> MCaseV:
+    def _eval_mcase(self, expr: ast.MCaseExpr, frame: _Frame) -> object:
         branches: Dict[Mode, object] = {}
         default = NO_DEFAULT
         for branch in expr.branches:
@@ -1224,11 +1199,13 @@ class Interpreter:
                 default = value
             else:
                 branches[Mode(branch.mode_name)] = value
-        return MCaseV(branches, default)
+        value = MCaseV(branches, default)
+        if expr.implicit_elim:
+            return eliminate(self, "interp", value, frame.current_mode)
+        return value
 
-    def _eval_mselect(self, expr: ast.MSelect, frame: _Frame,
-                      want_mcase) -> object:
-        value = self._eval(expr.expr, frame, want_mcase=True)
+    def _eval_mselect(self, expr: ast.MSelect, frame: _Frame) -> object:
+        value = self._eval(expr.expr, frame)
         atom = getattr(expr, "resolved_mode", expr.mode_name)
         return self._mselect_value(value, atom, frame)
 
@@ -1241,8 +1218,7 @@ class Interpreter:
         return eliminate(self, "interp", value,
                          self._resolve_atom(atom, frame))
 
-    def _eval_binary(self, expr: ast.Binary, frame: _Frame,
-                     want_mcase) -> object:
+    def _eval_binary(self, expr: ast.Binary, frame: _Frame) -> object:
         op = expr.op
         # Arithmetic/comparison dominates, so probe the operator table
         # first; the numeric type checks exclude bool, and everything
@@ -1308,8 +1284,7 @@ class Interpreter:
         return isinstance(value, (int, float)) and not isinstance(value,
                                                                   bool)
 
-    def _eval_unary(self, expr: ast.Unary, frame: _Frame,
-                    want_mcase) -> object:
+    def _eval_unary(self, expr: ast.Unary, frame: _Frame) -> object:
         value = self._eval(expr.expr, frame)
         if expr.op == "-":
             if self._is_number(value):
@@ -1319,12 +1294,11 @@ class Interpreter:
             return not self._truth(value)
         raise StuckError(f"unknown unary {expr.op!r}")  # pragma: no cover
 
-    def _eval_listlit(self, expr: ast.ListLit, frame: _Frame,
-                      want_mcase) -> object:
+    def _eval_listlit(self, expr: ast.ListLit, frame: _Frame) -> object:
         return [self._eval(e, frame) for e in expr.elements]
 
     def _eval_instanceof(self, expr: ast.InstanceOf,
-                         frame: _Frame, want_mcase) -> bool:
+                         frame: _Frame) -> bool:
         value = self._eval(expr.expr, frame)
         if value is None:
             return False

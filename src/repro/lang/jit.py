@@ -24,7 +24,9 @@ emitted code:
   ``SNAPSHOT`` keeps its helper call, except that under ``--checks
   transient`` (``Interpreter._transient``) a residual one with concrete
   bounds first emits the inlined tag-vs-bounds probe.  A read's
-  mode-case operand picks its elimination code.
+  mode-case operand picks its elimination code: only an ``MC_ELIM``
+  read tests for a mode case, and a send tests neither its arguments
+  nor its result (the typechecker placed every elimination).
 * **Deopt guards**: when a specialization assumption breaks (the
   receiver's class changed under a hot site), the emitted code falls
   back to :meth:`VM._site_send` — the generic send with the dispatch
@@ -86,7 +88,7 @@ from repro.lang.bytecode import (
     OP_MSELECT, OP_MUL, OP_NE, OP_NEG, OP_NEW, OP_NEW_LIST, OP_NOT,
     OP_POP_HANDLER, OP_PROFILE, OP_PUSH_HANDLER, OP_RETURN,
     OP_RETURN_NONE, OP_RET_FIELD, OP_SETF, OP_SETF_THIS, OP_SNAPSHOT,
-    OP_SUB, OP_THROW, OP_VAR_DYN, LOOP_EXIT, MC_ELIM, MC_RAW, LoopRegion,
+    OP_SUB, OP_THROW, OP_VAR_DYN, LOOP_EXIT, MC_ELIM, LoopRegion,
     _JUMP_OPS, named_slots)
 from repro.lang.natives import NATIVE_STATIC_CLASSES
 
@@ -317,7 +319,6 @@ class _Emitter:
         from repro.lang.values import MCaseV as _MCaseV, ObjectV
         from repro.core.errors import (EnergyException, FuelExhausted,
                                        StuckError)
-        from repro.lang.vm import _SKIP_ELIM
 
         interp = self.interp
         for name, obj in (
@@ -333,7 +334,6 @@ class _Emitter:
                 ("_NativeRef", NativeRef),
                 ("_java_div", interp_mod._java_div),
                 ("_java_mod", interp_mod._java_mod),
-                ("_SKIP_ELIM", _SKIP_ELIM),
                 ("_LOOP_EXIT", LOOP_EXIT),
                 ("_elim", partial(eliminate, interp, "interp")),
                 ("_binop", interp._binary_op),
@@ -507,10 +507,6 @@ class _Emitter:
             w(d + 1, f"_v = _fl[{name!r}]")
             w(d, "except KeyError:")
             w(d + 1, f"raise StuckError({msg!r}) from None")
-            w(d, "if _v.__class__ is MCaseV:")
-            w(d + 1, "_o = this_obj.effective_mode")
-            w(d + 1, "_v = _elim(_v, _o if _o is not None else "
-                     "current_mode)")
             w(d, f"_y = {self.reg(inst[2])}")
             w(d, "if (type(_v) is int or type(_v) is float) and "
                  f"{self._num_test('_y', inst[2])}:")
@@ -524,14 +520,9 @@ class _Emitter:
             w(d, "if this_obj is None:")
             w(d + 1, f"raise StuckError({msg!r})")
             w(d, "try:")
-            w(d + 1, f"_v = this_obj.fields[{name!r}]")
+            w(d + 1, f"return this_obj.fields[{name!r}]")
             w(d, "except KeyError:")
             w(d + 1, f"raise StuckError({msg!r}) from None")
-            w(d, "if _v.__class__ is MCaseV:")
-            w(d + 1, "_o = this_obj.effective_mode")
-            w(d + 1, "return _elim(_v, _o if _o is not None else "
-                     "current_mode)")
-            w(d, "return _v")
             return True
         if op == OP_GETF:
             name = inst[2]
@@ -554,19 +545,13 @@ class _Emitter:
 
     def _mcase_read(self, d, mcase, owner) -> None:
         """A field read's mode-case operand, applied to ``_v`` read from
-        ``owner``: eliminate at the owner's mode, or capture that mode
-        into the operand's register (nothing for ``MC_RAW``)."""
-        if mcase is MC_RAW:
-            return
-        w = self.w
-        w(d, "if _v.__class__ is MCaseV:")
-        w(d + 1, f"_o = {owner}.effective_mode")
+        ``owner``: for ``MC_ELIM``, eliminate at the owner's mode."""
         if mcase == MC_ELIM:
+            w = self.w
+            w(d, "if _v.__class__ is MCaseV:")
+            w(d + 1, f"_o = {owner}.effective_mode")
             w(d + 1, "_v = _elim(_v, _o if _o is not None else "
                      "current_mode)")
-        else:
-            w(d + 1, f"r{mcase} = _o if _o is not None else "
-                     "current_mode")
 
     def _emit_rare(self, d, i, inst, op) -> bool:
         """The long tail: dynamic variable resolution, construction,
@@ -579,16 +564,7 @@ class _Emitter:
             w(d + 1, f"if this_obj is not None and {name!r} in "
                      "this_obj.fields:")
             w(d + 2, f"_v = this_obj.fields[{name!r}]")
-            w(d + 2, "if _v.__class__ is MCaseV:")
-            w(d + 3, "_o = this_obj.effective_mode")
-            if mcase == MC_ELIM:
-                w(d + 3, "_v = _elim(_v, _o if _o is not None else "
-                         "current_mode)")
-            elif mcase is not MC_RAW:
-                w(d + 3, f"r{mcase} = _o if _o is not None else "
-                         "current_mode")
-            else:
-                w(d + 3, "pass")
+            self._mcase_read(d + 2, mcase, "this_obj")
             w(d + 1, "else:")
             w(d + 2, f"_v = _modes.get({name!r})")
             w(d + 2, "if _v is None:")
@@ -763,27 +739,16 @@ class _Emitter:
             self_call = ("True" if site.recv_is_this
                          else f"(_recv is this_obj)")
         argv = [self.reg(r) for r in site.arg_regs]
-        elim_exprs = []
-        for e in site.arg_elims:
-            if e is None:
-                elim_exprs.append("_SKIP_ELIM")
-            elif e == -1:
-                elim_exprs.append("current_mode")
-            else:
-                elim_exprs.append(f"r{e}")
-        elims = ("(" + ", ".join(elim_exprs)
-                 + ("," if len(elim_exprs) == 1 else "") + ")")
 
         def generic(expr_recv, expr_self_call):
             return (f"vm._site_send({site_name}, {expr_recv}, "
-                    f"[{', '.join(argv)}], {elims}, frame, "
-                    f"{expr_self_call})")
+                    f"[{', '.join(argv)}], frame, {expr_self_call})")
 
         entry = None
         if self.interp.options.inline_caches and len(site.ic) == 1:
             (cls_name, entry), = site.ic.items()
         if entry is not None:
-            minfo, wants, callee, transparent = entry
+            minfo, callee, transparent = entry
             if len(site.arg_regs) != len(minfo.param_names):
                 entry = None  # arity mismatch: the generic path blames
         if entry is None:
@@ -797,20 +762,6 @@ class _Emitter:
         w(d, f"_recv = {recv}")
         w(d, f"if _recv.__class__ is ObjectV and _recv.class_info is "
              f"{self.bind(info)}:")
-        # Arguments, with the deferred mode-case eliminations resolved
-        # at compile time against the callee's parameter types.
-        arg_exprs = []
-        for j, expr in enumerate(argv):
-            e = site.arg_elims[j]
-            if e is None or (j < len(wants) and wants[j]):
-                arg_exprs.append(expr)
-                continue
-            tmp = f"_a{j}"
-            mode = "current_mode" if e == -1 else f"r{e}"
-            w(d + 1, f"{tmp} = {expr}")
-            w(d + 1, f"if {tmp}.__class__ is MCaseV:")
-            w(d + 2, f"{tmp} = _elim({tmp}, {mode})")
-            arg_exprs.append(tmp)
         compile_self_call = rv is None or site.recv_is_this
         if callee is not None:
             w(d + 1, "_stats.messages += 1")
@@ -827,7 +778,7 @@ class _Emitter:
             w(d + 1, f"_f2 = _Frame(_recv, _recv.bindings["
                      f"{self.lit(minfo.owner)}], {closure})")
             w(d + 1, f"_rg2 = {self.bind(callee.template)}.copy()")
-            for j, expr in enumerate(arg_exprs):
+            for j, expr in enumerate(argv):
                 w(d + 1, f"_rg2[{j}] = {expr}")
             callee_name = self.bind(callee)
             w(d + 1, f"_jf = {callee_name}.jit")
@@ -845,13 +796,10 @@ class _Emitter:
         else:
             # Known method but no leaf body (mode parameter, attributor,
             # generic method): skip the lookup, delegate to _invoke.
-            args_list = "[" + ", ".join(arg_exprs) + "]"
+            args_list = "[" + ", ".join(argv) + "]"
             w(d + 1, f"_r = _invoke(_recv, {minfo_name}, {args_list}, "
                      f"frame, self_call={self_call}, span={span_expr}, "
                      f"elide_dfall={bool(site.elide_dfall)!r})")
-        if not site.raw_result:
-            w(d + 1, "if _r.__class__ is MCaseV:")
-            w(d + 2, "_r = _elim(_r, current_mode)")
         w(d + 1, f"r{dst} = _r")
         w(d, "else:")
         w(d + 1, f"vm._note_deopt({self.bind(self.unit)})")

@@ -8,6 +8,13 @@ expressions, with three ENT-specific runtime forms:
 * ``obj(α, c⟨µ, ι⟩, v̄)`` — an object value;
 * ``check(e, m1, m2, o)`` — the pending snapshot bound check.
 
+Implicit mode-case elimination is the typechecker's decision
+(``implicit_elim``, T-ElimCase's implicit form).  Substitution makes
+it explicit: an annotated field read eliminates on its owner's mode in
+R-Field; any other annotated node becomes ``e ◃ •`` (:class:`Elim`),
+eliminated at the mode it reduces under — for a call result, the
+caller's.
+
 This module implements that relation directly, as a *reference*
 semantics for the kernel fragment (classes whose constructors only
 assign their parameters to fields and whose methods and attributors are
@@ -25,7 +32,8 @@ Reduction rules implemented (selected forms from Figure 5):
   m2, o)`` when ``omode(o) = ?``;
 * **R-Check** — ``check(m', m1, m2, o) =m=> obj(α', c⟨m',ι⟩, v̄)`` if
   ``m1 <= m' <= m2`` (fresh shallow copy), else a *bad check*;
-* **R-Cast**, **R-Field**, **R-MCase/R-Elim**, **R-Cl** (``cl(m, v) =>
+* **R-Cast**, **R-Field**, **R-MCase/R-Elim** (explicit, and the
+  implicit ``v ◃ •`` at the current mode), **R-Cl** (``cl(m, v) =>
   v``), plus the usual congruence (evaluation-context) rules,
   left-to-right, innermost-first.
 """
@@ -44,7 +52,7 @@ from repro.lang import types as ty
 from repro.lang.typechecker import CheckedProgram
 from repro.lang.types import DYN, ClassInfo, MethodInfo, ObjectType
 
-__all__ = ["SmallStepMachine", "SSObject", "Closure", "Check",
+__all__ = ["SmallStepMachine", "SSObject", "Closure", "Check", "Elim",
            "KernelError", "run_kernel", "extract_kernel_body"]
 
 _alpha = itertools.count(1)
@@ -105,6 +113,14 @@ class Check(ast.Expr):
     target: Optional[SSObject] = None
 
 
+@dataclass
+class Elim(ast.Expr):
+    """``e ◃ •``: an implicit elimination at the mode ``e`` reduces
+    under."""
+
+    body: ast.Expr = dc_field(default_factory=ast.NullLit)
+
+
 def _is_value(expr: ast.Expr) -> bool:
     return isinstance(expr, ValueExpr)
 
@@ -125,8 +141,18 @@ def _substitute(expr: ast.Expr, env: Dict[str, object],
     """Capture-free substitution ``e{v̄/x̄}{o/this}``.
 
     Variables not in the map are left untouched (they may be mode
-    literals, resolved at reduction time).
+    literals, resolved at reduction time).  An ``implicit_elim`` node
+    comes back as ``e ◃ •``, except a field read, which keeps the
+    annotation for R-Field.
     """
+    clone = _substitute_node(expr, env, this_value)
+    if expr.implicit_elim and clone.__class__ is not ast.FieldAccess:
+        return Elim(body=clone, span=expr.span)
+    return clone
+
+
+def _substitute_node(expr: ast.Expr, env: Dict[str, object],
+                     this_value: Optional[SSObject]) -> ast.Expr:
     if isinstance(expr, (ValueExpr, Closure, Check)):
         return expr
     if isinstance(expr, ast.Var):
@@ -137,8 +163,7 @@ def _substitute(expr: ast.Expr, env: Dict[str, object],
         if this_value is not None and expr.name in this_value.fields:
             access = ast.FieldAccess(obj=ValueExpr(value=this_value),
                                      name=expr.name, span=expr.span)
-            access.implicit_elim = bool(getattr(expr, "implicit_elim",
-                                                False))
+            access.implicit_elim = expr.implicit_elim
             return access
         return expr
     if isinstance(expr, ast.This):
@@ -149,7 +174,7 @@ def _substitute(expr: ast.Expr, env: Dict[str, object],
         clone = ast.FieldAccess(
             obj=_substitute(expr.obj, env, this_value), name=expr.name,
             span=expr.span)
-        clone.implicit_elim = bool(getattr(expr, "implicit_elim", False))
+        clone.implicit_elim = expr.implicit_elim
         return clone
     if isinstance(expr, ast.MethodCall):
         receiver = (None if expr.receiver is None
@@ -269,6 +294,12 @@ class SmallStepMachine:
                            body=self.step(expr.body, expr.mode),
                            span=expr.span)
 
+        # --- implicit eliminations -----------------------------------
+        if isinstance(expr, Elim):
+            if _is_value(expr.body):
+                return self._reduce_elim(expr, mode)
+            return Elim(body=self.step(expr.body, mode), span=expr.span)
+
         # --- pending snapshot checks ----------------------------------
         if isinstance(expr, Check):
             if _is_value(expr.body):
@@ -306,8 +337,7 @@ class SmallStepMachine:
             if not _is_value(expr.obj):
                 clone = ast.FieldAccess(obj=self.step(expr.obj, mode),
                                         name=expr.name, span=expr.span)
-                clone.implicit_elim = bool(getattr(expr, "implicit_elim",
-                                                   False))
+                clone.implicit_elim = expr.implicit_elim
                 return clone
             return self._reduce_field(expr)
         if isinstance(expr, ast.MethodCall):
@@ -368,8 +398,7 @@ class SmallStepMachine:
         self._record("R-Field")
         value = obj.fields[expr.name]
         # Implicit mode-case elimination on the enclosing object's mode.
-        if isinstance(value, MCaseValue) and getattr(
-                expr, "implicit_elim", False):
+        if isinstance(value, MCaseValue) and expr.implicit_elim:
             return ValueExpr(value=self._eliminate(value, obj.omode))
         return ValueExpr(value=value)
 
@@ -607,6 +636,15 @@ class SmallStepMachine:
         if value.has_default:
             return value.default
         raise EntRuntimeError(f"no branch for {mode.name}")
+
+    def _reduce_elim(self, expr: Elim, mode: Mode) -> ast.Expr:
+        """``v ◃ •`` under ``mode``: a mode case projects on ``mode``;
+        anything else (a mode-case-typed ``null``) passes."""
+        value = expr.body.value
+        self._record("R-Elim")
+        if isinstance(value, MCaseValue):
+            value = self._eliminate(value, mode)
+        return ValueExpr(value=value)
 
     def _reduce_mselect(self, expr: ast.MSelect) -> ast.Expr:
         value = expr.expr.value

@@ -16,7 +16,8 @@ language:
   ``∃ω.c⟨mt, ι⟩``).
 * **T-MCase / T-ElimCase** — mode-case introduction and elimination;
   elimination is implicit at uses whose expected type is not an mcase,
-  projecting on the enclosing object's mode.
+  projecting on the enclosing object's mode.  The node is marked
+  ``implicit_elim``, and every engine eliminates exactly there.
 
 Internal/external mode distinction: inside a class ``c ∆`` the receiver
 ``this`` is typed ``c⟨mt, ι⟩`` where ``mt = param(∆)[0]``; inside the
@@ -320,9 +321,7 @@ class TypeChecker:
                           param_types=param_types, param_names=param_names,
                           return_type=return_type, mode_param=mode_param,
                           has_attributor=mdecl.attributor is not None,
-                          decl=mdecl,
-                          wants=tuple(isinstance(p, ty.MCaseType)
-                                      for p in param_types))
+                          decl=mdecl)
 
     # ------------------------------------------------------------------
     # Type resolution
@@ -473,8 +472,11 @@ class TypeChecker:
 
     def _check_override_compatibility(self, info: ClassInfo) -> None:
         """Overriding methods must preserve arity (we require identical
-        parameter counts; full variance checking is out of scope), and
-        a field may not redeclare an inherited one (Featherweight Java's
+        parameter counts; full variance checking is out of scope) and
+        the mode-case-ness of every parameter and of the return type:
+        where a mode case is eliminated is decided statically
+        (``implicit_elim``), so it must hold for every dispatch target.
+        A field may not redeclare an inherited one (Featherweight Java's
         rule: an object has one slot per field name)."""
         for super_info in self.table.ancestry(info.name)[1:]:
             for name, finfo in info.fields.items():
@@ -490,6 +492,20 @@ class TypeChecker:
                             f"{info.name}.{name} overrides "
                             f"{super_info.name}.{name} with a different "
                             f"arity")
+                    pairs = [(f"parameter {pname!r}", mine, theirs)
+                             for pname, mine, theirs in zip(
+                                 minfo.param_names, minfo.param_types,
+                                 smeth.param_types)]
+                    pairs.append(("the return type", minfo.return_type,
+                                  smeth.return_type))
+                    for what, mine, theirs in pairs:
+                        if (isinstance(mine, ty.MCaseType)
+                                != isinstance(theirs, ty.MCaseType)):
+                            raise EntTypeError(
+                                f"{info.name}.{name} overrides "
+                                f"{super_info.name}.{name} with a "
+                                f"different mode-case-ness: {what} is "
+                                f"{mine}, not {theirs}", minfo.decl.span)
 
     def _check_attributor(self, attributor: ast.AttributorDecl,
                           info: ClassInfo,

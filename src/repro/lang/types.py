@@ -213,8 +213,7 @@ class MethodInfo:
     ``mode_param`` is the method-level mode characterization, if any
     (concrete override, generic variable, or dynamic with attributor).
     Types mention the owning class's mode variables and, for generic
-    methods, the method's own variable.  ``wants`` flags each parameter
-    that is mode-case typed: its argument is passed un-eliminated.
+    methods, the method's own variable.
     """
 
     name: str
@@ -225,7 +224,6 @@ class MethodInfo:
     mode_param: Optional[ModeParam] = None
     has_attributor: bool = False
     decl: Optional[ast.MethodDecl] = None
-    wants: Tuple[bool, ...] = ()
 
 
 @dataclass

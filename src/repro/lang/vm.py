@@ -16,10 +16,10 @@ that buy the speedup over the tree walk:
   just a template copy and a recursive ``_run``.  The dfall check (or
   its planner-elided counter) still runs — check counts are engine
   invariant.
-* **Deferred argument elimination** — call arguments lower *raw* with a
-  per-site descriptor saying how to eliminate a mode-case value once
-  the callee's parameter types are known, so the common non-mcase send
-  pays nothing.
+* **Static mode-case elimination** — the typechecker decides where a
+  mode case is eliminated (``implicit_elim``), so lowering bakes the
+  decision in: a read's mode-case operand or an ``MCASE_DISPATCH``
+  after the node.  A send never tests its arguments or its result.
 
 One handler per ENT operation: a check's policy is an operand read in
 the handler — the planner's verdict (``CallSite.elide_dfall``,
@@ -59,9 +59,8 @@ from repro.lang.bytecode import (  # noqa: F401 (re-exported for tests)
     OP_MSELECT, OP_MUL, OP_NE, OP_NEG, OP_NEW, OP_NEW_LIST, OP_NOT,
     OP_POP_HANDLER, OP_PROFILE, OP_PUSH_HANDLER, OP_RETURN,
     OP_RETURN_NONE, OP_RET_FIELD, OP_SETF, OP_SETF_THIS, OP_SNAPSHOT,
-    OP_SUB, OP_THROW, OP_VAR_DYN, LOOP_EXIT, MC_ELIM, MC_RAW,
-    LoopRegion, VMCode, instrument, loop_back_edges, lower_body,
-    lower_expr)
+    OP_SUB, OP_THROW, OP_VAR_DYN, LOOP_EXIT, MC_ELIM, LoopRegion,
+    VMCode, instrument, loop_back_edges, lower_body, lower_expr)
 from repro.lang.natives import (NATIVE_STATIC_CLASSES, NativeRef,
                                 call_native_static, call_non_object)
 from repro.lang.values import MCaseV, ObjectV
@@ -74,12 +73,6 @@ __all__ = ["VM", "JITVM"]
 #: classes a site dispatches uncached, so a megamorphic site costs one
 #: method lookup per send instead of unbounded cache growth.
 _IC_CAP = 4
-
-#: Per-argument "no elimination" sentinel for :meth:`VM._site_send`.
-#: The JIT passes resolved elimination *modes* (the descriptor registers
-#: are dead by then), and a mode can legitimately be ``None``, so the
-#: "descriptor was None" case needs its own marker.
-_SKIP_ELIM = object()
 
 #: Heat sentinel: far enough below any threshold that a blacklisted
 #: body's counter can keep incrementing without ever re-triggering.
@@ -101,7 +94,7 @@ class VM:
         #: id(body block) -> VMCode (bodies lower lazily, on first
         #: call).
         self._codes = {}
-        #: (id(expr), want_mcase) -> VMCode for field initializers.
+        #: id(expr) -> VMCode for field initializers.
         self._expr_codes = {}
         #: id(body block) -> its declaration's name, so a body is named
         #: at its first lowering however that lowering is reached.
@@ -130,11 +123,11 @@ class VM:
     # Entry points (wired as ``Interpreter._call_body`` /
     # ``_execute_expr``)
 
-    def _lower(self, block, param_names, wants) -> VMCode:
+    def _lower(self, block, param_names) -> VMCode:
         code = self._codes.get(id(block))
         if code is None:
             code = lower_body(self.interp, block, param_names,
-                              wants=wants, name=self._names.get(id(block)))
+                              name=self._names.get(id(block)))
             # Profiling gate: instrumentation is decided here, once per
             # body, never per instruction — disabled runs execute the
             # unmodified stream.
@@ -144,11 +137,11 @@ class VM:
             self._pins.append(block)
         return code
 
-    def call_body(self, block, param_names, frame, args, wants=()):
+    def call_body(self, block, param_names, frame, args):
         """Run a method/constructor/attributor body; returns the return
         value, or ``interp._NO_RETURN`` when the body falls off the
         end."""
-        code = self._lower(block, param_names, wants)
+        code = self._lower(block, param_names)
         if len(args) != code.nparams:
             # Callers (``_invoke``, ``_construct``) check arity with the
             # proper blame; this backstop keeps a direct-API misuse from
@@ -169,39 +162,37 @@ class VM:
                 return jfn(self, regs, frame, -1)
         return self._run(code, regs, frame)
 
-    def execute_expr(self, expr, frame, want_mcase=False):
+    def execute_expr(self, expr, frame):
         """Run a standalone expression (field initializers)."""
-        key = (id(expr), want_mcase)
-        code = self._expr_codes.get(key)
+        code = self._expr_codes.get(id(expr))
         if code is None:
-            code = lower_expr(self.interp, expr, want_mcase=want_mcase)
+            code = lower_expr(self.interp, expr)
             if self.interp.profiler.enabled:
                 code = instrument(code)
-            self._expr_codes[key] = code
+            self._expr_codes[id(expr)] = code
             self._pins.append(expr)
         return self._run(code, code.template.copy(), frame)
 
     def code_for_method(self, minfo) -> VMCode:
-        return self._lower(minfo.decl.body, minfo.param_names, minfo.wants)
+        return self._lower(minfo.decl.body, minfo.param_names)
 
     # ------------------------------------------------------------------
     # Inline caches
 
     def _ic_miss(self, site, receiver):
         """Resolve a send on a cache miss; returns (and usually caches)
-        ``(minfo, wants, leaf code or None, transparent)``."""
+        ``(minfo, leaf code or None, transparent)``."""
         interp = self.interp
         minfo = interp.table.method(receiver.class_info.name, site.name)
         if minfo is None:
             raise StuckError(
                 f"no method {site.name!r} on class "
                 f"{receiver.class_info.name}")
-        wants = minfo.wants
         code = None
         if (self._fast_ok and minfo.mode_param is None
                 and minfo.decl is not None):
             code = self.code_for_method(minfo)
-        entry = (minfo, wants, code, receiver.class_info.transparent)
+        entry = (minfo, code, receiver.class_info.transparent)
         reported = len(site.ic)
         if interp.options.inline_caches:
             if reported < _IC_CAP:
@@ -218,46 +209,26 @@ class VM:
                                     site.name, reported)
         return entry
 
-    def _site_send(self, site, receiver, argv, elim_modes, frame,
-                   self_call):
+    def _site_send(self, site, receiver, argv, frame, self_call):
         """Generic send for JIT-compiled code: a receiver-class guard
         failed (deopt) or the site never specialized.  Semantics —
         stats, check counts, blame messages — replicate the dispatch
-        loop's CALL handler exactly, with the deferred eliminations
-        already resolved to modes (``elim_modes`` pairs ``argv``;
-        ``_SKIP_ELIM`` marks arguments whose descriptor was ``None``).
-        Dispatch goes through ``_invoke`` rather than the leaf path:
-        observables are identical and deopts are rare by construction.
+        loop's CALL handler exactly.  Dispatch goes through ``_invoke``
+        rather than the leaf path: observables are identical and deopts
+        are rare by construction.
         """
         interp = self.interp
-        # A non-object receiver eliminates every mode-case argument.
-        wants, nparams = (), 0
-        is_object = receiver.__class__ is ObjectV
-        if is_object:
-            entry = (site.ic.get(receiver.class_info.name)
-                     or self._ic_miss(site, receiver))
-            minfo, wants, _callee, _transparent = entry
-            nparams = len(minfo.param_names)
-        if site.any_elim:
-            for i, v in enumerate(argv):
-                if (v.__class__ is MCaseV
-                        and (i >= nparams or not wants[i])
-                        and elim_modes[i] is not _SKIP_ELIM):
-                    argv[i] = eliminate(interp, "interp", v,
-                                        elim_modes[i])
-        if not is_object:
+        if receiver.__class__ is not ObjectV:
             return call_non_object(interp, receiver, site.name, argv)
-        if len(argv) != nparams:
+        minfo = (site.ic.get(receiver.class_info.name)
+                 or self._ic_miss(site, receiver))[0]
+        if len(argv) != len(minfo.param_names):
             raise StuckError(
                 f"method {minfo.owner}.{minfo.name} expects "
-                f"{nparams} argument(s), got {len(argv)}")
-        value = interp._invoke(receiver, minfo, argv, frame,
-                               self_call=self_call, span=site.span,
-                               elide_dfall=site.elide_dfall)
-        if value.__class__ is MCaseV and not site.raw_result:
-            value = eliminate(interp, "interp", value,
-                              frame.current_mode)
-        return value
+                f"{len(minfo.param_names)} argument(s), got {len(argv)}")
+        return interp._invoke(receiver, minfo, argv, frame,
+                              self_call=self_call, span=site.span,
+                              elide_dfall=site.elide_dfall)
 
     # ------------------------------------------------------------------
     # The dispatch loop
@@ -375,27 +346,10 @@ class VM:
                         if receiver.__class__ is ObjectV:
                             entry = (site.ic.get(receiver.class_info.name)
                                      or self._ic_miss(site, receiver))
-                            minfo, wants, callee, transparent = entry
+                            minfo, callee, transparent = entry
                             argv = [regs[r] for r in site.arg_regs]
                             nparams = len(minfo.param_names)
-                            if site.any_elim:
-                                elims = site.arg_elims
-                                for i, v in enumerate(argv):
-                                    if (v.__class__ is MCaseV
-                                            and (i >= nparams
-                                                 or not wants[i])):
-                                        e = elims[i]
-                                        if e is None:
-                                            continue
-                                        argv[i] = eliminate(
-                                            interp, "interp", v,
-                                            regs[e] if e >= 0
-                                            else current_mode)
                             if len(argv) != nparams:
-                                # After the eliminations: the walk
-                                # evaluates (and eliminates) every
-                                # argument before its arity check, so
-                                # the stats must match up to the blame.
                                 raise StuckError(
                                     f"method {minfo.owner}."
                                     f"{minfo.name} expects {nparams} "
@@ -467,26 +421,11 @@ class VM:
                                     receiver, minfo, argv, frame,
                                     self_call=self_call, span=site.span,
                                     elide_dfall=site.elide_dfall)
-                            if (value.__class__ is MCaseV
-                                    and not site.raw_result):
-                                value = eliminate(
-                                    interp, "interp", value, current_mode)
                             regs[inst[1]] = value
                         else:
-                            argv = [regs[r] for r in site.arg_regs]
-                            if site.any_elim:
-                                elims = site.arg_elims
-                                for i, v in enumerate(argv):
-                                    if v.__class__ is MCaseV:
-                                        e = elims[i]
-                                        if e is None:
-                                            continue
-                                        argv[i] = eliminate(
-                                            interp, "interp", v,
-                                            regs[e] if e >= 0
-                                            else current_mode)
                             regs[inst[1]] = call_non_object(
-                                interp, receiver, site.name, argv)
+                                interp, receiver, site.name,
+                                [regs[r] for r in site.arg_regs])
                     elif op == OP_INC:
                         v = regs[inst[1]]
                         t = type(v)
@@ -517,12 +456,6 @@ class VM:
                         except KeyError:
                             raise StuckError(
                                 f"unknown variable {name!r}") from None
-                        if v.__class__ is MCaseV:
-                            owner = this_obj.effective_mode
-                            v = eliminate(
-                                interp, "interp", v,
-                                owner if owner is not None
-                                else current_mode)
                         b = regs[inst[2]]
                         t = type(v)
                         if t is int or t is float:
@@ -536,17 +469,10 @@ class VM:
                         if this_obj is None:
                             raise StuckError(f"unknown variable {name!r}")
                         try:
-                            v = this_obj.fields[name]
+                            return this_obj.fields[name]
                         except KeyError:
                             raise StuckError(
                                 f"unknown variable {name!r}") from None
-                        if v.__class__ is MCaseV:
-                            owner = this_obj.effective_mode
-                            return eliminate(
-                                interp, "interp", v,
-                                owner if owner is not None
-                                else current_mode)
-                        return v
                     elif op == OP_RETURN:
                         return regs[inst[1]]
                     elif op == OP_ADD:
@@ -567,10 +493,8 @@ class VM:
                         except (AttributeError, KeyError):
                             raise StuckError(
                                 f"unknown variable {inst[2]!r}") from None
-                        if v.__class__ is MCaseV:
-                            v = _mcase_read(
-                                interp, v, this_obj.effective_mode,
-                                inst[3], current_mode, regs)
+                        if v.__class__ is MCaseV and inst[3] == MC_ELIM:
+                            v = interp._eliminate_field(v, this_obj, frame)
                         regs[inst[1]] = v
                     elif op == OP_SUB:
                         a = regs[inst[2]]
@@ -682,9 +606,8 @@ class VM:
                                 f"cannot access field {inst[2]!r} of "
                                 f"{obj!r}")
                         v = obj.get_field(inst[2])
-                        if v.__class__ is MCaseV:
-                            v = _mcase_read(interp, v, obj.effective_mode,
-                                            inst[4], current_mode, regs)
+                        if v.__class__ is MCaseV and inst[4] == MC_ELIM:
+                            v = interp._eliminate_field(v, obj, frame)
                         regs[inst[1]] = v
                     elif op == OP_VAR_DYN:
                         name = inst[2]
@@ -693,10 +616,10 @@ class VM:
                             if (this_obj is not None
                                     and name in this_obj.fields):
                                 v = this_obj.fields[name]
-                                if v.__class__ is MCaseV:
-                                    v = _mcase_read(
-                                        interp, v, this_obj.effective_mode,
-                                        inst[3], current_mode, regs)
+                                if (v.__class__ is MCaseV
+                                        and inst[3] == MC_ELIM):
+                                    v = interp._eliminate_field(
+                                        v, this_obj, frame)
                             else:
                                 v = interp._mode_by_name.get(name)
                                 if v is None:
@@ -1004,22 +927,6 @@ def _body_names(table):
             if part is not None:
                 names[id(part.body)] = f"{decl.name}.{suffix}"
     return names
-
-
-def _mcase_read(interp, value, owner, mcase, current_mode, regs):
-    """A read's mode-case operand applied to the mode case ``value`` of
-    an object whose effective mode is ``owner`` (the current mode when
-    it has none): keep ``value`` raw, eliminate it at that mode, or
-    store the mode in the operand's register for the send that
-    eliminates ``value``."""
-    if mcase is MC_RAW:
-        return value
-    if owner is None:
-        owner = current_mode
-    if mcase == MC_ELIM:
-        return eliminate(interp, "interp", value, owner)
-    regs[mcase] = owner
-    return value
 
 
 # Late imports resolved once at module load: the interp module imports

@@ -1,6 +1,6 @@
 """The paper's claims, checked over the committed ``results/*.json``.
 
-CI's ``parallel-smoke`` job re-exports every deterministic artifact
+CI's ``fleet-smoke`` job re-exports every deterministic artifact
 and diffs it against ``results/`` byte for byte, so these checks hold
 for the code as well as for the files.  figure6 holds wall-clock
 overheads, which CI does not re-pin; its band is checked on the

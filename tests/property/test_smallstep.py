@@ -175,10 +175,48 @@ AGREEMENT_PROGRAMS = [
 ]
 
 
+#: Kernel programs where a method returns its mode case raw: the
+#: caller selects it (R1) or eliminates it implicitly at the caller's
+#: mode (R2; a ``Client`` at ``full_throttle`` calls an ``Agent`` at
+#: ``energy_saver``).
+AGENT = """
+class Agent@mode<{mode}> {{
+    mcase<int> level = mcase{{
+        energy_saver: 1; managed: 2; full_throttle: 3;
+    }};
+    Agent() {{ }}
+    mcase<int> getLevel() {{ return level; }}
+}}
+"""
+TYPED_ELIMINATION = {
+    "R1": (MODES + AGENT.format(mode="full_throttle")
+           + "class Main { int main() { return "
+             "mselect(new Agent().getLevel(), energy_saver); } }", 1),
+    "R2": (MODES + AGENT.format(mode="energy_saver") + """
+class Client@mode<full_throttle> {
+    Client() { }
+    int use() { return new Agent().getLevel() + 0; }
+}
+class Main { int main() { return new Client().use(); } }
+""", 3),
+}
+
+
 class TestAgreement:
     @pytest.mark.parametrize("body", AGREEMENT_PROGRAMS)
     def test_fixed_programs_agree(self, body):
         assert_agree(kernel_program(body))
+
+    @pytest.mark.parametrize("name", sorted(TYPED_ELIMINATION))
+    def test_annotated_call_results_agree(self, name):
+        """Every annotated node eliminates, not only R-Field: a call
+        result at the mode its caller reduces under."""
+        source, expected = TYPED_ELIMINATION[name]
+        value, machine = run_kernel(source)
+        assert value == expected
+        assert_agree(source)
+        if name == "R2":
+            assert "R-Elim" in machine.trace
 
 
 @st.composite

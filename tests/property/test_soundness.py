@@ -3,7 +3,9 @@
 A generator produces random ENT programs from well-typed-by-construction
 building blocks: dynamic objects with data-dependent attributors,
 bounded and unbounded snapshots (with and without handlers), messaging,
-mode-case elimination, and loops.  Every generated program must
+mode-case elimination (explicit, and implicit wherever the typechecker
+places it: call results, reassigned locals and fields, operands and
+return values), and loops.  Every generated program must
 typecheck, and every run must either produce a value, exhaust its fuel
 (divergence), or stop at an EnergyException from a bad check — never a
 stuck state (``StuckError``).  An ``on_message`` hook asserts the
@@ -37,9 +39,34 @@ class D@mode<?X> {
     int work(int k) { return n + k; }
     int grow() { n = n + 7; return n; }
 }
+
+class Tier@mode<X> {
+    mcase<int> level = mcase{
+        energy_saver: 4; managed: 5; full_throttle: 6;
+    };
+    mcase<int> get() { return level; }
+    int viaSelect(int k) { return mselect(get(), energy_saver) + k; }
+    int viaInt(int k) { int v = get(); return v * k; }
+    int local(int k) {
+        mcase<int> m = level;
+        m = mcase{ energy_saver: k; managed: k + 1; full_throttle: k + 2; };
+        return mselect(m, managed);
+    }
+    int field(int k) {
+        level = mcase{ energy_saver: k; managed: k; full_throttle: 9; };
+        return mselect(level, energy_saver);
+    }
+    int operand(int k) { mcase<int> m = get(); return m + k; }
+    int ret(int k) { mcase<int> m = level; return m; }
+}
 """
 
 MODE_NAMES = ["energy_saver", "managed", "full_throttle"]
+
+#: ``Tier``'s methods: each takes one int.  Main runs at ⊤, which no
+#: mode case has a branch for, so implicit eliminations run inside the
+#: concrete-mode ``Tier``.
+TIER_METHODS = ["viaSelect", "viaInt", "local", "field", "operand", "ret"]
 
 _bounds = st.one_of(
     st.none(),
@@ -53,6 +80,7 @@ def programs(draw):
     lines = []
     dyn_vars = []
     snap_vars = []
+    tier_vars = []
     var_count = 0
 
     def fresh():
@@ -63,7 +91,7 @@ def programs(draw):
     n_ops = draw(st.integers(min_value=1, max_value=12))
     lines.append("int acc = 0;")
     for _ in range(n_ops):
-        choice = draw(st.integers(min_value=0, max_value=5))
+        choice = draw(st.integers(min_value=0, max_value=6))
         if choice == 0 or not dyn_vars:
             name = fresh()
             size = draw(st.integers(min_value=0, max_value=30))
@@ -99,6 +127,24 @@ def programs(draw):
             target = draw(st.sampled_from(dyn_vars))
             mode = draw(st.sampled_from(MODE_NAMES))
             lines.append(f"acc = acc + mselect({target}.level, {mode});")
+        elif choice == 6:
+            if not tier_vars or draw(st.booleans()):
+                name = fresh()
+                mode = draw(st.sampled_from(MODE_NAMES))
+                lines.append(f"Tier@mode<{mode}> {name} = "
+                             f"new Tier@mode<{mode}>();")
+                tier_vars.append(name)
+            else:
+                target = draw(st.sampled_from(tier_vars))
+                k = draw(st.integers(min_value=0, max_value=5))
+                method = draw(st.sampled_from(TIER_METHODS + ["get"]))
+                if method == "get":
+                    # A mode case handed back raw, selected in Main.
+                    mode = draw(st.sampled_from(MODE_NAMES))
+                    lines.append(f"acc = acc + mselect({target}.get(), "
+                                 f"{mode});")
+                else:
+                    lines.append(f"acc = acc + {target}.{method}({k});")
         else:
             reps = draw(st.integers(min_value=0, max_value=4))
             lines.append(f"int i{var_count} = 0;")

@@ -84,7 +84,7 @@ def test_vm_code_caches_pin_their_keys(engine):
     pinned = {id(obj) for obj in vm._pins}
     assert vm._codes, "the run should have lowered at least one body"
     assert set(vm._codes.keys()) <= pinned
-    assert {key[0] for key in vm._expr_codes.keys()} <= pinned
+    assert set(vm._expr_codes.keys()) <= pinned
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,13 @@ waterfall, silent mode, and method-level attributors."""
 
 import pytest
 
-from repro.core.errors import EnergyException
+from repro.cli import main as cli_main
+from repro.core.errors import EnergyException, EntRuntimeError
 from repro.core.modes import Mode
-from repro.lang.interp import InterpOptions, NullPlatform, run_source
+from repro.lang.engines import ENGINES
+from repro.lang.interp import (Interpreter, InterpOptions, NullPlatform,
+                               run_source)
+from repro.lang.typechecker import check_program
 
 MODES = "modes { energy_saver <= managed; managed <= full_throttle; }\n"
 
@@ -371,3 +375,114 @@ class TestGenericModes:
         assert interp.output == ["2"]
         interp = run_source(source, platform=_Battery(0.95))
         assert interp.output == ["3"]
+
+
+#: Programs whose typed result needs every engine to eliminate exactly
+#: where the typechecker marked ``implicit_elim``.  Each ``Agent`` runs
+#: at a concrete mode; ``Main`` runs at ⊤, which no mode case has a
+#: branch for.
+AGENT = """
+class Agent@mode<{mode}> {{
+    mcase<int> level = mcase{{ energy_saver: 1; managed: 2;
+                              full_throttle: 3; }};
+    Agent() {{ }}
+    {methods}
+}}
+"""
+
+#: name -> (Agent's mode, its methods, extra classes, Main's body, the
+#: output the typing rule gives).
+TYPED_ELIMINATION = {
+    # A method declared ``mcase<int>`` hands its mode case back raw.
+    "R1": ("full_throttle", "mcase<int> getLevel() { return level; }", "",
+           "Sys.print(mselect(new Agent().getLevel(), energy_saver));",
+           "1"),
+    # ... and the caller eliminates it at the caller's mode.
+    "R2": ("energy_saver", "mcase<int> getLevel() { return level; }",
+           """
+class Client@mode<full_throttle> {
+    Client() { }
+    int use() { return new Agent().getLevel() + 0; }
+}
+""", "Sys.print(new Client().use());", "3"),
+    # Assignments to mode-case-typed locals and fields stay raw.
+    "R3": ("full_throttle",
+           "int pick() { mcase<int> m = level; m = level; "
+           "return mselect(m, energy_saver); }", "",
+           "Agent a = new Agent(); Sys.print(a.pick());", "1"),
+    "R4": ("full_throttle",
+           "int reset() { level = mcase{ energy_saver: 7; managed: 8; "
+           "full_throttle: 9; }; return mselect(level, energy_saver); }",
+           "", "Agent a = new Agent(); Sys.print(a.reset());", "7"),
+    # A mode-case local read as an operand or a return value is
+    # eliminated at the frame's mode.
+    "R5": ("full_throttle",
+           "int f() { mcase<int> m = level; int x = m + 1; return x; }",
+           "", "Agent a = new Agent(); Sys.print(a.f());", "4"),
+    "R6": ("full_throttle",
+           "int g() { mcase<int> m = level; return m; }", "",
+           "Agent a = new Agent(); Sys.print(a.g());", "3"),
+    # A constructor argument to a mode-case-typed parameter stays raw.
+    "ctor": ("full_throttle",
+             "int wrap() { Holder h = new Holder(level); "
+             "return h.pick(); }", """
+class Holder@mode<full_throttle> {
+    mcase<int> m;
+    Holder(mcase<int> m) { this.m = m; }
+    int pick() { return mselect(m, energy_saver); }
+}
+""", "Agent a = new Agent(); Sys.print(a.wrap());", "1"),
+}
+
+
+def typed_elimination_source(name):
+    mode, methods, extra, body, _ = TYPED_ELIMINATION[name]
+    return (MODES + AGENT.format(mode=mode, methods=methods) + extra
+            + "class Main { void main() { " + body + " } }\n")
+
+
+class TestTypedElimination:
+    """Every engine eliminates exactly where the typechecker marked
+    ``implicit_elim``, so each program prints the typed result."""
+
+    @pytest.mark.parametrize("checks", ["full", "transient"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("name", sorted(TYPED_ELIMINATION))
+    def test_cli_prints_the_typed_result(self, name, engine, checks,
+                                         tmp_path, capsys):
+        path = tmp_path / f"{name}.ent"
+        path.write_text(typed_elimination_source(name))
+        assert cli_main(["check", str(path)]) == 0
+        assert cli_main(["run", str(path), "--engine", engine,
+                         "--checks", checks]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1] == TYPED_ELIMINATION[name][4]
+
+    @pytest.mark.parametrize("checks", ["full", "transient"])
+    @pytest.mark.parametrize("name", sorted(TYPED_ELIMINATION))
+    def test_compiled_code_agrees(self, name, checks):
+        """The JIT at thresholds of 1: every body runs as emitted
+        Python."""
+        interp = Interpreter(check_program(typed_elimination_source(name)),
+                             options=InterpOptions(engine="jit",
+                                                   checks=checks))
+        interp._vm._hot_call = 1
+        interp._vm._hot_loop = 1
+        interp.run()
+        assert interp.output == [TYPED_ELIMINATION[name][4]]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_call_result_eliminates_at_the_callers_mode(self, engine):
+        """Inside ``Main`` the caller's mode is ⊤: the mode case a
+        method returns has no branch for it."""
+        source = (MODES + AGENT.format(
+            mode="full_throttle",
+            methods="mcase<int> getLevel() { return level; }")
+            + "class Main { void main() { Agent a = new Agent(); "
+              "int v = a.getLevel(); Sys.print(v); } }")
+        interp = Interpreter(check_program(source),
+                             options=InterpOptions(engine=engine))
+        with pytest.raises(EntRuntimeError,
+                           match=r"no branch for mode \$top"):
+            interp.run()

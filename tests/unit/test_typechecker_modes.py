@@ -579,3 +579,62 @@ class TestNonEquivocation:
             }
         }
         """)
+
+
+class TestOverrideModeCases:
+    """Where a mode case is eliminated is a typing decision
+    (``implicit_elim``), so it must hold for every dispatch target: an
+    override may not change whether a parameter or the return type is a
+    mode case."""
+
+    BASE = """
+    class Base@mode<X> {
+        int take(mcase<int> c) { return mselect(c, managed); }
+        int give(int k) { return k; }
+        mcase<int> level() { return mcase<int>{ default: 1; }; }
+    }
+    """
+
+    def _rejected(self, override, message):
+        source = self.BASE + (
+            "class Sub@mode<X> extends Base@mode<X> {\n"
+            f"        {override}\n"
+            "    }\n"
+            "    class Main { void main() { } }\n")
+        err = check_fails(source, message)
+        # Reported at the override, like the arity rule.
+        line = (MODES + source).splitlines().index(
+            f"        {override}") + 1
+        assert err.span is not None and err.span.line == line
+
+    def test_mcase_parameter_overridden_as_int_rejected(self):
+        self._rejected(
+            "int take(int c) { return c; }",
+            "Sub.take overrides Base.take with a different "
+            "mode-case-ness: parameter 'c' is int, not mcase<int>")
+
+    def test_int_parameter_overridden_as_mcase_rejected(self):
+        self._rejected(
+            "int give(mcase<int> k) { return mselect(k, managed); }",
+            "Sub.give overrides Base.give with a different "
+            "mode-case-ness: parameter 'k' is mcase<int>, not int")
+
+    def test_return_type_mode_case_ness_must_match(self):
+        self._rejected(
+            "int level() { return 2; }",
+            "Sub.level overrides Base.level with a different "
+            "mode-case-ness: the return type is int, not mcase<int>")
+        self._rejected(
+            "mcase<int> give(int k) { return mcase<int>{ default: k; }; }",
+            "Sub.give overrides Base.give with a different "
+            "mode-case-ness: the return type is mcase<int>, not int")
+
+    def test_override_with_equal_types_accepted(self):
+        check(self.BASE + """
+        class Sub@mode<X> extends Base@mode<X> {
+            int take(mcase<int> c) { return mselect(c, energy_saver); }
+            int give(int k) { return k + 1; }
+            mcase<int> level() { return mcase<int>{ default: 2; }; }
+        }
+        class Main { void main() { } }
+        """)

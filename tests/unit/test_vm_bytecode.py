@@ -266,11 +266,16 @@ class Main { void main() { } }
             interp.table.method("D", name))
             for name in ("own", "raw", "elim")}
         own = disassemble(code["own"])
-        assert "GETF_THIS r0 'cost' owner=r1" in own
+        # An argument the typechecker marked ``implicit_elim`` is
+        # eliminated at its read, like any other read: no owner-mode
+        # register is deferred to the send.
+        assert "GETF_THIS r0 'cost' elim" in own
+        assert "owner=" not in own
         assert "GETF_THIS r0 'cost' raw" in disassemble(code["raw"])
         assert "GETF_THIS r0 'cost' elim" in disassemble(code["elim"])
-        # The owner-mode register is a frame slot a loop region loads.
-        assert named_slots(code["own"].instrs[:1]) == [0, 1]
+        # The operand is a policy, not a register: the read names only
+        # its destination slot.
+        assert named_slots(code["own"].instrs[:1]) == [0]
 
     def test_lower_body_idempotent_shape(self):
         checked = check_program(self.HOT)
